@@ -158,26 +158,15 @@ class Clique:
 class CliqueSearch:
     """Exhaustive K-partite clique enumeration with last-layer pruning.
 
-    Partitions are processed in index order by default or smallest
-    first with order="size"; the minimal worst weight is the same
-    either way.  With pruning on, once a clique covers all but the
-    final partition only the cheapest compatible completion is tried,
-    which cannot miss the optimum.  ``explored`` counts every partial
-    or complete clique constructed.
+    Partitions are processed in index order.  With pruning on, once a
+    clique covers all but the final partition only the cheapest
+    compatible completion is tried, which cannot miss the optimum.
+    ``explored`` counts every partial or complete clique constructed.
     """
 
-    def __init__(self, graph: PathGraph, prune: bool = True, order: str = "index"):
-        if order not in ("index", "size"):
-            raise CliqueError(f"unknown partition order {order!r}")
+    def __init__(self, graph: PathGraph, prune: bool = True):
         self.graph = graph
         self.prune = prune
-        self._owner = graph.partition_of
-        if order == "size":
-            self.order = sorted(
-                range(len(graph.partitions)), key=lambda i: (len(graph.partitions[i]), i)
-            )
-        else:
-            self.order = list(range(len(graph.partitions)))
         self.explored = 0
         self._best: tuple | None = None
 
@@ -199,7 +188,7 @@ class CliqueSearch:
     # key: (max order_key, componentwise key sum, canonical vertex tuple)
     def _complete(self, members: list[int]) -> None:
         g = self.graph
-        chosen = tuple(sorted(members, key=lambda v: self._owner[v]))
+        chosen = tuple(members)
         worst = max(g.order_key[v] for v in chosen)
         total = tuple(
             sum(g.order_key[v][i] for v in chosen)
@@ -211,8 +200,8 @@ class CliqueSearch:
 
     def _extend(self, members: list[int], common: frozenset[int], depth: int) -> None:
         g = self.graph
-        last = depth == len(self.order) - 1
-        part = g.partitions[self.order[depth]]
+        last = depth == len(g.partitions) - 1
+        part = g.partitions[depth]
         allowed = [v for v in part if v in common]
         if last and self.prune and allowed:
             pick = min(allowed, key=lambda v: (g.order_key[v], v))
@@ -227,12 +216,10 @@ class CliqueSearch:
             members.pop()
 
 
-def min_max_clique(
-    graph: PathGraph, prune: bool = True, order: str = "index"
-) -> Clique | None:
+def min_max_clique(graph: PathGraph, prune: bool = True) -> Clique | None:
     """Clique with one vertex per partition minimizing the largest weight.
 
     Ties break toward the smallest weight sum, then the smallest vertex
     tuple.  Returns None when no full-size clique exists.
     """
-    return CliqueSearch(graph, prune=prune, order=order).run()
+    return CliqueSearch(graph, prune=prune).run()

@@ -1,28 +1,34 @@
-"""Routing graph over the LoS topology and shortest-path machinery.
+"""Routing graph over the LoS topology and its one path search.
 
 Vertices are the scene nodes.  Directed edges run BS -> surface,
 surface -> strictly-farther surface, and surface -> user, each carrying
 the weight ln(d / (M sqrt(beta))).  Minimizing the weight sum of a
 BS-to-user path maximizes its end to end channel power, so candidate
-route search reduces to loopless shortest paths on a DAG.  Weights can
-be negative; all searches rely on topological order, never on
-Dijkstra's nonnegativity assumption.
+route search reduces to shortest paths on a DAG.  Every edge leads
+strictly away from the BS, so every path is loopless, and a single
+label sweep in topological order finds the cheapest `count` paths
+(``yen_k_shortest``; the single path is ``dag_shortest_path``).
+Weights can be negative; the sweep never relies on Dijkstra's
+nonnegativity assumption.
 
 Edge costs are short float tuples compared lexicographically.  The
 plain graph uses 1-tuples of the scalar weight; the hop-greedy variant
 uses (-1, ln d) so longer paths win before distance breaks ties, which
-realizes the large-M limit without evaluating any large power.
+realizes the large-M limit without evaluating any large power.  Paths
+are ranked by (cost vector, hop count, vertex sequence), and cost
+vectors are summed hop by hop from the BS, so equal paths carry
+bit-identical floats.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
-from .scene import IRS, USER, Scene
+from .scene import IRS, Scene
 
 
 class GraphError(ValueError):
@@ -262,26 +268,21 @@ def build_routing_graph(
 # -- path search -------------------------------------------------------
 
 
-def _zero_cost(graph: LosGraph) -> tuple[float, ...]:
-    dims = len(next(iter(graph.cost.values()))) if graph.cost else 1
-    return (0.0,) * dims
-
-
 def _path_cost(graph: LosGraph, vertices: tuple[int, ...]) -> tuple[float, ...]:
-    """Cost vector of a path, summed hop by hop in path order.
+    """Cost vector of an explicit path, summed hop by hop in path order.
 
-    Always re-accumulated left to right so equal paths produce
-    bit-identical floats regardless of how the search found them.
+    The sweep below accumulates in the same order, so a path gets
+    bit-identical floats however it was found.
     """
-    total = list(_zero_cost(graph))
+    total = (0.0,) * len(graph.cost[vertices[0], vertices[1]])
     for a, b in zip(vertices[:-1], vertices[1:]):
-        c = graph.cost[a, b]
-        for idx in range(len(total)):
-            total[idx] += c[idx]
-    return tuple(total)
+        total = tuple(map(add, total, graph.cost[a, b]))
+    return total
 
 
-def _make_route(graph: LosGraph, vertices: tuple[int, ...]) -> Route:
+def _make_route(
+    graph: LosGraph, vertices: tuple[int, ...], cost_vec: tuple[float, ...]
+) -> Route:
     cost = 0.0
     dist = 0.0
     for a, b in zip(vertices[:-1], vertices[1:]):
@@ -291,7 +292,7 @@ def _make_route(graph: LosGraph, vertices: tuple[int, ...]) -> Route:
         user_index=vertices[-1] - graph.num_irs,
         vertices=vertices,
         cost=cost,
-        cost_vec=_path_cost(graph, vertices),
+        cost_vec=cost_vec,
         distance_m=dist,
     )
 
@@ -304,7 +305,7 @@ def make_route(graph: LosGraph, vertices: tuple[int, ...]) -> Route:
     if len(vertices) < 3 or vertices[0] != 0:
         raise GraphError(f"not a BS-to-user path: {vertices}")
     _check_target(graph, vertices[-1])
-    return _make_route(graph, vertices)
+    return _make_route(graph, vertices, _path_cost(graph, vertices))
 
 
 def _check_target(graph: LosGraph, target: int) -> None:
@@ -312,92 +313,68 @@ def _check_target(graph: LosGraph, target: int) -> None:
         raise GraphError(f"target {target} is not a user vertex")
 
 
-def dag_shortest_path(
+def yen_k_shortest(
     graph: LosGraph,
     target: int,
-    source: int = 0,
+    count: int,
     banned_vertices: frozenset[int] = frozenset(),
-    banned_edges: frozenset[tuple[int, int]] = frozenset(),
-) -> Route | None:
-    """Minimum-cost path from source to a user vertex, or None.
+) -> list[Route]:
+    """Up to `count` lowest-cost BS-to-user paths, sorted.
 
-    Single relaxation sweep in topological order, exact for any edge
-    sign.  Ties break toward fewer hops, then the lexicographically
-    smallest vertex sequence, so results are deterministic.
-    """
-    _check_target(graph, target)
-    if source in banned_vertices or target in banned_vertices:
-        return None
-    # key: (cost vector, hop count, vertex sequence), compared as a tuple
-    best: dict[int, tuple[tuple[float, ...], int, tuple[int, ...]]] = {
-        source: (_zero_cost(graph), 0, (source,))
-    }
-    for v in graph.topo_order:
-        entry = best.get(v)
-        if entry is None or v == target:
-            continue
-        for j in graph.succ.get(v, ()):
-            if j in banned_vertices or (v, j) in banned_edges:
-                continue
-            path = entry[2] + (j,)
-            cand = (_path_cost(graph, path), entry[1] + 1, path)
-            if j not in best or cand < best[j]:
-                best[j] = cand
-    hit = best.get(target)
-    if hit is None:
-        return None
-    return _make_route(graph, hit[2])
-
-
-def yen_k_shortest(graph: LosGraph, target: int, count: int) -> list[Route]:
-    """Up to `count` lowest-cost loopless BS-to-user paths, sorted.
-
-    Classic deviation search: each accepted path spawns spur searches
-    that exclude the edges of previously accepted paths sharing the
-    same root prefix, with the shortest-path subroutine above.  Returns
-    fewer than `count` routes when the path set is exhausted.
+    One label sweep in topological order.  Each vertex keeps its
+    `count` smallest labels (cost vector, hop count, vertex sequence),
+    compared as tuples, and hands them on along its out-edges, adding
+    the edge cost component by component.  Every DAG path is loopless,
+    so no deviation search is needed; the name is kept from the Yen
+    search this replaced, for API compatibility.  Ties break toward
+    fewer hops, then the lexicographically smallest vertex sequence.
+    Paths through `banned_vertices` are skipped, and fewer than `count`
+    routes come back when the path set is exhausted.
     """
     _check_target(graph, target)
     if count < 1:
         raise GraphError("path count must be positive")
-    first = dag_shortest_path(graph, target)
-    if first is None:
+    first_hops = graph.succ.get(0, ())
+    if not first_hops or 0 in banned_vertices or target in banned_vertices:
         return []
-    accepted = [first]
-    seen = {first.vertices}
-    candidates: list[tuple[tuple[float, ...], int, tuple[int, ...]]] = []
-    while len(accepted) < count:
-        prev = accepted[-1].vertices
-        for i in range(len(prev) - 1):
-            root = prev[: i + 1]
-            spur = prev[i]
-            banned_edges = set()
-            for done in accepted:
-                path = done.vertices
-                if len(path) > i + 1 and path[: i + 1] == root:
-                    banned_edges.add((path[i], path[i + 1]))
-            banned_vertices = frozenset(root[:-1])
-            spur_route = dag_shortest_path(
-                graph,
-                target,
-                source=spur,
-                banned_vertices=banned_vertices,
-                banned_edges=frozenset(banned_edges),
-            )
-            if spur_route is None:
+    users = graph.user_vertices
+    zero = (0.0,) * len(graph.cost[0, first_hops[0]])
+    labels = {0: [(zero, 0, (0,))]}
+    for v in graph.topo_order:
+        # a vertex's labels are final once every predecessor is swept
+        here = labels.pop(v, None)
+        if here is None:
+            continue
+        if v == target:
+            return [_make_route(graph, path, cost) for cost, _, path in here]
+        for j in graph.succ.get(v, ()):
+            if j in banned_vertices or (j in users and j != target):
                 continue
-            full = root[:-1] + spur_route.vertices
-            if full in seen:
-                continue
-            seen.add(full)
-            heapq.heappush(
-                candidates, (_path_cost(graph, full), len(full) - 1, full)
-            )
-        if not candidates:
-            break
-        _, _, best_path = heapq.heappop(candidates)
-        accepted.append(_make_route(graph, best_path))
-    return accepted
+            c = graph.cost[v, j]
+            bucket = labels.setdefault(j, [])
+            bucket += [
+                (tuple(map(add, cost, c)), hops + 1, path + (j,))
+                for cost, hops, path in here
+            ]
+            # one edge extends labels in their order (barring float
+            # rounding that merges two costs), so `count` per vertex suffice
+            bucket.sort()
+            del bucket[count:]
+    return []
+
+
+def dag_shortest_path(
+    graph: LosGraph,
+    target: int,
+    banned_vertices: frozenset[int] = frozenset(),
+) -> Route | None:
+    """Minimum-cost BS-to-user path avoiding `banned_vertices`, or None.
+
+    The single-label case of the sweep in `yen_k_shortest`, with the
+    same tie rule.
+    """
+    routes = yen_k_shortest(graph, target, 1, banned_vertices)
+    return routes[0] if routes else None
 
 
 def enumerate_paths(
@@ -426,31 +403,3 @@ def enumerate_paths(
     if 0 not in banned_vertices:
         walk(0)
     return out
-
-
-# -- exports -----------------------------------------------------------
-
-
-def edge_list_text(graph: LosGraph) -> str:
-    """One `i j weight` line per edge, vertex order, round-trip floats."""
-    lines = [f"{i} {j} {graph.weight[i, j]!r}" for i, j in graph.edges]
-    return "\n".join(lines) + "\n"
-
-
-def _vertex_label(graph: LosGraph, v: int) -> str:
-    if v == 0:
-        return "BS"
-    if v <= graph.num_irs:
-        return f"IRS {v}"
-    return f"User {v - graph.num_irs}"
-
-
-def to_dot(graph: LosGraph) -> str:
-    """Graphviz digraph with kind-based labels and weight annotations."""
-    lines = ["digraph routing {"]
-    for v in range(graph.num_vertices):
-        lines.append(f'  v{v} [label="{_vertex_label(graph, v)}"];')
-    for i, j in graph.edges:
-        lines.append(f'  v{i} -> v{j} [label="{graph.weight[i, j]:.4f}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

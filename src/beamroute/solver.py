@@ -1,8 +1,9 @@
 """Joint route optimizers and benchmark strategies.
 
-The proposed pipeline chains candidate search (loopless shortest
-paths per user), compatibility graph assembly and min-max clique
-selection, then maps the winning cost back to channel powers.  The
+The proposed pipeline chains candidate search (the cheapest paths per
+user from one top-Q label sweep of the routing DAG, whose paths are all
+loopless), compatibility graph assembly and min-max clique selection,
+then maps the winning cost back to channel powers.  The
 alternatives exist to bound it: a sequential greedy baseline, two
 asymptotic benchmarks for small and large surfaces, and a brute-force
 enumeration that is exact but exponential.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .channel import closed_form_power
 from .clique import CliqueSearch, NoCandidateRoutesError, build_path_graph

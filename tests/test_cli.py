@@ -296,6 +296,28 @@ def test_output_bytes_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+GOLDEN_RUNS = [
+    *(
+        (f"demo_{name}.json", ["--algorithm", name, "--output", "json"])
+        for name in ("proposed", "sequential", "min-pathloss", "max-cpb", "brute-force")
+    ),
+    ("demo_sweep_M.csv", ["--sweep", "M", "--values", "100,200,400,800", "--output", "csv"]),
+    ("demo_sweep_Q.csv", ["--sweep", "Q", "--values", "1..20", "--output", "csv"]),
+]
+
+
+@pytest.mark.parametrize("golden,args", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
+def test_report_bytes_match_golden(tmp_path, golden, args):
+    # pinned report bytes: any change to routes, tie-breaks or float
+    # formatting shows up as a difference
+    out = tmp_path / golden
+    assert main(["--scene", DEMO, *args, "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_main_algorithm_names(capsys):
     for name in ("proposed", "sequential", "min-pathloss", "max-cpb", "brute-force"):
         code = main(["--scene", DEMO, "--algorithm", name, "--output", "json"])

@@ -306,18 +306,6 @@ class TestMinMaxClique:
             assert a.objective == b.objective
             assert a.vertices == b.vertices
 
-    def test_partition_order_invariance(self):
-        rng = np.random.default_rng(33)
-        for _ in range(60):
-            pg = random_pathgraph(rng)
-            a = min_max_clique(pg, order="index")
-            b = min_max_clique(pg, order="size")
-            if a is None:
-                assert b is None
-            else:
-                assert a.objective == b.objective
-                assert a.objective_key == b.objective_key
-
     def test_pruning_reduces_exploration(self):
         pg = pathgraph_from_bits(
             [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
@@ -344,8 +332,3 @@ class TestMinMaxClique:
                 continue
             for a, b in itertools.combinations(c.vertices, 2):
                 assert b in pg.adj[a]
-
-    def test_bad_order_rejected(self):
-        pg = pathgraph_from_bits([[1.0]], [])
-        with pytest.raises(CliqueError):
-            min_max_clique(pg, order="alphabetical")

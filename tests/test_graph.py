@@ -1,4 +1,4 @@
-"""Routing graph construction, shortest paths, Yen search, exports."""
+"""Routing graph construction, shortest paths and the top-Q path sweep."""
 
 import math
 
@@ -12,15 +12,13 @@ from beamroute.graph import (
     Route,
     build_routing_graph,
     dag_shortest_path,
-    edge_list_text,
     edge_weight,
     enumerate_paths,
     route_from_sequence,
-    to_dot,
     validate_route,
     yen_k_shortest,
 )
-from scenefab import chain_scene, full_los, make_scene
+from scenefab import adversarial_scene, chain_scene, corridor_scene, full_los, make_scene
 
 BETA_5GHZ = 2.2797266319525994e-05
 
@@ -50,6 +48,14 @@ def oracle_cost(weight, path):
     for a, b in zip(path[:-1], path[1:]):
         c += weight[a, b]
     return c
+
+
+def oracle_cost_vec(cost, path):
+    total = [0.0] * len(cost[path[0], path[1]])
+    for a, b in zip(path[:-1], path[1:]):
+        for idx, c in enumerate(cost[a, b]):
+            total[idx] += c
+    return tuple(total)
 
 
 def random_losgraph(rng, num_irs=None, num_users=1, negative=True):
@@ -284,17 +290,43 @@ class TestYen:
                 prev = r.cost_vec
 
     def test_against_bruteforce_five_smallest(self):
+        # full (cost_vec, hops, vertices) keys, so tie order is pinned too
         rng = np.random.default_rng(23)
-        for _ in range(40):
-            g = random_losgraph(rng)
-            target = g.num_irs + 1
-            users = set(g.user_vertices)
-            all_costs = sorted(
-                oracle_cost(g.weight, p)
-                for p in oracle_paths(g.succ, 0, target, users)
+        graphs = [random_losgraph(rng) for _ in range(40)]
+        # half-unit weights sum exactly, so hop and vertex ties are common
+        graphs += [
+            LosGraph.from_edges(
+                g.num_irs, g.num_users, [(i, j, round(2 * g.weight[i, j]) / 2) for i, j in g.edges]
             )
-            routes = yen_k_shortest(g, target, 5)
-            assert [r.cost for r in routes] == all_costs[:5]
+            for g in graphs[:20]
+        ]
+        graphs += [
+            build_routing_graph(chain_scene(rng, int(rng.integers(2, 7))), hop_priority=True)
+            for _ in range(10)
+        ]
+        graphs += [
+            build_routing_graph(s, hop_priority=True)
+            for s in (corridor_scene(), adversarial_scene())
+        ]
+        for g in graphs:
+            for target in g.user_vertices:
+                paths = enumerate_paths(g, target)
+                banned = frozenset(
+                    v for v in range(g.num_vertices) if rng.random() < 0.15
+                )
+                for ban in (frozenset(), banned):
+                    want = sorted(
+                        (oracle_cost_vec(g.cost, p), len(p) - 1, p)
+                        for p in paths
+                        if ban.isdisjoint(p)
+                    )
+                    for count in (5, len(want) + 2):
+                        routes = yen_k_shortest(g, target, count, ban)
+                        got = [(r.cost_vec, len(r.vertices) - 1, r.vertices) for r in routes]
+                        assert got == want[:count]
+                        assert [r.cost for r in routes] == [
+                            oracle_cost(g.weight, p) for _, _, p in want[:count]
+                        ]
 
     def test_count_validation(self):
         g = LosGraph.from_edges(1, 1, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -371,27 +403,3 @@ class TestCostPowerDuality:
                 assert power == pytest.approx(
                     n / m**2 * math.exp(-2 * route.cost), rel=1e-9
                 )
-
-
-class TestExports:
-    def graph(self):
-        return LosGraph.from_edges(
-            2, 1, [(0, 1, 0.5), (0, 2, -0.25), (1, 2, 1.0), (2, 3, 0.125)]
-        )
-
-    def test_edge_list_round_trip(self):
-        g = self.graph()
-        lines = edge_list_text(g).strip().split("\n")
-        assert len(lines) == 4
-        parsed = {}
-        for line in lines:
-            i, j, w = line.split()
-            parsed[int(i), int(j)] = float(w)
-        assert parsed == g.weight
-
-    def test_dot_labels(self):
-        dot = to_dot(self.graph())
-        assert 'label="BS"' in dot
-        assert 'label="IRS 2"' in dot
-        assert 'label="User 1"' in dot
-        assert dot.startswith("digraph")
