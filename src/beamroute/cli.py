@@ -289,7 +289,7 @@ def sweep(config: ExperimentConfig) -> dict:
             else:
                 record = _solve_record(scene, config, value)
             points.append({"value": value, **record})
-        except (SceneError, SolverError, ValueError) as exc:
+        except (SceneError, SolverError, ValueError, ArithmeticError) as exc:
             points.append({"value": value, "error": str(exc)})
     return {"sweep": config.sweep, "users": scene.num_users, "points": points}
 
@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         result = run_experiment(config)
         _emit(_render(result, config), config.out)
         return 0 if result["feasible"] else 2
-    except (CliError, SceneError, SolverError, OSError, ValueError) as exc:
+    except (CliError, SceneError, SolverError, OSError, ValueError, ArithmeticError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
 

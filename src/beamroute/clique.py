@@ -11,6 +11,8 @@ largest route cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .graph import Route
 from .scene import Scene
@@ -28,24 +30,42 @@ class NoCandidateRoutesError(CliqueError):
         super().__init__(f"user {user_index} has no candidate routes")
 
 
-def neighbor_disjoint(a: Route, b: Route, scene: Scene) -> bool:
+class RouteMasks(NamedTuple):
+    """Bitmasks of one route over the scene's node ids.
+
+    ``own`` has the bits of the route's vertices after the BS,
+    ``closed`` the union of their closed LoS neighbourhoods.
+    """
+
+    own: int
+    closed: int
+
+
+def route_masks(route: Route, scene: Scene) -> RouteMasks:
+    masks = scene.los_masks
+    own = closed = 0
+    for v in route.vertices[1:]:
+        own |= 1 << v
+        closed |= masks[v]
+    return RouteMasks(own, closed)
+
+
+def compatible(a: RouteMasks, b: RouteMasks) -> bool:
     """True when two routes of different users can coexist.
 
-    Both the surfaces and the terminal users count; the shared BS is
-    exempt.  The routes must have no vertex in common and no LoS pair
-    across them.
+    They may share no vertex and no LoS pair across them; the shared BS
+    is exempt.  Both conditions are one test: no vertex of ``b`` lies
+    in the closed neighbourhood of ``a``.  LoS is symmetric, so the
+    test is too.
     """
+    return not a.closed & b.own
+
+
+def neighbor_disjoint(a: Route, b: Route, scene: Scene) -> bool:
+    """``compatible`` for two routes of different users of ``scene``."""
     if a.user_index == b.user_index:
         raise CliqueError("neighbor test is undefined for same-user routes")
-    va = a.vertices[1:]
-    vb = b.vertices[1:]
-    if set(va) & set(vb):
-        return False
-    for u in va:
-        for v in vb:
-            if scene.los_indicator(u, v):
-                return False
-    return True
+    return compatible(route_masks(a, scene), route_masks(b, scene))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +116,11 @@ class PathGraph:
     def num_vertices(self) -> int:
         return len(self.weight)
 
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """``adj`` as int bitmasks over the vertex ids."""
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
+
 
 def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGraph:
     """Assemble the compatibility graph from per-user candidate lists.
@@ -126,12 +151,13 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
             routes.append(route)
         partitions.append(tuple(ids))
 
+    masks = [route_masks(r, scene) for r in routes]
     adj = [set() for _ in weight]
     for ka in range(len(users)):
         for kb in range(ka + 1, len(users)):
             for va in partitions[ka]:
                 for vb in partitions[kb]:
-                    if neighbor_disjoint(routes[va], routes[vb], scene):
+                    if compatible(masks[va], masks[vb]):
                         adj[va].add(vb)
                         adj[vb].add(va)
 
@@ -156,25 +182,37 @@ class Clique:
 
 
 class CliqueSearch:
-    """Exhaustive K-partite clique enumeration with last-layer pruning.
+    """Branch-and-bound K-partite clique search.
 
-    Partitions are processed in index order.  With pruning on, once a
-    clique covers all but the final partition only the cheapest
-    compatible completion is tried, which cannot miss the optimum.
-    ``explored`` counts every partial or complete clique constructed.
+    Partitions are filled in index order, each walked in ``(order_key,
+    v)`` order.  A partition's walk stops at the first key strictly
+    greater than the worst key of the best clique found, since every
+    clique through it is worse; equal keys go on, so the tie rule
+    still decides.  The final partition only tries its first
+    compatible vertex, the cheapest completion.  A branch is also
+    dropped as soon as some later partition has no vertex left that is
+    compatible with all members (forward checking).
+
+    ``explored`` counts every partial or complete clique constructed,
+    ``pruned`` the branches cut by the bound or by forward checking.
     """
 
-    def __init__(self, graph: PathGraph, prune: bool = True):
+    def __init__(self, graph: PathGraph):
         self.graph = graph
-        self.prune = prune
         self.explored = 0
+        self.pruned = 0
         self._best: tuple | None = None
+        self._walk = [
+            [(v, 1 << v) for v in sorted(part, key=lambda v: (graph.order_key[v], v))]
+            for part in graph.partitions
+        ]
+        self._part_masks = [sum(1 << v for v in part) for part in graph.partitions]
 
     def run(self) -> Clique | None:
         self._best = None
         self.explored = 0
-        all_vertices = frozenset(range(self.graph.num_vertices))
-        self._extend([], all_vertices, 0)
+        self.pruned = 0
+        self._extend([], (1 << self.graph.num_vertices) - 1, 0)
         if self._best is None:
             return None
         key, chosen = self._best
@@ -198,28 +236,35 @@ class CliqueSearch:
         if self._best is None or key < self._best[0]:
             self._best = (key, chosen)
 
-    def _extend(self, members: list[int], common: frozenset[int], depth: int) -> None:
+    def _extend(self, members: list[int], common: int, depth: int) -> None:
         g = self.graph
         last = depth == len(g.partitions) - 1
-        part = g.partitions[depth]
-        allowed = [v for v in part if v in common]
-        if last and self.prune and allowed:
-            pick = min(allowed, key=lambda v: (g.order_key[v], v))
-            allowed = [pick]
-        for v in allowed:
+        later = self._part_masks[depth + 1 :]
+        for v, bit in self._walk[depth]:
+            if not common & bit:
+                continue
+            if self._best is not None and g.order_key[v] > self._best[0][0]:
+                self.pruned += 1
+                break
             self.explored += 1
             members.append(v)
             if last:
                 self._complete(members)
             else:
-                self._extend(members, common & g.adj[v], depth + 1)
+                rest = common & g.adj_masks[v]
+                if all(rest & part for part in later):
+                    self._extend(members, rest, depth + 1)
+                else:
+                    self.pruned += 1
             members.pop()
+            if last:
+                break
 
 
-def min_max_clique(graph: PathGraph, prune: bool = True) -> Clique | None:
+def min_max_clique(graph: PathGraph) -> Clique | None:
     """Clique with one vertex per partition minimizing the largest weight.
 
     Ties break toward the smallest weight sum, then the smallest vertex
     tuple.  Returns None when no full-size clique exists.
     """
-    return CliqueSearch(graph, prune=prune).run()
+    return CliqueSearch(graph).run()

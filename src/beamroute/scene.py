@@ -113,11 +113,11 @@ class Scene:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def num_irs(self) -> int:
         return sum(1 for n in self.nodes if n.kind == IRS)
 
-    @property
+    @cached_property
     def num_users(self) -> int:
         return sum(1 for n in self.nodes if n.kind == USER)
 
@@ -226,6 +226,21 @@ class Scene:
         if self.los_override is not None:
             return bool(self.los_override[i, j])
         return bool(self._dist[i, j] <= self.los_threshold)
+
+    @cached_property
+    def los_masks(self) -> tuple[int, ...]:
+        """Closed LoS neighbourhood of every node as an int bitmask.
+
+        Bit j of entry i is set when j == i or ``los_indicator(i, j)``
+        holds; the matrix rule is the same, applied to all pairs at once.
+        """
+        if self.los_override is not None:
+            los = self.los_override.astype(bool)
+        else:
+            los = self._dist <= self.los_threshold
+        los = los | np.eye(self.num_nodes, dtype=bool)
+        rows = np.packbits(los, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
     def link_geometry(self, i: int, j: int) -> LinkGeometry:
         """Distance and departure/arrival angles for the link i -> j."""

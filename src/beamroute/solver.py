@@ -20,7 +20,13 @@ import time
 from dataclasses import dataclass, field
 
 from .channel import closed_form_power
-from .clique import CliqueSearch, NoCandidateRoutesError, build_path_graph
+from .clique import (
+    CliqueSearch,
+    NoCandidateRoutesError,
+    build_path_graph,
+    compatible,
+    route_masks,
+)
 from .graph import (
     LosGraph,
     Route,
@@ -164,7 +170,12 @@ def _clique_pipeline(
         for u in range(1, k + 1)
     }
     counts = tuple(len(candidates[u]) for u in range(1, k + 1))
-    diagnostics = {"candidate_counts": counts, "cliques_explored": 0}
+    diagnostics = {
+        "candidate_counts": counts,
+        "compat_edges": 0,
+        "cliques_explored": 0,
+        "cliques_pruned": 0,
+    }
     try:
         path_graph = build_path_graph(candidates, scene)
     except NoCandidateRoutesError as exc:
@@ -172,9 +183,11 @@ def _clique_pipeline(
         diagnostics["infeasible_user"] = exc.user_index
         diagnostics["wall_time_s"] = time.perf_counter() - start
         return _infeasible(algorithm, diagnostics)
+    diagnostics["compat_edges"] = sum(len(n) for n in path_graph.adj) // 2
     search = CliqueSearch(path_graph)
     clique = search.run()
     diagnostics["cliques_explored"] = search.explored
+    diagnostics["cliques_pruned"] = search.pruned
     if clique is None:
         diagnostics["reason"] = "no compatible route combination"
         diagnostics["wall_time_s"] = time.perf_counter() - start
@@ -239,9 +252,10 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     """Greedy per-user routing over every user order, best order kept.
 
     Each user in turn gets its shortest route in the remaining graph,
-    then the route's vertices and all their LoS neighbors are dropped
-    so later users cannot conflict.  Orders where some user becomes
-    unreachable fail; with K users all K! orders are tried.
+    then the route's closed neighbourhood (its vertices and all their
+    LoS neighbors, bar the BS) is dropped so later users cannot
+    conflict.  Orders where some user becomes unreachable fail; with K
+    users all K! orders are tried.
     """
     scene = _effective_scene(scene, params)
     k = scene.num_users
@@ -254,21 +268,16 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     best: tuple[float, tuple[Route, ...], tuple[int, ...]] | None = None
     orders_feasible = 0
     for order in itertools.permutations(range(1, k + 1)):
-        banned: set[int] = set()
+        banned = 0
         chosen: dict[int, Route] = {}
         for u in order:
             route = dag_shortest_path(
-                graph, scene.num_irs + u, banned_vertices=frozenset(banned)
+                graph, scene.num_irs + u, banned_vertices=_bit_set(banned)
             )
             if route is None:
                 break
             chosen[u] = route
-            occupied = set(route.vertices[1:])
-            for v in occupied:
-                for w in range(1, scene.num_nodes):
-                    if w != v and scene.los_indicator(v, w):
-                        banned.add(w)
-            banned |= occupied
+            banned |= route_masks(route, scene).closed & ~1
         if len(chosen) != k:
             continue
         orders_feasible += 1
@@ -298,12 +307,14 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     return solution
 
 
-def _pairwise_compatible(scene: Scene, a: Route, b: Route) -> bool:
-    va = a.vertices[1:]
-    vb = b.vertices[1:]
-    if set(va) & set(vb):
-        return False
-    return not any(scene.los_indicator(u, v) for u in va for v in vb)
+def _bit_set(mask: int) -> frozenset[int]:
+    """The positions of the set bits of ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
@@ -329,12 +340,13 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     powers = [
         [closed_form_power(scene, r) for r in routes] for routes in per_user
     ]
+    masks = [[route_masks(r, scene) for r in routes] for routes in per_user]
     compat: dict[tuple[int, int, int, int], bool] = {}
     for ua in range(k):
         for ub in range(ua + 1, k):
-            for ia, ra in enumerate(per_user[ua]):
-                for ib, rb in enumerate(per_user[ub]):
-                    compat[ua, ia, ub, ib] = _pairwise_compatible(scene, ra, rb)
+            for ia, ma in enumerate(masks[ua]):
+                for ib, mb in enumerate(masks[ub]):
+                    compat[ua, ia, ub, ib] = compatible(ma, mb)
     best: tuple[float, tuple[int, ...]] | None = None
     checked = 0
     for combo in itertools.product(*(range(len(p)) for p in per_user)):

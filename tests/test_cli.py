@@ -17,7 +17,7 @@ from beamroute.cli import (
     run_experiment,
     sweep,
 )
-from beamroute.scene import load_scene
+from beamroute.scene import dump_scene_document, load_scene
 from beamroute.solver import SolveParams, solve
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenes", "demo.json")
@@ -235,6 +235,34 @@ def test_main_infeasible_exit_two(capsys):
 def test_main_error_exit_one(capsys):
     assert main(["--scene", "does_not_exist.json"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+def _chain_document(surfaces: int) -> str:
+    """A straight chain of 4 m hops with LoS only between neighbours."""
+    n = surfaces + 2
+    nodes = [
+        {"id": i, "kind": "BS" if i == 0 else "IRS" if i <= surfaces else "User",
+         "pos": [4.0 * i, 0.0, 0.0]}
+        for i in range(n)
+    ]
+    los = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    return dump_scene_document(nodes, los_override=los)
+
+
+def test_main_power_overflow_exit_one(tmp_path, capsys):
+    # M^(2h) overflows a float on a 40-surface route at M = 100000
+    path = tmp_path / "chain.json"
+    path.write_text(_chain_document(40))
+    assert main(["--scene", str(path), "--elements", "100000"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert "error" in json.loads(out)
+    code = main(["--scene", str(path), "--sweep", "M", "--values", "16,100000",
+                 "--output", "json"])
+    assert code == 2
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert "error" not in points[0]
+    assert "error" in points[1]
 
 
 def test_main_usage_error_exit_one(capsys):

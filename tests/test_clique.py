@@ -11,11 +11,13 @@ from beamroute.clique import (
     NoCandidateRoutesError,
     PathGraph,
     build_path_graph,
+    compatible,
     min_max_clique,
     neighbor_disjoint,
+    route_masks,
 )
-from beamroute.graph import route_from_sequence
-from scenefab import make_scene
+from beamroute.graph import build_routing_graph, enumerate_paths, make_route, route_from_sequence
+from scenefab import adversarial_scene, chain_scene, corridor_scene, make_scene
 
 
 def pathgraph_from_bits(weights_by_part, adj_pairs):
@@ -81,6 +83,108 @@ def random_pathgraph(rng):
                     if rng.random() < 0.55:
                         pairs.append((va, vb))
     return pathgraph_from_bits(weights, pairs)
+
+
+def raw_compatible(scene, a, b):
+    """The compatibility rule written out over raw LoS queries."""
+    va = a.vertices[1:]
+    vb = b.vertices[1:]
+    if set(va) & set(vb):
+        return False
+    return not any(scene.los_indicator(u, v) for u in va for v in vb)
+
+
+def random_override_scene(rng, num_irs, num_users):
+    """Random symmetric LoS bits over a 5 m lattice, BS links likelier."""
+    n = 1 + num_irs + num_users
+    cells = [(i, j) for i in range(6) for j in range(6) if (i, j) != (0, 0)]
+    picks = rng.permutation(len(cells))[: n - 1]
+    positions = [[0.0, 0.0, 0.0]] + [
+        [5.0 * cells[c][0], 5.0 * cells[c][1], 0.0] for c in picks
+    ]
+    los = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.35), 1)
+    los[0, 1 : 1 + num_irs] |= rng.random(num_irs) < 0.6
+    los = (los | los.T).astype(int)
+    return make_scene(positions, num_irs, num_users, los_override=los)
+
+
+def mask_rule_scenes(rng):
+    """scenefab scenes, random overrides and distance-rule lattices."""
+    scenes = [corridor_scene(), adversarial_scene()]
+    scenes += [chain_scene(rng, int(rng.integers(2, 7))) for _ in range(3)]
+    scenes += [
+        random_override_scene(rng, int(rng.integers(4, 10)), int(rng.integers(2, 4)))
+        for _ in range(12)
+    ]
+    for _ in range(4):
+        base = random_override_scene(rng, 8, 3)
+        scenes.append(
+            make_scene(base.positions, 8, 3, los_threshold=float(rng.uniform(5.0, 11.0)))
+        )
+    return scenes
+
+
+def all_routes(scene, cap=60):
+    graph = build_routing_graph(scene)
+    return [
+        make_route(graph, path)
+        for k in range(1, scene.num_users + 1)
+        for path in enumerate_paths(graph, scene.user_vertex(k))[:cap]
+    ]
+
+
+class TestRouteMasks:
+    def test_los_masks_match_indicator(self):
+        rng = np.random.default_rng(41)
+        for scene in mask_rule_scenes(rng):
+            n = scene.num_nodes
+            for i in range(n):
+                row = scene.los_masks[i]
+                assert row >> n == 0
+                for j in range(n):
+                    assert bool(row >> j & 1) == (i == j or scene.los_indicator(i, j))
+
+    def test_rule_matches_raw_loop(self):
+        rng = np.random.default_rng(42)
+        shared = bs_exempt = passed = 0
+        for scene in mask_rule_scenes(rng):
+            routes = all_routes(scene)
+            if not routes:
+                continue
+            masks = [route_masks(r, scene) for r in routes]
+            for _ in range(300):
+                ia, ib = (int(x) for x in rng.integers(0, len(routes), 2))
+                # mostly pairs of different users, the solver's case
+                user = routes[ia].user_index
+                others = [i for i, r in enumerate(routes) if r.user_index != user]
+                if others and rng.random() < 0.7:
+                    ib = others[int(rng.integers(0, len(others)))]
+                a, b = routes[ia], routes[ib]
+                want = raw_compatible(scene, a, b)
+                assert compatible(masks[ia], masks[ib]) == want
+                assert compatible(masks[ib], masks[ia]) == want
+                shared += bool(set(a.vertices[1:]) & set(b.vertices[1:]))
+                # both first surfaces see the BS, which must not count
+                bs_exempt += want and bool(masks[ia].closed & masks[ib].closed & 1)
+                passed += want
+        assert shared >= 1000
+        assert passed >= 100
+        assert bs_exempt >= 100
+
+    def test_closed_mask_is_the_sequential_banned_set(self):
+        # the vertices the sequential solver bans after routing a user,
+        # as its raw loop computed them
+        rng = np.random.default_rng(43)
+        for scene in mask_rule_scenes(rng):
+            for route in all_routes(scene):
+                occupied = set(route.vertices[1:])
+                banned = set(occupied)
+                for v in occupied:
+                    for w in range(1, scene.num_nodes):
+                        if w != v and scene.los_indicator(v, w):
+                            banned.add(w)
+                closed = route_masks(route, scene).closed & ~1
+                assert {w for w in range(scene.num_nodes) if closed >> w & 1} == banned
 
 
 class TestNeighborDisjoint:
@@ -295,33 +399,89 @@ class TestMinMaxClique:
         assert hits >= 40
 
     def test_pruned_matches_unpruned(self):
+        # the exhaustive oracle is the unpruned reference
         rng = np.random.default_rng(32)
         for _ in range(80):
             pg = random_pathgraph(rng)
-            a = min_max_clique(pg, prune=True)
-            b = min_max_clique(pg, prune=False)
-            if a is None:
-                assert b is None
+            want = oracle_min_max(pg)
+            got = min_max_clique(pg)
+            if want is None:
+                assert got is None
                 continue
-            assert a.objective == b.objective
-            assert a.vertices == b.vertices
+            assert got.objective_key == want[0]
+            assert got.vertices == want[2]
 
     def test_pruning_reduces_exploration(self):
+        # after the clique (0, 2) the bound cuts vertex 1 and the last
+        # partition only ever tries its first compatible vertex
         pg = pathgraph_from_bits(
             [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
             [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)],
         )
-        pruned = CliqueSearch(pg, prune=True)
-        pruned.run()
-        full = CliqueSearch(pg, prune=False)
-        full.run()
-        assert pruned.explored < full.explored
+        search = CliqueSearch(pg)
+        assert search.run().vertices == (0, 2)
+        assert search.explored == 2  # of 2 + 2 * 4 partial and full cliques
+        assert search.pruned == 1
 
     def test_explored_counts_partials(self):
         pg = pathgraph_from_bits([[1.0], [2.0]], [(0, 1)])
-        search = CliqueSearch(pg, prune=False)
+        search = CliqueSearch(pg)
         search.run()
         assert search.explored == 2  # the singleton and the pair
+        assert search.pruned == 0
+
+    def test_bound_keeps_equal_keys(self):
+        # vertex 1 ties vertex 0 on key and completes to a smaller sum
+        pg = pathgraph_from_bits([[5.0, 5.0], [3.0, 1.0]], [(0, 2), (1, 3)])
+        search = CliqueSearch(pg)
+        assert search.run().vertices == (1, 3)
+        assert search.explored == 4
+        assert search.pruned == 0
+
+    def test_forward_checking_cuts_dead_branch(self):
+        # vertex 0 reaches partition 1 but nothing in partition 2, so
+        # its branch stops before partition 1 is walked
+        pg = pathgraph_from_bits(
+            [[1.0, 2.0], [1.0, 2.0], [1.0]],
+            [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4)],
+        )
+        search = CliqueSearch(pg)
+        assert search.run().vertices == (1, 2, 4)
+        assert search.explored == 4
+        assert search.pruned == 1
+
+    def test_oracle_agreement_with_ties_and_dead_ends(self):
+        # half-unit weights force exact key ties; sparse edges leave
+        # many graphs without any full clique
+        rng = np.random.default_rng(35)
+        tied = infeasible = 0
+        for _ in range(300):
+            k = int(rng.integers(2, 5))
+            sizes = [int(rng.integers(1, 6)) for _ in range(k)]
+            weights = [[float(rng.integers(0, 6)) / 2 for _ in range(s)] for s in sizes]
+            starts = np.cumsum([0] + sizes)
+            density = rng.uniform(0.3, 0.9)
+            pairs = [
+                (va, vb)
+                for a in range(k)
+                for b in range(a + 1, k)
+                for va in range(starts[a], starts[a + 1])
+                for vb in range(starts[b], starts[b + 1])
+                if rng.random() < density
+            ]
+            pg = pathgraph_from_bits(weights, pairs)
+            want = oracle_min_max(pg)
+            got = min_max_clique(pg)
+            if want is None:
+                assert got is None
+                infeasible += 1
+                continue
+            assert got.vertices == want[2]
+            assert got.objective_key == want[0]
+            flat = [w for ws in weights for w in ws]
+            tied += len(set(flat)) < len(flat)
+        assert infeasible >= 30
+        assert tied >= 150
 
     def test_clique_members_pairwise_adjacent(self):
         rng = np.random.default_rng(34)

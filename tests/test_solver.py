@@ -14,6 +14,8 @@ import math
 import numpy as np
 import pytest
 
+from beamroute.channel import closed_form_power
+from beamroute.graph import build_routing_graph, dag_shortest_path, yen_k_shortest
 from beamroute.scene import Scene
 from beamroute.solver import (
     AuditError,
@@ -29,6 +31,7 @@ from beamroute.solver import (
 )
 
 from scenefab import adversarial_scene, corridor_scene, make_scene, star_scene
+from test_clique import random_override_scene
 
 BETA = (0.06 / (4 * math.pi)) ** 2
 
@@ -178,6 +181,46 @@ def test_proposed_diagnostics():
     assert sol.algorithm == "proposed"
 
 
+def test_clique_diagnostics_count_edges_and_cuts():
+    # only one candidate pair coexists; user 1's cheaper route leaves
+    # user 2 nothing, so forward checking cuts that branch
+    scene = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
+    for sol in (
+        solve_proposed(scene),
+        solve_limit_benchmark(scene, mode="min_pathloss"),
+        solve_limit_benchmark(scene, mode="max_cpb"),
+    ):
+        d = sol.diagnostics
+        assert d["candidate_counts"] == (2, 5)
+        assert d["compat_edges"] == 1
+        assert d["cliques_explored"] == 3
+        assert d["cliques_pruned"] == 1
+    d = solve_proposed(easy_two_corridor()).diagnostics
+    assert (d["compat_edges"], d["cliques_explored"], d["cliques_pruned"]) == (1, 2, 0)
+
+
+def test_compat_edges_count_raw_compatible_pairs():
+    rng = np.random.default_rng(13)
+    pruned = 0
+    for _ in range(30):
+        scene = random_scene(rng)
+        graph = build_routing_graph(scene)
+        cands = [yen_k_shortest(graph, scene.user_vertex(k), 20) for k in (1, 2)]
+        sol = solve_proposed(scene)
+        d = sol.diagnostics
+        want = sum(
+            oracle_compatible(scene, a.vertices, b.vertices)
+            for a in cands[0]
+            for b in cands[1]
+        )
+        assert d["compat_edges"] == (want if all(cands) else 0)
+        again = solve_proposed(scene).diagnostics
+        assert again["cliques_explored"] == d["cliques_explored"]
+        assert again["cliques_pruned"] == d["cliques_pruned"]
+        pruned += d["cliques_pruned"]
+    assert pruned > 0
+
+
 def test_proposed_matches_oracle_random():
     rng = np.random.default_rng(11)
     agreements = 0
@@ -258,6 +301,55 @@ def test_sequential_never_beats_bruteforce():
             assert greedy.objective <= exact.objective * (1 + 1e-9)
             both += 1
     assert both >= 5
+
+
+def raw_sequential(scene: Scene):
+    """The sequential solver with its banned set from raw LoS loops."""
+    graph = build_routing_graph(scene)
+    k = scene.num_users
+    best = None
+    for order in itertools.permutations(range(1, k + 1)):
+        banned: set[int] = set()
+        chosen = {}
+        for u in order:
+            route = dag_shortest_path(
+                graph, scene.user_vertex(u), banned_vertices=frozenset(banned)
+            )
+            if route is None:
+                break
+            chosen[u] = route
+            occupied = set(route.vertices[1:])
+            for v in occupied:
+                for w in range(1, scene.num_nodes):
+                    if w != v and scene.los_indicator(v, w):
+                        banned.add(w)
+            banned |= occupied
+        if len(chosen) != k:
+            continue
+        routes = tuple(chosen[u] for u in range(1, k + 1))
+        objective = min(closed_form_power(scene, r) for r in routes)
+        if best is None or objective > best[0]:
+            best = (objective, routes, order)
+    return best
+
+
+def test_sequential_matches_raw_banned_loop():
+    rng = np.random.default_rng(29)
+    scenes = [adversarial_scene(bs_antennas=4, irs_grid=(2, 2)), easy_two_corridor()]
+    scenes += [random_scene(rng) for _ in range(40)]
+    scenes += [random_override_scene(rng, 12, 3) for _ in range(20)]
+    feasible = 0
+    for scene in scenes:
+        sol = solve_sequential(scene)
+        want = raw_sequential(scene)
+        assert sol.feasible == (want is not None)
+        if want is None:
+            continue
+        feasible += 1
+        assert sol.objective == want[0]
+        assert sol.routes == want[1]
+        assert sol.diagnostics["best_order"] == want[2]
+    assert feasible >= 10
 
 
 def test_sequential_user_cap():
