@@ -6,10 +6,9 @@ the weight ln(d / (M sqrt(beta))).  Minimizing the weight sum of a
 BS-to-user path maximizes its end to end channel power, so candidate
 route search reduces to shortest paths on a DAG.  Every edge leads
 strictly away from the BS, so every path is loopless, and a single
-label sweep in topological order finds the cheapest `count` paths
-(``yen_k_shortest``; the single path is ``dag_shortest_path``).
-Weights can be negative; the sweep never relies on Dijkstra's
-nonnegativity assumption.
+label sweep in topological order finds every user's cheapest `count`
+paths at once (``top_routes``).  Weights can be negative; the sweep
+never relies on Dijkstra's nonnegativity assumption.
 
 Edge costs are short float tuples compared lexicographically.  The
 plain graph uses 1-tuples of the scalar weight; the hop-greedy variant
@@ -313,31 +312,28 @@ def _check_target(graph: LosGraph, target: int) -> None:
         raise GraphError(f"target {target} is not a user vertex")
 
 
-def yen_k_shortest(
-    graph: LosGraph,
-    target: int,
-    count: int,
-    banned_vertices: frozenset[int] = frozenset(),
-) -> list[Route]:
-    """Up to `count` lowest-cost BS-to-user paths, sorted.
+def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[Route]]:
+    """Every user's up to `count` lowest-cost BS-to-user paths, sorted.
 
     One label sweep in topological order.  Each vertex keeps its
     `count` smallest labels (cost vector, hop count, vertex sequence),
     compared as tuples, and hands them on along its out-edges, adding
     the edge cost component by component.  Every DAG path is loopless,
-    so no deviation search is needed; the name is kept from the Yen
-    search this replaced, for API compatibility.  Ties break toward
-    fewer hops, then the lexicographically smallest vertex sequence.
-    Paths through `banned_vertices` are skipped, and fewer than `count`
-    routes come back when the path set is exhausted.
+    so no deviation search is needed.  A vertex's labels are final when
+    the sweep reaches it, and labels never extend through a user, so one
+    sweep settles every user.  Ties break toward fewer hops, then the
+    lexicographically smallest vertex sequence.  Paths through a vertex
+    whose bit is set in the node mask `banned` are skipped.  The result
+    maps user index 1..K to its routes; fewer than `count` (possibly
+    none) come back when a user's path set is exhausted.
     """
-    _check_target(graph, target)
     if count < 1:
         raise GraphError("path count must be positive")
+    routes: dict[int, list[Route]] = {u: [] for u in range(1, graph.num_users + 1)}
     first_hops = graph.succ.get(0, ())
-    if not first_hops or 0 in banned_vertices or target in banned_vertices:
-        return []
-    users = graph.user_vertices
+    if not first_hops or banned & 1:
+        return routes
+    first_user = graph.user_vertices.start
     zero = (0.0,) * len(graph.cost[0, first_hops[0]])
     labels = {0: [(zero, 0, (0,))]}
     for v in graph.topo_order:
@@ -345,10 +341,13 @@ def yen_k_shortest(
         here = labels.pop(v, None)
         if here is None:
             continue
-        if v == target:
-            return [_make_route(graph, path, cost) for cost, _, path in here]
+        if v >= first_user:
+            routes[v - graph.num_irs] = [
+                _make_route(graph, path, cost) for cost, _, path in here
+            ]
+            continue
         for j in graph.succ.get(v, ()):
-            if j in banned_vertices or (j in users and j != target):
+            if banned >> j & 1:
                 continue
             c = graph.cost[v, j]
             bucket = labels.setdefault(j, [])
@@ -360,21 +359,17 @@ def yen_k_shortest(
             # rounding that merges two costs), so `count` per vertex suffice
             bucket.sort()
             del bucket[count:]
-    return []
+    return routes
 
 
-def dag_shortest_path(
-    graph: LosGraph,
-    target: int,
-    banned_vertices: frozenset[int] = frozenset(),
-) -> Route | None:
-    """Minimum-cost BS-to-user path avoiding `banned_vertices`, or None.
+def yen_k_shortest(graph: LosGraph, target: int, count: int) -> list[Route]:
+    """Up to `count` lowest-cost paths to the user vertex `target`.
 
-    The single-label case of the sweep in `yen_k_shortest`, with the
-    same tie rule.
+    A one-user view of `top_routes`; the name is kept from the Yen
+    search the sweep replaced, for API compatibility.
     """
-    routes = yen_k_shortest(graph, target, 1, banned_vertices)
-    return routes[0] if routes else None
+    _check_target(graph, target)
+    return top_routes(graph, count)[target - graph.num_irs]
 
 
 def enumerate_paths(

@@ -31,11 +31,10 @@ from .graph import (
     LosGraph,
     Route,
     build_routing_graph,
-    dag_shortest_path,
     enumerate_paths,
     make_route,
+    top_routes,
     validate_route,
-    yen_k_shortest,
 )
 from .scene import Scene
 
@@ -58,15 +57,13 @@ class AuditError(SolverError):
 class SolveParams:
     """Knobs shared by all solvers.
 
-    ``paths`` is the per-user candidate budget of the clique pipeline,
-    ``elements`` optionally overrides the scene's surface size, and
-    ``bruteforce_cap`` bounds the product of per-user path counts the
-    exhaustive solver will accept.
+    ``paths`` is the per-user candidate budget of the clique pipeline
+    and ``bruteforce_cap`` bounds the product of per-user path counts
+    the exhaustive solver will accept.
     """
 
     paths: int = 20
     algorithm: str = "proposed"
-    elements: int | None = None
     bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP
 
     def __post_init__(self) -> None:
@@ -94,27 +91,39 @@ class RoutingSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _effective_scene(scene: Scene, params: SolveParams) -> Scene:
+def _require_users(scene: Scene) -> None:
     if scene.num_users < 1:
         raise SolverError("no users in scene")
-    if params.elements is not None:
-        return scene.with_elements(params.elements)
-    return scene
 
 
 def _route_powers(scene: Scene, routes: tuple[Route, ...]) -> tuple[float, ...]:
     return tuple(closed_form_power(scene, r) for r in routes)
 
 
-def _infeasible(algorithm: str, diagnostics: dict) -> RoutingSolution:
-    return RoutingSolution(
-        feasible=False,
+def _finish(
+    scene: Scene,
+    algorithm: str,
+    diagnostics: dict,
+    start: float,
+    routes: tuple[Route, ...] = (),
+    powers: tuple[float, ...] = (),
+) -> RoutingSolution:
+    """The audited solution of one solve.
+
+    It carries the winning routes and their powers, or nothing when the
+    solver found no feasible selection.
+    """
+    diagnostics["wall_time_s"] = time.perf_counter() - start
+    solution = RoutingSolution(
+        feasible=bool(routes),
         algorithm=algorithm,
-        routes=(),
-        powers=(),
-        objective=None,
+        routes=routes,
+        powers=powers,
+        objective=min(powers) if routes else None,
         diagnostics=diagnostics,
     )
+    audit_solution(scene, solution)
+    return solution
 
 
 def audit_solution(scene: Scene, solution: RoutingSolution) -> None:
@@ -164,14 +173,9 @@ def _clique_pipeline(
 ) -> RoutingSolution:
     """Shared candidate/clique stage behind proposed and the benchmarks."""
     start = time.perf_counter()
-    k = scene.num_users
-    candidates = {
-        u: yen_k_shortest(graph, scene.num_irs + u, params.paths)
-        for u in range(1, k + 1)
-    }
-    counts = tuple(len(candidates[u]) for u in range(1, k + 1))
+    candidates = top_routes(graph, params.paths)
     diagnostics = {
-        "candidate_counts": counts,
+        "candidate_counts": tuple(len(c) for c in candidates.values()),
         "compat_edges": 0,
         "cliques_explored": 0,
         "cliques_pruned": 0,
@@ -181,8 +185,7 @@ def _clique_pipeline(
     except NoCandidateRoutesError as exc:
         diagnostics["reason"] = str(exc)
         diagnostics["infeasible_user"] = exc.user_index
-        diagnostics["wall_time_s"] = time.perf_counter() - start
-        return _infeasible(algorithm, diagnostics)
+        return _finish(scene, algorithm, diagnostics, start)
     diagnostics["compat_edges"] = sum(len(n) for n in path_graph.adj) // 2
     search = CliqueSearch(path_graph)
     clique = search.run()
@@ -190,11 +193,9 @@ def _clique_pipeline(
     diagnostics["cliques_pruned"] = search.pruned
     if clique is None:
         diagnostics["reason"] = "no compatible route combination"
-        diagnostics["wall_time_s"] = time.perf_counter() - start
-        return _infeasible(algorithm, diagnostics)
+        return _finish(scene, algorithm, diagnostics, start)
     routes = tuple(path_graph.routes[v] for v in clique.vertices)
     powers = _route_powers(scene, routes)
-    objective = min(powers)
     if check_identity:
         # the winning clique's worst cost must map back onto the worst
         # power through the log-domain relation
@@ -203,48 +204,39 @@ def _clique_pipeline(
             / scene.elements**2
             * math.exp(-2 * max(r.cost for r in routes))
         )
+        objective = min(powers)
         if not math.isclose(objective, implied, rel_tol=IDENTITY_RTOL):
             raise SolverError(
                 f"cost/power mismatch: objective {objective}, implied {implied}"
             )
-    diagnostics["wall_time_s"] = time.perf_counter() - start
-    solution = RoutingSolution(
-        feasible=True,
-        algorithm=algorithm,
-        routes=routes,
-        powers=powers,
-        objective=objective,
-        diagnostics=diagnostics,
-    )
-    audit_solution(scene, solution)
-    return solution
+    return _finish(scene, algorithm, diagnostics, start, routes, powers)
 
 
 def solve_proposed(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
     """Candidate search, compatibility graph and min-max clique selection."""
-    scene = _effective_scene(scene, params)
+    _require_users(scene)
     graph = build_routing_graph(scene)
     return _clique_pipeline(scene, graph, params, "proposed", check_identity=True)
 
 
-def solve_limit_benchmark(
-    scene: Scene, params: SolveParams = SolveParams(), mode: str = "min_pathloss"
-) -> RoutingSolution:
+def solve_limit_benchmark(scene: Scene, params: SolveParams) -> RoutingSolution:
     """Asymptotic benchmarks for very small and very large surfaces.
 
-    ``min_pathloss`` selects routes with single-element weights, the
-    small-M limit where per-hop loss dominates.  ``max_cpb`` selects
-    with hop count first and distance second, the large-M limit where
-    every extra reflection pays off.  Reported powers always use the
-    scene's actual element count.
+    ``params.algorithm`` picks the benchmark.  ``min_pathloss`` selects
+    routes with single-element weights, the small-M limit where per-hop
+    loss dominates.  ``max_cpb`` selects with hop count first and
+    distance second, the large-M limit where every extra reflection
+    pays off.  Reported powers always use the scene's actual element
+    count.
     """
-    scene = _effective_scene(scene, params)
+    _require_users(scene)
+    mode = params.algorithm
     if mode == "min_pathloss":
         graph = build_routing_graph(scene, elements=1)
     elif mode == "max_cpb":
         graph = build_routing_graph(scene, hop_priority=True)
     else:
-        raise SolverError(f"unknown benchmark mode {mode!r}")
+        raise SolverError(f"{mode!r} is not a limit benchmark algorithm")
     return _clique_pipeline(scene, graph, params, mode, check_identity=False)
 
 
@@ -255,9 +247,10 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     then the route's closed neighbourhood (its vertices and all their
     LoS neighbors, bar the BS) is dropped so later users cannot
     conflict.  Orders where some user becomes unreachable fail; with K
-    users all K! orders are tried.
+    users all K! orders are tried.  Orders that reach the same banned
+    set share one sweep of the routing graph.
     """
-    scene = _effective_scene(scene, params)
+    _require_users(scene)
     k = scene.num_users
     if k > MAX_SEQUENTIAL_USERS:
         raise SolverError(
@@ -265,56 +258,37 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         )
     start = time.perf_counter()
     graph = build_routing_graph(scene)
-    best: tuple[float, tuple[Route, ...], tuple[int, ...]] | None = None
+    # banned node mask -> every user's shortest route avoiding it
+    sweeps: dict[int, dict[int, list[Route]]] = {}
+    best: tuple[tuple[Route, ...], tuple[float, ...], tuple[int, ...]] | None = None
     orders_feasible = 0
     for order in itertools.permutations(range(1, k + 1)):
         banned = 0
         chosen: dict[int, Route] = {}
         for u in order:
-            route = dag_shortest_path(
-                graph, scene.num_irs + u, banned_vertices=_bit_set(banned)
-            )
-            if route is None:
+            if banned not in sweeps:
+                sweeps[banned] = top_routes(graph, 1, banned)
+            found = sweeps[banned][u]
+            if not found:
                 break
-            chosen[u] = route
-            banned |= route_masks(route, scene).closed & ~1
+            chosen[u] = found[0]
+            banned |= route_masks(found[0], scene).closed & ~1
         if len(chosen) != k:
             continue
         orders_feasible += 1
         routes = tuple(chosen[u] for u in range(1, k + 1))
-        objective = min(_route_powers(scene, routes))
-        if best is None or objective > best[0]:
-            best = (objective, routes, order)
+        powers = _route_powers(scene, routes)
+        if best is None or min(powers) > min(best[1]):
+            best = (routes, powers, order)
     diagnostics = {
         "orders_total": math.factorial(k),
         "orders_feasible": orders_feasible,
-        "wall_time_s": time.perf_counter() - start,
     }
     if best is None:
         diagnostics["reason"] = "every user order left some user unreachable"
-        return _infeasible("sequential", diagnostics)
-    objective, routes, order = best
-    diagnostics["best_order"] = order
-    solution = RoutingSolution(
-        feasible=True,
-        algorithm="sequential",
-        routes=routes,
-        powers=_route_powers(scene, routes),
-        objective=objective,
-        diagnostics=diagnostics,
-    )
-    audit_solution(scene, solution)
-    return solution
-
-
-def _bit_set(mask: int) -> frozenset[int]:
-    """The positions of the set bits of ``mask``."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+        return _finish(scene, "sequential", diagnostics, start)
+    routes, powers, diagnostics["best_order"] = best
+    return _finish(scene, "sequential", diagnostics, start, routes, powers)
 
 
 def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
@@ -323,7 +297,7 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     Refuses scenes where the product of per-user path counts exceeds
     the configured cap.
     """
-    scene = _effective_scene(scene, params)
+    _require_users(scene)
     start = time.perf_counter()
     k = scene.num_users
     graph = build_routing_graph(scene)
@@ -364,23 +338,14 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     diagnostics = {
         "path_counts": tuple(len(p) for p in per_user),
         "combinations_checked": checked,
-        "wall_time_s": time.perf_counter() - start,
     }
     if best is None:
         diagnostics["reason"] = "no compatible route combination"
-        return _infeasible("brute_force", diagnostics)
-    objective, combo = best
+        return _finish(scene, "brute_force", diagnostics, start)
+    _, combo = best
     routes = tuple(per_user[u][combo[u]] for u in range(k))
-    solution = RoutingSolution(
-        feasible=True,
-        algorithm="brute_force",
-        routes=routes,
-        powers=_route_powers(scene, routes),
-        objective=objective,
-        diagnostics=diagnostics,
-    )
-    audit_solution(scene, solution)
-    return solution
+    chosen_powers = tuple(powers[u][combo[u]] for u in range(k))
+    return _finish(scene, "brute_force", diagnostics, start, routes, chosen_powers)
 
 
 def solve(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
@@ -390,5 +355,5 @@ def solve(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
     if params.algorithm == "sequential":
         return solve_sequential(scene, params)
     if params.algorithm in ("min_pathloss", "max_cpb"):
-        return solve_limit_benchmark(scene, params, mode=params.algorithm)
+        return solve_limit_benchmark(scene, params)
     return solve_bruteforce(scene, params)

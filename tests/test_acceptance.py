@@ -258,8 +258,12 @@ def test_07_route_length_grows_with_surface_size():
     m_low, m_high = 100, 400
     low = solve_proposed(corridor_scene().with_elements(m_low))
     high = solve_proposed(corridor_scene().with_elements(m_high))
-    short = solve_limit_benchmark(corridor_scene().with_elements(m_low), mode="min_pathloss")
-    dense = solve_limit_benchmark(corridor_scene().with_elements(m_high), mode="max_cpb")
+    short = solve_limit_benchmark(
+        corridor_scene().with_elements(m_low), SolveParams(algorithm="min_pathloss")
+    )
+    dense = solve_limit_benchmark(
+        corridor_scene().with_elements(m_high), SolveParams(algorithm="max_cpb")
+    )
     ok = (
         low.feasible
         and high.feasible

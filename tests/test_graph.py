@@ -1,4 +1,4 @@
-"""Routing graph construction, shortest paths and the top-Q path sweep."""
+"""Routing graph construction and the one top-Q path sweep over all users."""
 
 import math
 
@@ -11,10 +11,11 @@ from beamroute.graph import (
     LosGraph,
     Route,
     build_routing_graph,
-    dag_shortest_path,
     edge_weight,
     enumerate_paths,
+    make_route,
     route_from_sequence,
+    top_routes,
     validate_route,
     yen_k_shortest,
 )
@@ -173,10 +174,20 @@ class TestBuildRoutingGraph:
             LosGraph.from_edges(1, 1, [(0, 1, 1.0), (0, 1, 2.0)])
 
 
+def ban_set(mask):
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def route_key(r):
+    return (r.cost_vec, r.hops, r.vertices)
+
+
 class TestDagShortestPath:
+    """The cheapest route per user: `top_routes` with count 1."""
+
     def test_single_chain(self):
         g = LosGraph.from_edges(2, 1, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
-        r = dag_shortest_path(g, 3)
+        (r,) = top_routes(g, 1)[1]
         assert r.vertices == (0, 1, 2, 3)
         assert r.cost == pytest.approx(1.75)
         assert r.hops == 2
@@ -186,7 +197,7 @@ class TestDagShortestPath:
         g = LosGraph.from_edges(
             3, 1, [(0, 1, 1.0), (1, 4, 1.0), (0, 2, 1.5), (2, 3, -2.0), (3, 4, 1.0)]
         )
-        r = dag_shortest_path(g, 4)
+        (r,) = top_routes(g, 1)[1]
         assert r.vertices == (0, 2, 3, 4)
         assert r.cost == pytest.approx(0.5)
 
@@ -194,61 +205,75 @@ class TestDagShortestPath:
         g = LosGraph.from_edges(
             3, 1, [(0, 1, 1.0), (1, 4, 1.0), (0, 2, 0.5), (2, 3, 0.5), (3, 4, 1.0)]
         )
-        r = dag_shortest_path(g, 4)
-        assert r.vertices == (0, 1, 4)
+        assert top_routes(g, 1)[1][0].vertices == (0, 1, 4)
 
     def test_tie_prefers_lexicographic(self):
         g = LosGraph.from_edges(
             3, 1, [(0, 1, 1.0), (1, 4, 1.0), (0, 3, 1.0), (3, 4, 1.0)]
         )
-        r = dag_shortest_path(g, 4)
-        assert r.vertices == (0, 1, 4)
+        assert top_routes(g, 1)[1][0].vertices == (0, 1, 4)
 
     def test_unreachable(self):
-        g = LosGraph.from_edges(2, 1, [(0, 1, 1.0)])
-        assert dag_shortest_path(g, 3) is None
+        g = LosGraph.from_edges(2, 2, [(0, 1, 1.0), (1, 4, 1.0)])
+        assert [r.vertices for r in top_routes(g, 1)[2]] == [(0, 1, 4)]
+        assert top_routes(g, 1)[1] == []
 
     def test_banned_vertex(self):
         g = LosGraph.from_edges(2, 1, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 5.0)])
-        r = dag_shortest_path(g, 3, banned_vertices=frozenset({1}))
-        assert r.vertices == (0, 2, 3)
+        assert top_routes(g, 1, banned=1 << 1)[1][0].vertices == (0, 2, 3)
+        assert top_routes(g, 1, banned=1 << 3) == {1: []}
+        assert top_routes(g, 1, banned=1) == {1: []}
+
+    def test_labels_never_pass_through_a_user(self):
+        # vertex 3 is user 1; its out-edge must not carry user 2's labels
+        g = LosGraph.from_edges(
+            2, 2, [(0, 1, 1.0), (1, 3, 1.0), (3, 4, -5.0), (1, 2, 1.0), (2, 4, 1.0)]
+        )
+        got = top_routes(g, 5)
+        assert [r.vertices for r in got[2]] == enumerate_paths(g, 4) == [(0, 1, 2, 4)]
+        assert [r.vertices for r in got[1]] == [(0, 1, 3)]
 
     def test_target_must_be_user(self):
         g = LosGraph.from_edges(2, 1, [(0, 1, 1.0), (1, 3, 1.0)])
         with pytest.raises(GraphError, match="user"):
-            dag_shortest_path(g, 1)
+            yen_k_shortest(g, 1, 1)
 
     def test_oracle_agreement(self):
+        # every user of one sweep against the independent enumeration
         rng = np.random.default_rng(42)
         checked = 0
         for _ in range(60):
-            g = random_losgraph(rng)
-            target = g.num_irs + 1
+            g = random_losgraph(rng, num_users=int(rng.integers(1, 4)))
+            got = top_routes(g, 1)
+            assert sorted(got) == list(range(1, g.num_users + 1))
             users = set(g.user_vertices)
-            paths = oracle_paths(g.succ, 0, target, users)
-            r = dag_shortest_path(g, target)
-            if not paths:
-                assert r is None
-                continue
-            best = min((oracle_cost(g.weight, p), len(p) - 1, p) for p in paths)
-            assert r.vertices == best[2]
-            assert r.cost == best[0]  # identical accumulation order, bit equal
-            checked += 1
-        assert checked >= 30
+            for target in g.user_vertices:
+                paths = oracle_paths(g.succ, 0, target, users)
+                routes = got[target - g.num_irs]
+                if not paths:
+                    assert routes == []
+                    continue
+                best = min((oracle_cost(g.weight, p), len(p) - 1, p) for p in paths)
+                (r,) = routes
+                assert r.vertices == best[2]
+                assert r.user_index == target - g.num_irs
+                assert r.cost == best[0]  # identical accumulation order, bit equal
+                checked += 1
+        assert checked >= 60
 
 
 class TestYen:
+    """`top_routes` with a count, and its one-user view `yen_k_shortest`."""
+
     def test_first_path_matches_shortest(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            g = random_losgraph(rng)
-            target = g.num_irs + 1
-            sp = dag_shortest_path(g, target)
-            ys = yen_k_shortest(g, target, 1)
-            if sp is None:
-                assert ys == []
-            else:
-                assert ys[0].vertices == sp.vertices
+            g = random_losgraph(rng, num_users=2)
+            single = top_routes(g, 1)
+            several = top_routes(g, 6)
+            for u in single:
+                assert single[u] == several[u][:1]
+                assert yen_k_shortest(g, g.num_irs + u, 6) == several[u]
 
     def test_exhausts_small_graph(self):
         g = LosGraph.from_edges(
@@ -265,7 +290,7 @@ class TestYen:
                 (3, 4, 0.3),
             ],
         )
-        routes = yen_k_shortest(g, 4, 50)
+        routes = top_routes(g, 50)[1]
         users = set(g.user_vertices)
         expect = sorted(
             (oracle_cost(g.weight, p), len(p) - 1, p)
@@ -276,23 +301,23 @@ class TestYen:
     def test_costs_sorted_and_paths_simple(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
-            g = random_losgraph(rng)
-            target = g.num_irs + 1
-            routes = yen_k_shortest(g, target, 6)
-            seen = set()
-            prev = None
-            for r in routes:
-                assert len(set(r.vertices)) == len(r.vertices)
-                assert r.vertices not in seen
-                seen.add(r.vertices)
-                if prev is not None:
-                    assert r.cost_vec >= prev
-                prev = r.cost_vec
+            g = random_losgraph(rng, num_users=2)
+            for routes in top_routes(g, 6).values():
+                seen = set()
+                prev = None
+                for r in routes:
+                    assert len(set(r.vertices)) == len(r.vertices)
+                    assert r.vertices not in seen
+                    seen.add(r.vertices)
+                    if prev is not None:
+                        assert r.cost_vec >= prev
+                    prev = r.cost_vec
 
     def test_against_bruteforce_five_smallest(self):
+        # every user of one sweep against enumerate_paths + make_route,
         # full (cost_vec, hops, vertices) keys, so tie order is pinned too
         rng = np.random.default_rng(23)
-        graphs = [random_losgraph(rng) for _ in range(40)]
+        graphs = [random_losgraph(rng, num_users=int(rng.integers(1, 4))) for _ in range(40)]
         # half-unit weights sum exactly, so hop and vertex ties are common
         graphs += [
             LosGraph.from_edges(
@@ -308,28 +333,43 @@ class TestYen:
             build_routing_graph(s, hop_priority=True)
             for s in (corridor_scene(), adversarial_scene())
         ]
+        banned_users = bs_banned = 0
         for g in graphs:
-            for target in g.user_vertices:
-                paths = enumerate_paths(g, target)
-                banned = frozenset(
-                    v for v in range(g.num_vertices) if rng.random() < 0.15
-                )
-                for ban in (frozenset(), banned):
-                    want = sorted(
-                        (oracle_cost_vec(g.cost, p), len(p) - 1, p)
-                        for p in paths
-                        if ban.isdisjoint(p)
+            masks = [0, 1]
+            for _ in range(3):
+                masks.append(sum(
+                    1 << v for v in range(g.num_vertices) if rng.random() < 0.15
+                ))
+            masks.append(masks[-1] | 1 << int(rng.choice(g.user_vertices)))
+            for mask in masks:
+                ban = ban_set(mask)
+                want = {
+                    target - g.num_irs: sorted(
+                        (make_route(g, p) for p in enumerate_paths(g, target, ban)),
+                        key=route_key,
                     )
-                    for count in (5, len(want) + 2):
-                        routes = yen_k_shortest(g, target, count, ban)
-                        got = [(r.cost_vec, len(r.vertices) - 1, r.vertices) for r in routes]
-                        assert got == want[:count]
-                        assert [r.cost for r in routes] == [
-                            oracle_cost(g.weight, p) for _, _, p in want[:count]
+                    for target in g.user_vertices
+                }
+                bs_banned += 0 in ban
+                banned_users += len(ban & set(g.user_vertices))
+                most = max(len(w) for w in want.values())
+                for count in (5, most + 2):
+                    got = top_routes(g, count, mask)
+                    assert got == {u: w[:count] for u, w in want.items()}
+                    for routes in got.values():
+                        assert [r.cost_vec for r in routes] == [
+                            oracle_cost_vec(g.cost, r.vertices) for r in routes
                         ]
+                        assert [r.cost for r in routes] == [
+                            oracle_cost(g.weight, r.vertices) for r in routes
+                        ]
+        assert bs_banned >= len(graphs)
+        assert banned_users >= len(graphs)
 
     def test_count_validation(self):
         g = LosGraph.from_edges(1, 1, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(GraphError):
+            top_routes(g, 0)
         with pytest.raises(GraphError):
             yen_k_shortest(g, 2, 0)
 

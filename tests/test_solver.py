@@ -10,13 +10,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
+from beamroute import solver
 from beamroute.channel import closed_form_power
-from beamroute.graph import build_routing_graph, dag_shortest_path, yen_k_shortest
-from beamroute.scene import Scene
+from beamroute.graph import (
+    build_routing_graph,
+    enumerate_paths,
+    make_route,
+    top_routes,
+    yen_k_shortest,
+)
+from beamroute.scene import Scene, load_scene_file
 from beamroute.solver import (
     AuditError,
     RoutingSolution,
@@ -34,6 +42,7 @@ from scenefab import adversarial_scene, corridor_scene, make_scene, star_scene
 from test_clique import random_override_scene
 
 BETA = (0.06 / (4 * math.pi)) ** 2
+DEMO = os.path.join(os.path.dirname(__file__), "..", "scenes", "demo.json")
 
 
 # ---------------------------------------------------------------- oracle
@@ -187,8 +196,8 @@ def test_clique_diagnostics_count_edges_and_cuts():
     scene = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
     for sol in (
         solve_proposed(scene),
-        solve_limit_benchmark(scene, mode="min_pathloss"),
-        solve_limit_benchmark(scene, mode="max_cpb"),
+        solve_limit_benchmark(scene, SolveParams(algorithm="min_pathloss")),
+        solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb")),
     ):
         d = sol.diagnostics
         assert d["candidate_counts"] == (2, 5)
@@ -245,15 +254,15 @@ def test_proposed_matches_oracle_random():
 def test_benchmarks_bracket_the_crossover():
     for m in (100, 400):
         scene = corridor_scene(bs_antennas=4).with_elements(m)
-        short = solve_limit_benchmark(scene, mode="min_pathloss")
-        dense = solve_limit_benchmark(scene, mode="max_cpb")
+        short = solve_limit_benchmark(scene, SolveParams(algorithm="min_pathloss"))
+        dense = solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb"))
         assert short.routes[0].vertices == (0, 4, 5)
         assert dense.routes[0].vertices == (0, 1, 2, 3, 5)
 
 
 def test_benchmark_powers_use_scene_elements():
     scene = corridor_scene(bs_antennas=4).with_elements(400)
-    short = solve_limit_benchmark(scene, mode="min_pathloss")
+    short = solve_limit_benchmark(scene, SolveParams(algorithm="min_pathloss"))
     d = math.sqrt(6.4**2 + 3.5**2)
     want = 4 * 400**2 * BETA**2 / d**4
     assert short.objective == pytest.approx(want, rel=1e-12)
@@ -262,8 +271,12 @@ def test_benchmark_powers_use_scene_elements():
 def test_benchmarks_agree_with_proposed_at_extremes():
     low = solve_proposed(corridor_scene(bs_antennas=4).with_elements(100))
     high = solve_proposed(corridor_scene(bs_antennas=4).with_elements(400))
-    short = solve_limit_benchmark(corridor_scene(bs_antennas=4).with_elements(100), mode="min_pathloss")
-    dense = solve_limit_benchmark(corridor_scene(bs_antennas=4).with_elements(400), mode="max_cpb")
+    short = solve_limit_benchmark(
+        corridor_scene(bs_antennas=4).with_elements(100), SolveParams(algorithm="min_pathloss")
+    )
+    dense = solve_limit_benchmark(
+        corridor_scene(bs_antennas=4).with_elements(400), SolveParams(algorithm="max_cpb")
+    )
     assert short.routes[0].vertices == low.routes[0].vertices
     assert short.objective == pytest.approx(low.objective, rel=1e-12)
     assert dense.routes[0].vertices == high.routes[0].vertices
@@ -271,8 +284,20 @@ def test_benchmarks_agree_with_proposed_at_extremes():
 
 
 def test_benchmark_mode_validation():
-    with pytest.raises(SolverError, match="benchmark mode"):
-        solve_limit_benchmark(easy_two_corridor(), mode="median")
+    for name in ("proposed", "sequential", "brute_force"):
+        with pytest.raises(SolverError, match="not a limit benchmark"):
+            solve_limit_benchmark(easy_two_corridor(), SolveParams(algorithm=name))
+
+
+def test_benchmark_follows_params_algorithm():
+    demo = load_scene_file(DEMO)
+    for name in ("min_pathloss", "max_cpb"):
+        assert solve_limit_benchmark(demo, SolveParams(algorithm=name)).algorithm == name
+    # the two limits pick different routes here, so the label cannot
+    # hide a run of the other benchmark
+    scene = corridor_scene(bs_antennas=4).with_elements(100)
+    dense = solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb"))
+    assert dense.routes[0].vertices == (0, 1, 2, 3, 5)
 
 
 # ----------------------------------------------------- sequential solver
@@ -303,8 +328,12 @@ def test_sequential_never_beats_bruteforce():
     assert both >= 5
 
 
-def raw_sequential(scene: Scene):
-    """The sequential solver with its banned set from raw LoS loops."""
+def raw_sequential(scene: Scene, queried: set | None = None):
+    """The sequential solver from path enumeration and raw LoS loops.
+
+    Each step takes the cheapest enumerated path that avoids the banned
+    set; ``queried`` collects every banned set a step looked up.
+    """
     graph = build_routing_graph(scene)
     k = scene.num_users
     best = None
@@ -312,11 +341,15 @@ def raw_sequential(scene: Scene):
         banned: set[int] = set()
         chosen = {}
         for u in order:
-            route = dag_shortest_path(
-                graph, scene.user_vertex(u), banned_vertices=frozenset(banned)
-            )
-            if route is None:
+            if queried is not None:
+                queried.add(frozenset(banned))
+            paths = enumerate_paths(graph, scene.user_vertex(u), frozenset(banned))
+            if not paths:
                 break
+            route = min(
+                (make_route(graph, p) for p in paths),
+                key=lambda r: (r.cost_vec, r.hops, r.vertices),
+            )
             chosen[u] = route
             occupied = set(route.vertices[1:])
             for v in occupied:
@@ -350,6 +383,38 @@ def test_sequential_matches_raw_banned_loop():
         assert sol.routes == want[1]
         assert sol.diagnostics["best_order"] == want[2]
     assert feasible >= 10
+
+
+def count_sweeps(monkeypatch):
+    """Record the banned mask of every `top_routes` call the solver makes."""
+    calls = []
+
+    def counting(graph, count, banned=0):
+        calls.append(banned)
+        return top_routes(graph, count, banned)
+
+    monkeypatch.setattr(solver, "top_routes", counting)
+    return calls
+
+
+def test_one_sweep_per_banned_set(monkeypatch):
+    rng = np.random.default_rng(31)
+    calls = count_sweeps(monkeypatch)
+    scenes = [adversarial_scene(bs_antennas=4, irs_grid=(2, 2)), easy_two_corridor()]
+    scenes += [random_override_scene(rng, 12, 3) for _ in range(20)]
+    shared = 0
+    for scene in scenes:
+        calls.clear()
+        queried: set = set()
+        raw_sequential(scene, queried)
+        solve_sequential(scene)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {sum(1 << v for v in b) for b in queried}
+        shared += math.factorial(scene.num_users) > len(calls)
+        calls.clear()
+        solve_proposed(scene)
+        assert calls == [0]
+    assert shared >= 10
 
 
 def test_sequential_user_cap():
@@ -421,7 +486,7 @@ def test_audit_accepts_solver_output():
         solve_proposed(scene),
         solve_sequential(scene),
         solve_bruteforce(scene),
-        solve_limit_benchmark(scene, mode="max_cpb"),
+        solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb")),
     ):
         audit_solution(scene, sol)
 
@@ -514,16 +579,6 @@ def test_all_solvers_agree_on_easy_scene():
         assert obj == pytest.approx(objectives[0], rel=1e-12)
     for s in sols[1:]:
         assert [r.vertices for r in s.routes] == [r.vertices for r in sols[0].routes]
-
-
-def test_elements_param_matches_resized_scene():
-    base = corridor_scene(bs_antennas=4)
-    via_param = solve(base, SolveParams(elements=400))
-    via_scene = solve_proposed(base.with_elements(400))
-    assert via_param.objective == pytest.approx(via_scene.objective, rel=1e-15)
-    assert [r.vertices for r in via_param.routes] == [
-        r.vertices for r in via_scene.routes
-    ]
 
 
 def test_params_validation():
