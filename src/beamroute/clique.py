@@ -10,9 +10,12 @@ largest route cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import NamedTuple
+
+import numpy as np
 
 from .graph import Route
 from .scene import Scene
@@ -61,13 +64,6 @@ def compatible(a: RouteMasks, b: RouteMasks) -> bool:
     return not a.closed & b.own
 
 
-def neighbor_disjoint(a: Route, b: Route, scene: Scene) -> bool:
-    """``compatible`` for two routes of different users of ``scene``."""
-    if a.user_index == b.user_index:
-        raise CliqueError("neighbor test is undefined for same-user routes")
-    return compatible(route_masks(a, scene), route_masks(b, scene))
-
-
 @dataclass(frozen=True, eq=False)
 class PathGraph:
     """K-partite compatibility graph over candidate routes.
@@ -75,55 +71,42 @@ class PathGraph:
     Vertices are numbered globally; ``partitions[k]`` lists the vertex
     ids of user k's candidates in candidate order.  ``order_key`` is
     the tuple the clique search compares; for plain weights it is the
-    1-tuple of ``weight``.
+    1-tuple of ``weight``.  ``adj_masks[v]`` has bit u set when u and v
+    are adjacent; vertices of one partition never are.  ``routes`` is
+    empty for graphs built by hand.
     """
 
-    users: tuple[int, ...]
     partitions: tuple[tuple[int, ...], ...]
     weight: tuple[float, ...]
     order_key: tuple[tuple[float, ...], ...]
-    adj: tuple[frozenset[int], ...]
-    routes: tuple[Route | None, ...] = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.routes is None:
-            object.__setattr__(self, "routes", (None,) * len(self.weight))
-        seen = [False] * len(self.weight)
-        for part in self.partitions:
-            for v in part:
-                if seen[v]:
-                    raise CliqueError(f"vertex {v} listed twice")
-                seen[v] = True
-        if not all(seen):
-            raise CliqueError("every vertex must belong to a partition")
-        owner = self.partition_of
-        for v, nbrs in enumerate(self.adj):
-            for u in nbrs:
-                if v not in self.adj[u]:
-                    raise CliqueError("adjacency must be symmetric")
-                if owner[u] == owner[v]:
-                    raise CliqueError("edges inside a partition are not allowed")
-
-    @property
-    def partition_of(self) -> list[int]:
-        owner = [0] * len(self.weight)
-        for idx, part in enumerate(self.partitions):
-            for v in part:
-                owner[v] = idx
-        return owner
+    adj_masks: tuple[int, ...]
+    routes: tuple[Route, ...] = ()
 
     @property
     def num_vertices(self) -> int:
         return len(self.weight)
 
     @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """``adj`` as int bitmasks over the vertex ids."""
-        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """``adj_masks`` as neighbour sets."""
+        n = self.num_vertices
+        width = (n + 7) // 8
+        packed = b"".join(m.to_bytes(width, "little") for m in self.adj_masks)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+        bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in bits)
 
 
 def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGraph:
     """Assemble the compatibility graph from per-user candidate lists.
+
+    ``compatible`` for every pair at once: with ``own`` the candidates
+    x nodes 0/1 matrix of each route's vertices after the BS, route a
+    conflicts with route b when ``(own @ closed @ own.T)[a, b] > 0``,
+    ``closed`` being the LoS matrix plus its diagonal.  The entries are
+    small integers, so float32 holds them exactly in any summation
+    order.  Routes of one user share its vertex, so they always
+    conflict and no partition mask is needed.
 
     Raises NoCandidateRoutesError naming the first user whose list is
     empty, since no joint selection can exist then.
@@ -135,38 +118,29 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
         if not candidates[k]:
             raise NoCandidateRoutesError(k)
     partitions = []
-    weight: list[float] = []
-    order_key: list[tuple[float, ...]] = []
     routes: list[Route] = []
     for k in users:
-        ids = []
         for route in candidates[k]:
             if route.user_index != k:
                 raise CliqueError(
                     f"route for user {route.user_index} listed under user {k}"
                 )
-            ids.append(len(weight))
-            weight.append(route.cost)
-            order_key.append(route.cost_vec)
-            routes.append(route)
-        partitions.append(tuple(ids))
+        partitions.append(tuple(range(len(routes), len(routes) + len(candidates[k]))))
+        routes += candidates[k]
 
-    masks = [route_masks(r, scene) for r in routes]
-    adj = [set() for _ in weight]
-    for ka in range(len(users)):
-        for kb in range(ka + 1, len(users)):
-            for va in partitions[ka]:
-                for vb in partitions[kb]:
-                    if compatible(masks[va], masks[vb]):
-                        adj[va].add(vb)
-                        adj[vb].add(va)
+    n = scene.num_nodes
+    own = np.zeros((len(routes), n), dtype=np.float32)
+    owned = [route.vertices[1:] for route in routes]
+    own[[r for r, vs in enumerate(owned) for _ in vs], [v for vs in owned for v in vs]] = 1
+    closed = (scene.los_matrix | np.eye(n, dtype=bool)).astype(np.float32)
+    conflict = (own @ closed) @ own.T > 0
+    rows = np.packbits(~conflict, axis=1, bitorder="little")
 
     return PathGraph(
-        users=users,
         partitions=tuple(partitions),
-        weight=tuple(weight),
-        order_key=tuple(order_key),
-        adj=tuple(frozenset(s) for s in adj),
+        weight=tuple(r.cost for r in routes),
+        order_key=tuple(r.cost_vec for r in routes),
+        adj_masks=tuple(int.from_bytes(row.tobytes(), "little") for row in rows),
         routes=tuple(routes),
     )
 
@@ -178,7 +152,6 @@ class Clique:
     vertices: tuple[int, ...]
     objective: float
     objective_key: tuple[float, ...]
-    weight_sum: float
 
 
 class CliqueSearch:
@@ -193,6 +166,10 @@ class CliqueSearch:
     dropped as soon as some later partition has no vertex left that is
     compatible with all members (forward checking).
 
+    Cliques compare by (worst order_key, componentwise key sum, vertex
+    tuple); the recursion carries the worst key and the sum, adding
+    keys in member order.
+
     ``explored`` counts every partial or complete clique constructed,
     ``pruned`` the branches cut by the bound or by forward checking.
     """
@@ -201,6 +178,7 @@ class CliqueSearch:
         self.graph = graph
         self.explored = 0
         self.pruned = 0
+        # the best clique's (worst key, key sum, vertex tuple)
         self._best: tuple | None = None
         self._walk = [
             [(v, 1 << v) for v in sorted(part, key=lambda v: (graph.order_key[v], v))]
@@ -209,51 +187,53 @@ class CliqueSearch:
         self._part_masks = [sum(1 << v for v in part) for part in graph.partitions]
 
     def run(self) -> Clique | None:
+        g = self.graph
         self._best = None
         self.explored = 0
         self.pruned = 0
-        self._extend([], (1 << self.graph.num_vertices) - 1, 0)
+        zero = (0.0,) * len(g.order_key[0]) if g.order_key else ()
+        # () sorts before every key, so the first member sets the worst
+        self._extend([], (1 << g.num_vertices) - 1, 0, (), zero)
         if self._best is None:
             return None
-        key, chosen = self._best
+        worst, _, chosen = self._best
         return Clique(
             vertices=chosen,
-            objective=max(self.graph.weight[v] for v in chosen),
-            objective_key=key[0],
-            weight_sum=sum(self.graph.weight[v] for v in chosen),
+            objective=max(g.weight[v] for v in chosen),
+            objective_key=worst,
         )
 
-    # key: (max order_key, componentwise key sum, canonical vertex tuple)
-    def _complete(self, members: list[int]) -> None:
-        g = self.graph
-        chosen = tuple(members)
-        worst = max(g.order_key[v] for v in chosen)
-        total = tuple(
-            sum(g.order_key[v][i] for v in chosen)
-            for i in range(len(worst))
-        )
-        key = (worst, total, chosen)
-        if self._best is None or key < self._best[0]:
-            self._best = (key, chosen)
-
-    def _extend(self, members: list[int], common: int, depth: int) -> None:
+    def _extend(
+        self,
+        members: list[int],
+        common: int,
+        depth: int,
+        worst: tuple[float, ...],
+        total: tuple[float, ...],
+    ) -> None:
         g = self.graph
         last = depth == len(g.partitions) - 1
         later = self._part_masks[depth + 1 :]
         for v, bit in self._walk[depth]:
             if not common & bit:
                 continue
-            if self._best is not None and g.order_key[v] > self._best[0][0]:
+            key = g.order_key[v]
+            if self._best is not None and key > self._best[0]:
                 self.pruned += 1
                 break
             self.explored += 1
             members.append(v)
+            # like max(), keep the first of equal keys
+            top = key if key > worst else worst
+            summed = tuple(map(add, total, key))
             if last:
-                self._complete(members)
+                found = (top, summed, tuple(members))
+                if self._best is None or found < self._best:
+                    self._best = found
             else:
                 rest = common & g.adj_masks[v]
                 if all(rest & part for part in later):
-                    self._extend(members, rest, depth + 1)
+                    self._extend(members, rest, depth + 1, top, summed)
                 else:
                     self.pruned += 1
             members.pop()

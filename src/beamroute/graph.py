@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
+import numpy as np
+
 from .scene import IRS, Scene
 
 
@@ -222,33 +224,29 @@ def build_routing_graph(
     if m < 1:
         raise GraphError("element override must be positive")
     j_count = scene.num_irs
+    los = scene.los_matrix
+    d = scene.dist_matrix
+    surfaces = slice(1, 1 + j_count)
+    d_bs = d[0, surfaces]
+    # (first row id, first column id, LoS block), edges in row-major order
+    blocks = (
+        (0, 1, los[:1, surfaces]),
+        # only edges leading strictly away from the BS keep the graph acyclic
+        (1, 1, los[surfaces, surfaces] & (d_bs[None, :] > d_bs[:, None])),
+        (1, 1 + j_count, los[surfaces, 1 + j_count :]),
+    )
     succ: dict[int, list[int]] = {}
     weight = {}
     cost = {}
     dist = {}
-
-    def add(i: int, j: int) -> None:
-        d = scene.distance(i, j)
-        succ.setdefault(i, []).append(j)
-        weight[i, j] = edge_weight(d, m, scene.ref_path_gain)
-        cost[i, j] = (-1.0, math.log(d)) if hop_priority else (weight[i, j],)
-        dist[i, j] = d
-
-    irs_range = range(1, 1 + j_count)
-    for j in irs_range:
-        if scene.los_indicator(0, j):
-            add(0, j)
-    for i in irs_range:
-        for j in irs_range:
-            if i == j or not scene.los_indicator(i, j):
-                continue
-            # only edges leading strictly away from the BS keep the graph acyclic
-            if scene.distance(j, 0) > scene.distance(i, 0):
-                add(i, j)
-    for i in irs_range:
-        for u in range(1 + j_count, scene.num_nodes):
-            if scene.los_indicator(i, u):
-                add(i, u)
+    for row0, col0, block in blocks:
+        rows, cols = np.nonzero(block)
+        rows, cols = rows + row0, cols + col0
+        for i, j, dij in zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist()):
+            succ.setdefault(i, []).append(j)
+            weight[i, j] = edge_weight(dij, m, scene.ref_path_gain)
+            cost[i, j] = (-1.0, math.log(dij)) if hop_priority else (weight[i, j],)
+            dist[i, j] = dij
 
     g = LosGraph(
         num_irs=j_count,

@@ -133,7 +133,8 @@ class Scene:
         return pos
 
     @cached_property
-    def _dist(self) -> np.ndarray:
+    def dist_matrix(self) -> np.ndarray:
+        """Pairwise distances in meters, read-only and exactly symmetric."""
         pos = self.positions
         diff = pos[:, None, :] - pos[None, :, :]
         d = np.sqrt((diff**2).sum(axis=2))
@@ -159,11 +160,15 @@ class Scene:
             len(kinds) - 1 - j
         ):
             raise SceneError("nodes must be ordered BS, IRS..., User...")
-        for n in self.nodes:
-            p = np.asarray(n.position, dtype=float)
-            if p.shape != (3,) or not np.all(np.isfinite(p)):
-                raise SceneError(f"node {n.id} has invalid position {n.position!r}")
-            object.__setattr__(n, "position", p)
+        pos = [np.asarray(n.position, dtype=float) for n in self.nodes]
+        # a misshapen position counts as non-finite, so the first bad node is named
+        rows = np.stack([p if p.shape == (3,) else np.full(3, np.nan) for p in pos])
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            i = int(bad[0])  # ids are indices, checked above
+            raise SceneError(f"node {i} has invalid position {self.nodes[i].position!r}")
+        for node, p in zip(self.nodes, pos):
+            object.__setattr__(node, "position", p)
 
         if not isinstance(self.bs_antennas, int) or self.bs_antennas < 1:
             raise SceneError(f"bs_antennas must be a positive integer, got {self.bs_antennas!r}")
@@ -183,14 +188,15 @@ class Scene:
             )
 
         n = self.num_nodes
-        d = self._dist
-        for i in range(n):
-            for k in range(i + 1, n):
-                if d[i, k] < self.min_far_field:
-                    raise SceneError(
-                        f"far-field violation: nodes {i} and {k} are "
-                        f"{d[i, k]:.3f} m apart, below d0 = {self.min_far_field} m"
-                    )
+        d = self.dist_matrix
+        # argwhere walks row-major, so this is the first pair i < k in that order
+        close = np.argwhere(np.triu(d < self.min_far_field, 1))
+        if close.size:
+            i, k = (int(x) for x in close[0])
+            raise SceneError(
+                f"far-field violation: nodes {i} and {k} are "
+                f"{d[i, k]:.3f} m apart, below d0 = {self.min_far_field} m"
+            )
 
         if self.los_override is not None:
             m = np.asarray(self.los_override)
@@ -212,7 +218,7 @@ class Scene:
         """Euclidean distance between nodes i and j, in meters."""
         if i == j:
             raise SceneError(f"distance undefined for identical nodes ({i})")
-        return float(self._dist[i, j])
+        return float(self.dist_matrix[i, j])
 
     def los_indicator(self, i: int, j: int) -> bool:
         """True when nodes i and j have an unblocked line of sight.
@@ -225,20 +231,27 @@ class Scene:
             return False
         if self.los_override is not None:
             return bool(self.los_override[i, j])
-        return bool(self._dist[i, j] <= self.los_threshold)
+        return bool(self.dist_matrix[i, j] <= self.los_threshold)
+
+    @cached_property
+    def los_matrix(self) -> np.ndarray:
+        """``los_indicator`` for all pairs at once, as a read-only bool matrix."""
+        if self.los_override is not None:
+            los = self.los_override.astype(bool)
+        else:
+            los = self.dist_matrix <= self.los_threshold
+            np.fill_diagonal(los, False)
+        los.flags.writeable = False
+        return los
 
     @cached_property
     def los_masks(self) -> tuple[int, ...]:
         """Closed LoS neighbourhood of every node as an int bitmask.
 
         Bit j of entry i is set when j == i or ``los_indicator(i, j)``
-        holds; the matrix rule is the same, applied to all pairs at once.
+        holds.
         """
-        if self.los_override is not None:
-            los = self.los_override.astype(bool)
-        else:
-            los = self._dist <= self.los_threshold
-        los = los | np.eye(self.num_nodes, dtype=bool)
+        los = self.los_matrix | np.eye(self.num_nodes, dtype=bool)
         rows = np.packbits(los, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 

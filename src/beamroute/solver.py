@@ -186,7 +186,7 @@ def _clique_pipeline(
         diagnostics["reason"] = str(exc)
         diagnostics["infeasible_user"] = exc.user_index
         return _finish(scene, algorithm, diagnostics, start)
-    diagnostics["compat_edges"] = sum(len(n) for n in path_graph.adj) // 2
+    diagnostics["compat_edges"] = sum(m.bit_count() for m in path_graph.adj_masks) // 2
     search = CliqueSearch(path_graph)
     clique = search.run()
     diagnostics["cliques_explored"] = search.explored
@@ -260,6 +260,9 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     graph = build_routing_graph(scene)
     # banned node mask -> every user's shortest route avoiding it
     sweeps: dict[int, dict[int, list[Route]]] = {}
+    # route vertices -> its closed mask minus the BS bit; its power
+    bans: dict[tuple[int, ...], int] = {}
+    power_of: dict[tuple[int, ...], float] = {}
     best: tuple[tuple[Route, ...], tuple[float, ...], tuple[int, ...]] | None = None
     orders_feasible = 0
     for order in itertools.permutations(range(1, k + 1)):
@@ -271,13 +274,19 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
             found = sweeps[banned][u]
             if not found:
                 break
-            chosen[u] = found[0]
-            banned |= route_masks(found[0], scene).closed & ~1
+            route = chosen[u] = found[0]
+            if route.vertices not in bans:
+                bans[route.vertices] = route_masks(route, scene).closed & ~1
+            banned |= bans[route.vertices]
         if len(chosen) != k:
             continue
         orders_feasible += 1
         routes = tuple(chosen[u] for u in range(1, k + 1))
-        powers = _route_powers(scene, routes)
+        for r in routes:
+            # only routes of feasible orders are evaluated, as without the memo
+            if r.vertices not in power_of:
+                power_of[r.vertices] = closed_form_power(scene, r)
+        powers = tuple(power_of[r.vertices] for r in routes)
         if best is None or min(powers) > min(best[1]):
             best = (routes, powers, order)
     diagnostics = {

@@ -15,6 +15,9 @@ import sys
 import pytest
 
 from beamroute.cli import ExperimentConfig, run_experiment
+from beamroute.graph import build_routing_graph
+from beamroute.scene import load_scene_file
+from beamroute.solver import SolveParams, solve
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMO = os.path.join(ROOT, "scenes", "demo.json")
@@ -34,8 +37,10 @@ def layers(monkeypatch):
 
 
 def test_traced_proposed_pipeline_matches_cli(layers):
+    scene = load_scene_file(DEMO)
     for paths in (1, 5, 20):
-        got = layers.proposed_pipeline(layers.Tracer(), 0, DEMO, paths)
+        tracer = layers.Tracer()
+        got = layers.proposed_pipeline(tracer, 0, DEMO, paths)
         want = run_experiment(ExperimentConfig(scene_path=DEMO, paths=paths))
         assert want["feasible"]
         assert got == {
@@ -43,6 +48,11 @@ def test_traced_proposed_pipeline_matches_cli(layers):
             "objective_db": want["objective_db"],
             "routes": [u["vertices"] for u in want["users"]],
         }
+        # the traced counts read the same structures the solver builds
+        counts = tracer.counts[0]
+        solution = solve(scene, SolveParams(paths=paths))
+        assert counts["clique.compat_edges"] == solution.diagnostics["compat_edges"]
+        assert counts["graph.edges"] == len(build_routing_graph(scene).weight)
 
 
 def test_traced_sequential_sweep_matches_cli(layers):

@@ -13,15 +13,23 @@ from beamroute.clique import (
     build_path_graph,
     compatible,
     min_max_clique,
-    neighbor_disjoint,
     route_masks,
 )
-from beamroute.graph import build_routing_graph, enumerate_paths, make_route, route_from_sequence
+from beamroute.graph import (
+    build_routing_graph,
+    enumerate_paths,
+    make_route,
+    route_from_sequence,
+    top_routes,
+)
 from scenefab import adversarial_scene, chain_scene, corridor_scene, make_scene
 
 
 def pathgraph_from_bits(weights_by_part, adj_pairs):
-    """Synthetic PathGraph: weights per partition plus an edge list."""
+    """Synthetic PathGraph: weights per partition plus an edge list.
+
+    Each pair (a, b) sets bit b of vertex a's mask and bit a of b's.
+    """
     partitions = []
     weight = []
     order_key = []
@@ -34,16 +42,15 @@ def pathgraph_from_bits(weights_by_part, adj_pairs):
             order_key.append((float(w),))
             idx += 1
         partitions.append(tuple(ids))
-    adj = [set() for _ in weight]
+    masks = [0] * len(weight)
     for a, b in adj_pairs:
-        adj[a].add(b)
-        adj[b].add(a)
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
     return PathGraph(
-        users=tuple(range(1, len(partitions) + 1)),
         partitions=tuple(partitions),
         weight=tuple(weight),
         order_key=tuple(order_key),
-        adj=tuple(frozenset(s) for s in adj),
+        adj_masks=tuple(masks),
     )
 
 
@@ -94,6 +101,17 @@ def raw_compatible(scene, a, b):
     return not any(scene.los_indicator(u, v) for u in va for v in vb)
 
 
+def neighbor_disjoint(a, b, scene):
+    """Whether ``build_path_graph`` links two routes of different users.
+
+    It also checks that the link is the same seen from either end.
+    """
+    pg = build_path_graph({a.user_index: [a], b.user_index: [b]}, scene)
+    forward = bool(pg.adj_masks[0] >> 1 & 1)
+    assert forward == bool(pg.adj_masks[1] & 1)
+    return forward
+
+
 def random_override_scene(rng, num_irs, num_users):
     """Random symmetric LoS bits over a 5 m lattice, BS links likelier."""
     n = 1 + num_irs + num_users
@@ -134,6 +152,17 @@ def all_routes(scene, cap=60):
 
 
 class TestRouteMasks:
+    def test_los_matrix_matches_indicator(self):
+        rng = np.random.default_rng(40)
+        for scene in mask_rule_scenes(rng):
+            los = scene.los_matrix
+            n = scene.num_nodes
+            assert los.shape == (n, n) and los.dtype == bool
+            assert not los.flags.writeable
+            for i in range(n):
+                for j in range(n):
+                    assert los[i, j] == scene.los_indicator(i, j)
+
     def test_los_masks_match_indicator(self):
         rng = np.random.default_rng(41)
         for scene in mask_rule_scenes(rng):
@@ -249,11 +278,18 @@ class TestNeighborDisjoint:
         assert neighbor_disjoint(a, b, scene) is False  # users 3 and 4 see each other
 
     def test_same_user_rejected(self):
-        scene = self.scene()
-        a = route_from_sequence(scene, 1, [1, 2])
-        b = route_from_sequence(scene, 1, [1, 2])
-        with pytest.raises(CliqueError, match="same-user"):
-            neighbor_disjoint(a, b, scene)
+        # user 1's candidates share only the user vertex, which is
+        # enough to keep them apart
+        positions = [[0, 4, 0], [3, 0, 0], [3, 8, 0], [8, 4, 0], [13, 4, 0]]
+        override = np.zeros((5, 5), dtype=int)
+        for i, j in [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)]:
+            override[i, j] = override[j, i] = 1
+        scene = make_scene(positions, 2, 2, los_override=override)
+        a = route_from_sequence(scene, 1, [1])
+        b = route_from_sequence(scene, 1, [2])
+        assert not scene.los_indicator(1, 2)
+        pg = build_path_graph({1: [a, b]}, scene)
+        assert pg.adj_masks == (0, 0)
 
 
 class TestBuildPathGraph:
@@ -318,7 +354,7 @@ class TestBuildPathGraph:
         routes = pg.routes
         for va in pg.partitions[0]:
             for vb in pg.partitions[1]:
-                expect = neighbor_disjoint(routes[va], routes[vb], scene)
+                expect = raw_compatible(scene, routes[va], routes[vb])
                 assert (vb in pg.adj[va]) == expect
 
     def test_mislabeled_route_rejected(self):
@@ -327,19 +363,39 @@ class TestBuildPathGraph:
         with pytest.raises(CliqueError, match="listed under"):
             build_path_graph(cands, scene)
 
-    def test_intra_partition_edges_rejected(self):
-        with pytest.raises(CliqueError, match="inside a partition"):
-            pathgraph_from_bits([[1.0, 2.0]], [(0, 1)])
-
-    def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(CliqueError, match="symmetric"):
-            PathGraph(
-                users=(1, 2),
-                partitions=((0,), (1,)),
-                weight=(1.0, 2.0),
-                order_key=((1.0,), (2.0,)),
-                adj=(frozenset({1}), frozenset()),
-            )
+    def test_masks_match_raw_double_loop(self):
+        # every pair of candidates, same-user pairs included, against
+        # the rule over raw LoS queries
+        rng = np.random.default_rng(44)
+        linked = blocked = same_user = 0
+        scenes = [s for _ in range(3) for s in mask_rule_scenes(rng)]
+        for scene in scenes:
+            for hop_priority in (False, True):
+                graph = build_routing_graph(scene, hop_priority=hop_priority)
+                cands = {u: rs for u, rs in top_routes(graph, 10).items() if rs}
+                if not cands:
+                    continue
+                pg = build_path_graph(cands, scene)
+                routes = pg.routes
+                assert len(pg.adj_masks) == len(routes)
+                for va, a in enumerate(routes):
+                    assert pg.adj_masks[va] >> len(routes) == 0
+                    for vb, b in enumerate(routes):
+                        if a.user_index == b.user_index:
+                            want = False
+                            same_user += 1
+                        else:
+                            want = raw_compatible(scene, a, b)
+                        assert bool(pg.adj_masks[va] >> vb & 1) == want
+                        linked += want
+                        blocked += not want
+                assert pg.adj == tuple(
+                    frozenset(vb for vb in range(len(routes)) if pg.adj_masks[va] >> vb & 1)
+                    for va in range(len(routes))
+                )
+        assert linked >= 150
+        assert blocked >= 1000
+        assert same_user >= 1500
 
 
 class TestMinMaxClique:

@@ -20,6 +20,7 @@ from beamroute.graph import (
     yen_k_shortest,
 )
 from scenefab import adversarial_scene, chain_scene, corridor_scene, full_los, make_scene
+from test_clique import mask_rule_scenes
 
 BETA_5GHZ = 2.2797266319525994e-05
 
@@ -42,6 +43,38 @@ def oracle_paths(succ, source, target, user_vertices):
 
     walk([source])
     return found
+
+
+def oracle_routing_graph(scene, elements, hop_priority):
+    """succ, weight, cost and dist from per-pair LoS and distance queries."""
+    m = scene.elements if elements is None else elements
+    surfaces = range(1, 1 + scene.num_irs)
+    users = range(1 + scene.num_irs, scene.num_nodes)
+    pairs = [(0, j) for j in surfaces]
+    pairs += [
+        (i, j)
+        for i in surfaces
+        for j in surfaces
+        if i != j and scene.distance(j, 0) > scene.distance(i, 0)
+    ]
+    pairs += [(i, u) for i in surfaces for u in users]
+    succ, weight, cost, dist = {}, {}, {}, {}
+    for i, j in pairs:
+        if not scene.los_indicator(i, j):
+            continue
+        d = scene.distance(i, j)
+        succ.setdefault(i, []).append(j)
+        weight[i, j] = math.log(d / (m * math.sqrt(scene.ref_path_gain)))
+        cost[i, j] = (-1.0, math.log(d)) if hop_priority else (weight[i, j],)
+        dist[i, j] = d
+    return {i: tuple(sorted(js)) for i, js in succ.items()}, weight, cost, dist
+
+
+def bits(values):
+    """A dict's items with every float as its exact hex form, in order."""
+    def exact(x):
+        return tuple(exact(y) for y in x) if isinstance(x, tuple) else float(x).hex()
+    return [(k, exact(v)) for k, v in values.items()]
 
 
 def oracle_cost(weight, path):
@@ -164,6 +197,20 @@ class TestBuildRoutingGraph:
         pos = {v: idx for idx, v in enumerate(g.topo_order)}
         for i, j in g.edges:
             assert pos[i] < pos[j]
+
+    def test_matches_per_pair_oracle(self):
+        rng = np.random.default_rng(45)
+        edges = 0
+        for scene in mask_rule_scenes(rng):
+            for elements, hop_priority in ((None, False), (1, False), (None, True)):
+                g = build_routing_graph(scene, elements=elements, hop_priority=hop_priority)
+                succ, weight, cost, dist = oracle_routing_graph(scene, elements, hop_priority)
+                assert g.succ == succ
+                assert bits(g.weight) == bits(weight)
+                assert bits(g.cost) == bits(cost)
+                assert bits(g.dist) == bits(dist)
+                edges += len(weight)
+        assert edges >= 500
 
     def test_cycle_rejected(self):
         with pytest.raises(GraphError, match="cycle"):

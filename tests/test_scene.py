@@ -9,6 +9,7 @@ import pytest
 from beamroute.scene import (
     DEFAULT_LOS_THRESHOLD,
     LinkGeometry,
+    Node,
     Scene,
     SceneError,
     direction_from_angles,
@@ -101,6 +102,24 @@ class TestLoadScene:
         ]
         with pytest.raises(SceneError, match="far-field violation"):
             load_scene(doc_text(nodes))
+
+    def test_far_field_names_first_pair_in_row_order(self):
+        # pair (1, 2) is closer and has the smaller column, but (0, 3)
+        # comes first in row-major i < k order
+        positions = [[0, 0, 0], [10, 0, 0], [11, 0, 0], [0, 2, 0]]
+        with pytest.raises(SceneError, match="nodes 0 and 3 are 2.000 m apart"):
+            make_scene(positions, 2, 1)
+
+    def test_invalid_position_names_first_bad_node(self):
+        kinds = ["BS", "IRS", "IRS", "User"]
+        for bad in ([20, 0], [20, 0, math.inf]):
+            positions = [[0, 0, 0], [10, 0, 0], bad, [30, 0, math.nan]]
+            nodes = tuple(
+                Node(i, k, np.array(p, dtype=float))
+                for i, (k, p) in enumerate(zip(kinds, positions))
+            )
+            with pytest.raises(SceneError, match="node 2 has invalid position"):
+                Scene(nodes=nodes)
 
     def test_invalid_path_gain(self):
         with pytest.raises(SceneError, match="invalid path gain"):
