@@ -3,7 +3,7 @@
 from .scene import Scene, SceneError, load_scene, load_scene_file
 from .channel import closed_form_power, end_to_end_channel, favorable_propagation_metric
 from .graph import Route, build_routing_graph, yen_k_shortest
-from .clique import build_path_graph, min_max_clique
+from .clique import build_path_graph
 from .solver import (
     RoutingSolution,
     SolveParams,
@@ -27,7 +27,6 @@ __all__ = [
     "build_routing_graph",
     "yen_k_shortest",
     "build_path_graph",
-    "min_max_clique",
     "RoutingSolution",
     "SolveParams",
     "SolverError",

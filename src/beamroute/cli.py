@@ -395,7 +395,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--algorithm",
-        choices=("proposed", "sequential", "min-pathloss", "max-cpb", "brute-force"),
+        choices=tuple(a.replace("_", "-") for a in ALGORITHMS),
         default="proposed",
     )
     p.add_argument("--paths", type=int, default=20, help="candidate routes per user")

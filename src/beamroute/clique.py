@@ -70,21 +70,20 @@ class PathGraph:
 
     Vertices are numbered globally; ``partitions[k]`` lists the vertex
     ids of user k's candidates in candidate order.  ``order_key`` is
-    the tuple the clique search compares; for plain weights it is the
-    1-tuple of ``weight``.  ``adj_masks[v]`` has bit u set when u and v
-    are adjacent; vertices of one partition never are.  ``routes`` is
-    empty for graphs built by hand.
+    the tuple the clique search compares, each route's cost vector.
+    ``adj_masks[v]`` has bit u set when u and v are adjacent; vertices
+    of one partition never are.  ``routes`` is empty for graphs built
+    by hand.
     """
 
     partitions: tuple[tuple[int, ...], ...]
-    weight: tuple[float, ...]
     order_key: tuple[tuple[float, ...], ...]
     adj_masks: tuple[int, ...]
     routes: tuple[Route, ...] = ()
 
     @property
     def num_vertices(self) -> int:
-        return len(self.weight)
+        return len(self.order_key)
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -138,7 +137,6 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
 
     return PathGraph(
         partitions=tuple(partitions),
-        weight=tuple(r.cost for r in routes),
         order_key=tuple(r.cost_vec for r in routes),
         adj_masks=tuple(int.from_bytes(row.tobytes(), "little") for row in rows),
         routes=tuple(routes),
@@ -150,7 +148,6 @@ class Clique:
     """One selected vertex per partition, in partition order."""
 
     vertices: tuple[int, ...]
-    objective: float
     objective_key: tuple[float, ...]
 
 
@@ -197,11 +194,7 @@ class CliqueSearch:
         if self._best is None:
             return None
         worst, _, chosen = self._best
-        return Clique(
-            vertices=chosen,
-            objective=max(g.weight[v] for v in chosen),
-            objective_key=worst,
-        )
+        return Clique(vertices=chosen, objective_key=worst)
 
     def _extend(
         self,
@@ -239,12 +232,3 @@ class CliqueSearch:
             members.pop()
             if last:
                 break
-
-
-def min_max_clique(graph: PathGraph) -> Clique | None:
-    """Clique with one vertex per partition minimizing the largest weight.
-
-    Ties break toward the smallest weight sum, then the smallest vertex
-    tuple.  Returns None when no full-size clique exists.
-    """
-    return CliqueSearch(graph).run()

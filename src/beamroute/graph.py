@@ -204,11 +204,7 @@ class LosGraph:
         return g
 
 
-def build_routing_graph(
-    scene: Scene,
-    elements: int | None = None,
-    hop_priority: bool = False,
-) -> LosGraph:
+def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     """Routing DAG of a scene.
 
     Edges: BS to every LoS surface, surface to every LoS surface that
@@ -216,13 +212,9 @@ def build_routing_graph(
     never transmit and the BS-user link is treated as blocked, so no
     other edges exist.
 
-    ``elements`` overrides the surface size used in the weights (the
-    scene's count stays authoritative for power evaluation elsewhere).
     ``hop_priority`` switches the search cost to (-1, ln d) per edge.
     """
-    m = scene.elements if elements is None else elements
-    if m < 1:
-        raise GraphError("element override must be positive")
+    m = scene.elements
     j_count = scene.num_irs
     los = scene.los_matrix
     d = scene.dist_matrix

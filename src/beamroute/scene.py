@@ -7,6 +7,7 @@ physical constants needed by the channel and routing layers.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -33,6 +34,12 @@ DEFAULT_IRS_GRID = (20, 20)
 
 class SceneError(ValueError):
     """Raised for malformed or physically inconsistent scene documents."""
+
+
+def _check_grid(grid: tuple[int, int]) -> None:
+    m1, m2 = grid
+    if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= 1 and m2 >= 1):
+        raise SceneError(f"irs_grid must be positive integers, got {grid!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +179,7 @@ class Scene:
 
         if not isinstance(self.bs_antennas, int) or self.bs_antennas < 1:
             raise SceneError(f"bs_antennas must be a positive integer, got {self.bs_antennas!r}")
-        m1, m2 = self.irs_grid
-        if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= 1 and m2 >= 1):
-            raise SceneError(f"irs_grid must be positive integers, got {self.irs_grid!r}")
+        _check_grid(self.irs_grid)
         for name in ("antenna_spacing", "element_spacing", "wavelength", "min_far_field"):
             if not getattr(self, name) > 0:
                 raise SceneError(f"{name} must be positive")
@@ -295,7 +300,8 @@ class Scene:
         """Copy of the scene with a different per-surface element count.
 
         The grid is refactored as the most balanced M1 x M2 split of
-        the requested total.
+        the requested total.  The copy shares the validated layout and
+        its cached geometry, none of which depends on the element count.
         """
         if elements < 1:
             raise SceneError("element count must be positive")
@@ -304,7 +310,11 @@ class Scene:
             if elements % cand == 0:
                 m1 = cand
                 break
-        return replace(self, irs_grid=(m1, elements // m1))
+        grid = (m1, elements // m1)
+        _check_grid(grid)
+        scene = copy.copy(self)
+        object.__setattr__(scene, "irs_grid", grid)
+        return scene
 
     def with_antennas(self, antennas: int) -> "Scene":
         if antennas < 1:
@@ -315,10 +325,12 @@ class Scene:
 # -- document I/O ------------------------------------------------------
 
 
-def _require_number(params: dict, key: str, value):
+def _require_number(key: str, value) -> None:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SceneError(f"param {key!r} must be a number, got {value!r}")
-    return value
+    # counts of antennas and elements
+    if key in ("N", "M1", "M2") and isinstance(value, float) and not value.is_integer():
+        raise SceneError(f"param {key!r} must be an integer, got {value!r}")
 
 
 def load_scene(text: str) -> Scene:
@@ -342,7 +354,7 @@ def load_scene(text: str) -> Scene:
         if key not in _PARAM_KEYS:
             raise SceneError(f"unknown param {key!r}")
     for key, value in params.items():
-        _require_number(params, key, value)
+        _require_number(key, value)
 
     wavelength = float(params.get("lambda", DEFAULT_WAVELENGTH))
     beta = float(params.get("beta", (wavelength / (4 * math.pi)) ** 2))

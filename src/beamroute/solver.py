@@ -5,8 +5,9 @@ user from one top-Q label sweep of the routing DAG, whose paths are all
 loopless), compatibility graph assembly and min-max clique selection,
 then maps the winning cost back to channel powers.  The
 alternatives exist to bound it: a sequential greedy baseline, two
-asymptotic benchmarks for small and large surfaces, and a brute-force
-enumeration that is exact but exponential.
+asymptotic benchmarks for small and large surfaces (the same pipeline
+on another routing graph), and a brute-force enumeration that is exact
+but exponential.  ``solve`` is the one entry point.
 
 Every returned solution has been re-audited against the raw scene
 constraints before leaving this module.
@@ -28,7 +29,6 @@ from .clique import (
     route_masks,
 )
 from .graph import (
-    LosGraph,
     Route,
     build_routing_graph,
     enumerate_paths,
@@ -40,7 +40,8 @@ from .scene import Scene
 
 IDENTITY_RTOL = 1e-9
 MAX_SEQUENTIAL_USERS = 8
-DEFAULT_BRUTEFORCE_CAP = 1_000_000
+# bound on the product of per-user path counts solve_bruteforce accepts
+BRUTEFORCE_CAP = 1_000_000
 
 ALGORITHMS = ("proposed", "sequential", "min_pathloss", "max_cpb", "brute_force")
 
@@ -57,14 +58,11 @@ class AuditError(SolverError):
 class SolveParams:
     """Knobs shared by all solvers.
 
-    ``paths`` is the per-user candidate budget of the clique pipeline
-    and ``bruteforce_cap`` bounds the product of per-user path counts
-    the exhaustive solver will accept.
+    ``paths`` is the per-user candidate budget of the clique pipeline.
     """
 
     paths: int = 20
     algorithm: str = "proposed"
-    bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP
 
     def __post_init__(self) -> None:
         if self.paths < 1:
@@ -164,16 +162,27 @@ def audit_solution(scene: Scene, solution: RoutingSolution) -> None:
         raise AuditError("objective is not the worst-user power")
 
 
-def _clique_pipeline(
-    scene: Scene,
-    graph: LosGraph,
-    params: SolveParams,
-    algorithm: str,
-    check_identity: bool,
-) -> RoutingSolution:
-    """Shared candidate/clique stage behind proposed and the benchmarks."""
+# the routing graph each clique-pipeline algorithm ranks candidates on
+_PIPELINE_GRAPHS = {
+    "proposed": build_routing_graph,
+    # small-M limit: single-element weights, per-hop loss dominates
+    "min_pathloss": lambda scene: build_routing_graph(scene.with_elements(1)),
+    # large-M limit: hop count first, distance second
+    "max_cpb": lambda scene: build_routing_graph(scene, hop_priority=True),
+}
+
+
+def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
+    """Candidate search, compatibility graph and min-max clique selection.
+
+    ``proposed`` and the two asymptotic benchmarks differ only in the
+    graph they rank candidates on; reported powers always use the
+    scene's actual element count.
+    """
+    _require_users(scene)
+    algorithm = params.algorithm
     start = time.perf_counter()
-    candidates = top_routes(graph, params.paths)
+    candidates = top_routes(_PIPELINE_GRAPHS[algorithm](scene), params.paths)
     diagnostics = {
         "candidate_counts": tuple(len(c) for c in candidates.values()),
         "compat_edges": 0,
@@ -196,7 +205,7 @@ def _clique_pipeline(
         return _finish(scene, algorithm, diagnostics, start)
     routes = tuple(path_graph.routes[v] for v in clique.vertices)
     powers = _route_powers(scene, routes)
-    if check_identity:
+    if algorithm == "proposed":
         # the winning clique's worst cost must map back onto the worst
         # power through the log-domain relation
         implied = (
@@ -210,34 +219,6 @@ def _clique_pipeline(
                 f"cost/power mismatch: objective {objective}, implied {implied}"
             )
     return _finish(scene, algorithm, diagnostics, start, routes, powers)
-
-
-def solve_proposed(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
-    """Candidate search, compatibility graph and min-max clique selection."""
-    _require_users(scene)
-    graph = build_routing_graph(scene)
-    return _clique_pipeline(scene, graph, params, "proposed", check_identity=True)
-
-
-def solve_limit_benchmark(scene: Scene, params: SolveParams) -> RoutingSolution:
-    """Asymptotic benchmarks for very small and very large surfaces.
-
-    ``params.algorithm`` picks the benchmark.  ``min_pathloss`` selects
-    routes with single-element weights, the small-M limit where per-hop
-    loss dominates.  ``max_cpb`` selects with hop count first and
-    distance second, the large-M limit where every extra reflection
-    pays off.  Reported powers always use the scene's actual element
-    count.
-    """
-    _require_users(scene)
-    mode = params.algorithm
-    if mode == "min_pathloss":
-        graph = build_routing_graph(scene, elements=1)
-    elif mode == "max_cpb":
-        graph = build_routing_graph(scene, hop_priority=True)
-    else:
-        raise SolverError(f"{mode!r} is not a limit benchmark algorithm")
-    return _clique_pipeline(scene, graph, params, mode, check_identity=False)
 
 
 def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
@@ -304,7 +285,7 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     """Exact max-min selection by full simple-path enumeration.
 
     Refuses scenes where the product of per-user path counts exceeds
-    the configured cap.
+    ``BRUTEFORCE_CAP``.
     """
     _require_users(scene)
     start = time.perf_counter()
@@ -316,10 +297,8 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         paths = enumerate_paths(graph, scene.num_irs + u)
         product *= len(paths)
         per_user.append([make_route(graph, p) for p in paths])
-    if product > params.bruteforce_cap:
-        raise SolverError(
-            f"path count product {product} exceeds cap {params.bruteforce_cap}"
-        )
+    if product > BRUTEFORCE_CAP:
+        raise SolverError(f"path count product {product} exceeds cap {BRUTEFORCE_CAP}")
     powers = [
         [closed_form_power(scene, r) for r in routes] for routes in per_user
     ]
@@ -359,10 +338,8 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
 
 def solve(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
     """Dispatch on ``params.algorithm``."""
-    if params.algorithm == "proposed":
-        return solve_proposed(scene, params)
     if params.algorithm == "sequential":
         return solve_sequential(scene, params)
-    if params.algorithm in ("min_pathloss", "max_cpb"):
-        return solve_limit_benchmark(scene, params)
-    return solve_bruteforce(scene, params)
+    if params.algorithm == "brute_force":
+        return solve_bruteforce(scene, params)
+    return _clique_pipeline(scene, params)

@@ -33,8 +33,6 @@ from beamroute.solver import (
     audit_solution,
     solve,
     solve_bruteforce,
-    solve_limit_benchmark,
-    solve_proposed,
     solve_sequential,
 )
 
@@ -143,7 +141,7 @@ def test_03_candidate_pipeline_is_exact():
             continue
         checked += 1
         exhaustive = max(max(counts, default=0), 1)
-        prop = solve_proposed(scene, SolveParams(paths=exhaustive))
+        prop = solve(scene, SolveParams(paths=exhaustive))
         brute = solve_bruteforce(scene)
         if prop.feasible != brute.feasible:
             ok = False
@@ -228,7 +226,7 @@ def test_06_objective_monotone_and_saturating_in_candidate_budget():
         counts = _path_counts(scene)
         if not counts or max(counts) > 15:
             continue
-        if not solve_proposed(scene, SolveParams(paths=20)).feasible:
+        if not solve(scene, SolveParams(paths=20)).feasible:
             continue
         scenes.append(scene)
     ok = True
@@ -236,7 +234,7 @@ def test_06_objective_monotone_and_saturating_in_candidate_budget():
     for scene in scenes:
         objectives = []
         for q in range(1, 21):
-            sol = solve_proposed(scene, SolveParams(paths=q))
+            sol = solve(scene, SolveParams(paths=q))
             objectives.append(-math.inf if sol.objective is None else sol.objective)
         if any(b < a for a, b in zip(objectives, objectives[1:])):
             ok = False
@@ -256,12 +254,12 @@ def test_06_objective_monotone_and_saturating_in_candidate_budget():
 
 def test_07_route_length_grows_with_surface_size():
     m_low, m_high = 100, 400
-    low = solve_proposed(corridor_scene().with_elements(m_low))
-    high = solve_proposed(corridor_scene().with_elements(m_high))
-    short = solve_limit_benchmark(
+    low = solve(corridor_scene().with_elements(m_low))
+    high = solve(corridor_scene().with_elements(m_high))
+    short = solve(
         corridor_scene().with_elements(m_low), SolveParams(algorithm="min_pathloss")
     )
-    dense = solve_limit_benchmark(
+    dense = solve(
         corridor_scene().with_elements(m_high), SolveParams(algorithm="max_cpb")
     )
     ok = (
@@ -292,7 +290,7 @@ def test_08_joint_selection_dominates_greedy():
         if max(counts, default=0) > 150:
             continue
         exhaustive = max(max(counts, default=0), 1)
-        prop = solve_proposed(scene, SolveParams(paths=exhaustive))
+        prop = solve(scene, SolveParams(paths=exhaustive))
         greedy = solve_sequential(scene)
         if greedy.feasible:
             compared += 1
@@ -300,7 +298,7 @@ def test_08_joint_selection_dominates_greedy():
                 ok = False
                 break
     trap = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
-    trap_prop = solve_proposed(trap)
+    trap_prop = solve(trap)
     trap_greedy = solve_sequential(trap)
     ok = (
         ok

@@ -12,7 +12,6 @@ from beamroute.clique import (
     PathGraph,
     build_path_graph,
     compatible,
-    min_max_clique,
     route_masks,
 )
 from beamroute.graph import (
@@ -31,24 +30,21 @@ def pathgraph_from_bits(weights_by_part, adj_pairs):
     Each pair (a, b) sets bit b of vertex a's mask and bit a of b's.
     """
     partitions = []
-    weight = []
     order_key = []
     idx = 0
     for ws in weights_by_part:
         ids = []
         for w in ws:
             ids.append(idx)
-            weight.append(float(w))
             order_key.append((float(w),))
             idx += 1
         partitions.append(tuple(ids))
-    masks = [0] * len(weight)
+    masks = [0] * len(order_key)
     for a, b in adj_pairs:
         masks[a] |= 1 << b
         masks[b] |= 1 << a
     return PathGraph(
         partitions=tuple(partitions),
-        weight=tuple(weight),
         order_key=tuple(order_key),
         adj_masks=tuple(masks),
     )
@@ -314,7 +310,7 @@ class TestBuildPathGraph:
         pg = build_path_graph(cands, scene)
         assert pg.partitions == ((0,), (1,))
         assert pg.adj[0] == frozenset({1})
-        assert pg.weight[0] == pytest.approx(cands[1][0].cost)
+        assert pg.order_key[0] == cands[1][0].cost_vec
 
     def test_empty_candidate_list(self):
         scene = self.scene()
@@ -401,42 +397,42 @@ class TestBuildPathGraph:
 class TestMinMaxClique:
     def test_single_partition(self):
         pg = pathgraph_from_bits([[3.0, 1.0, 2.0]], [])
-        c = min_max_clique(pg)
+        c = CliqueSearch(pg).run()
         assert c.vertices == (1,)
-        assert c.objective == 1.0
+        assert c.objective_key == (1.0,)
 
     def test_complete_bipartite(self):
         pg = pathgraph_from_bits(
             [[3.0, 1.0], [2.0, 5.0]],
             [(0, 2), (0, 3), (1, 2), (1, 3)],
         )
-        c = min_max_clique(pg)
+        c = CliqueSearch(pg).run()
         assert c.vertices == (1, 2)
-        assert c.objective == 2.0
+        assert c.objective_key == (2.0,)
 
     def test_forced_worse_choice(self):
         # the cheap candidates are incompatible, only the dear pair works
         pg = pathgraph_from_bits([[1.0, 9.0], [1.0, 8.0]], [(1, 3)])
-        c = min_max_clique(pg)
+        c = CliqueSearch(pg).run()
         assert c.vertices == (1, 3)
-        assert c.objective == 9.0
+        assert c.objective_key == (9.0,)
 
     def test_infeasible(self):
         pg = pathgraph_from_bits([[1.0], [1.0]], [])
-        assert min_max_clique(pg) is None
+        assert CliqueSearch(pg).run() is None
 
     def test_tie_breaks_on_sum_then_index(self):
         pg = pathgraph_from_bits(
             [[5.0, 5.0], [3.0, 1.0]],
             [(0, 2), (0, 3), (1, 2), (1, 3)],
         )
-        c = min_max_clique(pg)
+        c = CliqueSearch(pg).run()
         assert c.vertices == (0, 3)  # same max, smaller sum
         pg2 = pathgraph_from_bits(
             [[5.0, 5.0], [3.0, 3.0]],
             [(0, 2), (0, 3), (1, 2), (1, 3)],
         )
-        c2 = min_max_clique(pg2)
+        c2 = CliqueSearch(pg2).run()
         assert c2.vertices == (0, 2)  # full tie, lexicographic
 
     def test_oracle_agreement(self):
@@ -445,7 +441,7 @@ class TestMinMaxClique:
         for _ in range(120):
             pg = random_pathgraph(rng)
             want = oracle_min_max(pg)
-            got = min_max_clique(pg)
+            got = CliqueSearch(pg).run()
             if want is None:
                 assert got is None
                 continue
@@ -460,7 +456,7 @@ class TestMinMaxClique:
         for _ in range(80):
             pg = random_pathgraph(rng)
             want = oracle_min_max(pg)
-            got = min_max_clique(pg)
+            got = CliqueSearch(pg).run()
             if want is None:
                 assert got is None
                 continue
@@ -527,7 +523,7 @@ class TestMinMaxClique:
             ]
             pg = pathgraph_from_bits(weights, pairs)
             want = oracle_min_max(pg)
-            got = min_max_clique(pg)
+            got = CliqueSearch(pg).run()
             if want is None:
                 assert got is None
                 infeasible += 1
@@ -543,7 +539,7 @@ class TestMinMaxClique:
         rng = np.random.default_rng(34)
         for _ in range(40):
             pg = random_pathgraph(rng)
-            c = min_max_clique(pg)
+            c = CliqueSearch(pg).run()
             if c is None:
                 continue
             for a, b in itertools.combinations(c.vertices, 2):

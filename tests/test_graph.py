@@ -179,7 +179,7 @@ class TestBuildRoutingGraph:
 
     def test_elements_override(self):
         scene = self.scene()
-        g1 = build_routing_graph(scene, elements=1)
+        g1 = build_routing_graph(scene.with_elements(1))
         g2 = build_routing_graph(scene)
         for key in g1.weight:
             assert g1.weight[key] > g2.weight[key]
@@ -203,7 +203,8 @@ class TestBuildRoutingGraph:
         edges = 0
         for scene in mask_rule_scenes(rng):
             for elements, hop_priority in ((None, False), (1, False), (None, True)):
-                g = build_routing_graph(scene, elements=elements, hop_priority=hop_priority)
+                scaled = scene if elements is None else scene.with_elements(elements)
+                g = build_routing_graph(scaled, hop_priority=hop_priority)
                 succ, weight, cost, dist = oracle_routing_graph(scene, elements, hop_priority)
                 assert g.succ == succ
                 assert bits(g.weight) == bits(weight)

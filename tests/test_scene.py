@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -68,6 +70,14 @@ class TestLoadScene:
         assert scene.bs_antennas == 8
         assert scene.elements == 32
         assert scene.los_threshold == 20.0
+
+    def test_non_integral_counts_rejected(self):
+        for key, value in (("N", 20.5), ("M1", 2.7), ("M2", 0.5), ("N", math.inf)):
+            with pytest.raises(SceneError, match=rf"param '{key}' must be an integer, got {value}"):
+                load_scene(small_doc(**{key: value}))
+        scene = load_scene(small_doc(N=20.0, M1=4.0, M2=8.0))
+        assert type(scene.bs_antennas) is int and scene.bs_antennas == 20
+        assert scene.irs_grid == (4, 8)
 
     def test_malformed_json(self):
         with pytest.raises(SceneError, match="malformed"):
@@ -296,6 +306,35 @@ class TestDerivedScenes:
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         scene.with_elements(9)
         assert scene.elements == 400
+
+    def test_with_elements_matches_fresh_scene(self):
+        positions = [[0, 0, 0], [5, 0, 0], [10, 0, 0], [5, 6, 0], [15, 0, 0], [15, 6, 0]]
+        cached = [n for n, v in vars(Scene).items() if isinstance(v, cached_property)]
+        assert {"positions", "dist_matrix", "los_matrix", "los_masks"} <= set(cached)
+        for override in (None, full_los(6)):
+            scene = make_scene(positions, 3, 2, los_override=override)
+            before = {f.name: getattr(scene, f.name) for f in fields(Scene)}
+            for m in (1, 13, 200):
+                scaled = scene.with_elements(m)
+                fresh = replace(scene, irs_grid=scaled.irs_grid)
+                assert scaled.elements == fresh.elements == m
+                for f in fields(Scene):
+                    if f.name != "irs_grid":
+                        assert getattr(scaled, f.name) is getattr(scene, f.name)
+                for name in cached:
+                    got, want = getattr(scaled, name), getattr(fresh, name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and not got.flags.writeable
+                        assert np.array_equal(got, want)
+                    else:
+                        assert got == want
+            assert {f.name: getattr(scene, f.name) for f in fields(Scene)} == before
+            assert scene.elements == 400
+
+    def test_with_elements_rejects_non_int_grid(self):
+        scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
+        with pytest.raises(SceneError, match="irs_grid"):
+            scene.with_elements(np.int64(6))
 
 
 class TestImmutability:

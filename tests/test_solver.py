@@ -33,8 +33,6 @@ from beamroute.solver import (
     audit_solution,
     solve,
     solve_bruteforce,
-    solve_limit_benchmark,
-    solve_proposed,
     solve_sequential,
 )
 
@@ -161,28 +159,28 @@ def easy_two_corridor() -> Scene:
 # ------------------------------------------------------- proposed solver
 
 def test_corridor_route_flips_with_elements():
-    low = solve_proposed(corridor_scene(bs_antennas=4).with_elements(100))
-    high = solve_proposed(corridor_scene(bs_antennas=4).with_elements(400))
+    low = solve(corridor_scene(bs_antennas=4).with_elements(100))
+    high = solve(corridor_scene(bs_antennas=4).with_elements(400))
     assert low.routes[0].vertices == (0, 4, 5)
     assert high.routes[0].vertices == (0, 1, 2, 3, 5)
 
 
 def test_corridor_power_value():
-    sol = solve_proposed(corridor_scene(bs_antennas=4).with_elements(400))
+    sol = solve(corridor_scene(bs_antennas=4).with_elements(400))
     want = 4 * 400**6 * BETA**4 / 3.2**8
     assert sol.objective == pytest.approx(want, rel=1e-12)
     assert sol.powers == (sol.objective,)
 
 
 def test_proposed_orders_routes_by_user():
-    sol = solve_proposed(easy_two_corridor())
+    sol = solve(easy_two_corridor())
     assert sol.feasible
     assert [r.user_index for r in sol.routes] == [1, 2]
     assert sol.objective == pytest.approx(min(sol.powers), rel=1e-15)
 
 
 def test_proposed_diagnostics():
-    sol = solve_proposed(easy_two_corridor())
+    sol = solve(easy_two_corridor())
     d = sol.diagnostics
     assert d["candidate_counts"] == (1, 1)
     assert d["cliques_explored"] >= 2
@@ -195,16 +193,16 @@ def test_clique_diagnostics_count_edges_and_cuts():
     # user 2 nothing, so forward checking cuts that branch
     scene = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
     for sol in (
-        solve_proposed(scene),
-        solve_limit_benchmark(scene, SolveParams(algorithm="min_pathloss")),
-        solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb")),
+        solve(scene),
+        solve(scene, SolveParams(algorithm="min_pathloss")),
+        solve(scene, SolveParams(algorithm="max_cpb")),
     ):
         d = sol.diagnostics
         assert d["candidate_counts"] == (2, 5)
         assert d["compat_edges"] == 1
         assert d["cliques_explored"] == 3
         assert d["cliques_pruned"] == 1
-    d = solve_proposed(easy_two_corridor()).diagnostics
+    d = solve(easy_two_corridor()).diagnostics
     assert (d["compat_edges"], d["cliques_explored"], d["cliques_pruned"]) == (1, 2, 0)
 
 
@@ -215,7 +213,7 @@ def test_compat_edges_count_raw_compatible_pairs():
         scene = random_scene(rng)
         graph = build_routing_graph(scene)
         cands = [yen_k_shortest(graph, scene.user_vertex(k), 20) for k in (1, 2)]
-        sol = solve_proposed(scene)
+        sol = solve(scene)
         d = sol.diagnostics
         want = sum(
             oracle_compatible(scene, a.vertices, b.vertices)
@@ -223,7 +221,7 @@ def test_compat_edges_count_raw_compatible_pairs():
             for b in cands[1]
         )
         assert d["compat_edges"] == (want if all(cands) else 0)
-        again = solve_proposed(scene).diagnostics
+        again = solve(scene).diagnostics
         assert again["cliques_explored"] == d["cliques_explored"]
         assert again["cliques_pruned"] == d["cliques_pruned"]
         pruned += d["cliques_pruned"]
@@ -238,7 +236,7 @@ def test_proposed_matches_oracle_random():
         counts = [len(oracle_routes(scene, k)) for k in (1, 2)]
         if max(counts) > 48:
             continue
-        sol = solve_proposed(scene, SolveParams(paths=48))
+        sol = solve(scene, SolveParams(paths=48))
         want = oracle_maxmin(scene)
         if want is None:
             assert not sol.feasible
@@ -254,27 +252,27 @@ def test_proposed_matches_oracle_random():
 def test_benchmarks_bracket_the_crossover():
     for m in (100, 400):
         scene = corridor_scene(bs_antennas=4).with_elements(m)
-        short = solve_limit_benchmark(scene, SolveParams(algorithm="min_pathloss"))
-        dense = solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb"))
+        short = solve(scene, SolveParams(algorithm="min_pathloss"))
+        dense = solve(scene, SolveParams(algorithm="max_cpb"))
         assert short.routes[0].vertices == (0, 4, 5)
         assert dense.routes[0].vertices == (0, 1, 2, 3, 5)
 
 
 def test_benchmark_powers_use_scene_elements():
     scene = corridor_scene(bs_antennas=4).with_elements(400)
-    short = solve_limit_benchmark(scene, SolveParams(algorithm="min_pathloss"))
+    short = solve(scene, SolveParams(algorithm="min_pathloss"))
     d = math.sqrt(6.4**2 + 3.5**2)
     want = 4 * 400**2 * BETA**2 / d**4
     assert short.objective == pytest.approx(want, rel=1e-12)
 
 
 def test_benchmarks_agree_with_proposed_at_extremes():
-    low = solve_proposed(corridor_scene(bs_antennas=4).with_elements(100))
-    high = solve_proposed(corridor_scene(bs_antennas=4).with_elements(400))
-    short = solve_limit_benchmark(
+    low = solve(corridor_scene(bs_antennas=4).with_elements(100))
+    high = solve(corridor_scene(bs_antennas=4).with_elements(400))
+    short = solve(
         corridor_scene(bs_antennas=4).with_elements(100), SolveParams(algorithm="min_pathloss")
     )
-    dense = solve_limit_benchmark(
+    dense = solve(
         corridor_scene(bs_antennas=4).with_elements(400), SolveParams(algorithm="max_cpb")
     )
     assert short.routes[0].vertices == low.routes[0].vertices
@@ -283,20 +281,14 @@ def test_benchmarks_agree_with_proposed_at_extremes():
     assert dense.objective == pytest.approx(high.objective, rel=1e-12)
 
 
-def test_benchmark_mode_validation():
-    for name in ("proposed", "sequential", "brute_force"):
-        with pytest.raises(SolverError, match="not a limit benchmark"):
-            solve_limit_benchmark(easy_two_corridor(), SolveParams(algorithm=name))
-
-
 def test_benchmark_follows_params_algorithm():
     demo = load_scene_file(DEMO)
     for name in ("min_pathloss", "max_cpb"):
-        assert solve_limit_benchmark(demo, SolveParams(algorithm=name)).algorithm == name
+        assert solve(demo, SolveParams(algorithm=name)).algorithm == name
     # the two limits pick different routes here, so the label cannot
     # hide a run of the other benchmark
     scene = corridor_scene(bs_antennas=4).with_elements(100)
-    dense = solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb"))
+    dense = solve(scene, SolveParams(algorithm="max_cpb"))
     assert dense.routes[0].vertices == (0, 1, 2, 3, 5)
 
 
@@ -304,7 +296,7 @@ def test_benchmark_follows_params_algorithm():
 
 def test_sequential_fails_where_joint_succeeds():
     scene = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
-    joint = solve_proposed(scene)
+    joint = solve(scene)
     greedy = solve_sequential(scene)
     assert joint.feasible
     assert {r.vertices for r in joint.routes} == {(0, 2, 5), (0, 4, 6)}
@@ -412,7 +404,7 @@ def test_one_sweep_per_banned_set(monkeypatch):
         assert set(calls) == {sum(1 << v for v in b) for b in queried}
         shared += math.factorial(scene.num_users) > len(calls)
         calls.clear()
-        solve_proposed(scene)
+        solve(scene)
         assert calls == [0]
     assert shared >= 10
 
@@ -443,9 +435,10 @@ def test_bruteforce_matches_oracle_random():
     assert feasible >= 8
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
+    monkeypatch.setattr(solver, "BRUTEFORCE_CAP", 1)
     with pytest.raises(SolverError, match="exceeds cap"):
-        solve_bruteforce(corridor_scene(bs_antennas=4), SolveParams(bruteforce_cap=1))
+        solve_bruteforce(corridor_scene(bs_antennas=4))
 
 
 # ----------------------------------------------------------- infeasible
@@ -453,12 +446,12 @@ def test_bruteforce_cap():
 def test_isolated_user_is_infeasible():
     positions = [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [40.0, 0.0, 0.0]]
     scene = make_scene(positions, 1, 1, bs_antennas=4, irs_grid=(2, 2))
-    for sol in (solve_proposed(scene), solve_sequential(scene), solve_bruteforce(scene)):
+    for sol in (solve(scene), solve_sequential(scene), solve_bruteforce(scene)):
         assert not sol.feasible
         assert sol.routes == ()
         assert sol.powers == ()
         assert sol.objective is None
-    sol = solve_proposed(scene)
+    sol = solve(scene)
     assert sol.diagnostics["infeasible_user"] == 1
 
 
@@ -472,7 +465,7 @@ def test_no_compatible_combination():
         irs_grid=(2, 2),
         los_override=override,
     )
-    sol = solve_proposed(scene)
+    sol = solve(scene)
     assert not sol.feasible
     assert sol.diagnostics["reason"] == "no compatible route combination"
     assert not solve_bruteforce(scene).feasible
@@ -483,17 +476,17 @@ def test_no_compatible_combination():
 def test_audit_accepts_solver_output():
     scene = easy_two_corridor()
     for sol in (
-        solve_proposed(scene),
+        solve(scene),
         solve_sequential(scene),
         solve_bruteforce(scene),
-        solve_limit_benchmark(scene, SolveParams(algorithm="max_cpb")),
+        solve(scene, SolveParams(algorithm="max_cpb")),
     ):
         audit_solution(scene, sol)
 
 
 def test_audit_rejects_cross_los_routes():
     scene = easy_two_corridor()
-    good = solve_proposed(scene)
+    good = solve(scene)
     # reroute user 2 through the corridor user 1 occupies
     from beamroute.graph import route_from_sequence
 
@@ -532,7 +525,7 @@ def test_audit_rejects_cross_los_routes():
 
 def test_audit_rejects_tampered_powers():
     scene = easy_two_corridor()
-    good = solve_proposed(scene)
+    good = solve(scene)
     tampered = RoutingSolution(
         feasible=True,
         algorithm="proposed",
@@ -546,7 +539,7 @@ def test_audit_rejects_tampered_powers():
 
 def test_audit_rejects_routes_on_infeasible():
     scene = easy_two_corridor()
-    good = solve_proposed(scene)
+    good = solve(scene)
     tampered = RoutingSolution(
         feasible=False,
         algorithm="proposed",
@@ -590,4 +583,4 @@ def test_params_validation():
 
 def test_no_users_rejected():
     with pytest.raises(SolverError, match="no users"):
-        solve_proposed(star_scene())
+        solve(star_scene())
