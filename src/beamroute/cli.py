@@ -96,9 +96,12 @@ def _spec_numbers(body: str, spec: str) -> list[float]:
     if any(not p for p in parts):
         raise CliError(f"malformed generator spec {spec!r}")
     try:
-        return [float(p) for p in parts]
+        numbers = [float(p) for p in parts]
     except ValueError:
         raise CliError(f"malformed generator spec {spec!r}") from None
+    if not all(map(math.isfinite, numbers)):
+        raise CliError(f"malformed generator spec {spec!r}")
+    return numbers
 
 
 def _grid_document(rows: int, cols: int, spacing: float, users: int) -> str:

@@ -14,9 +14,10 @@ Edge costs are short float tuples compared lexicographically.  The
 plain graph uses 1-tuples of the scalar weight; the hop-greedy variant
 uses (-1, ln d) so longer paths win before distance breaks ties, which
 realizes the large-M limit without evaluating any large power.  Paths
-are ranked by (cost vector, hop count, vertex sequence), and cost
-vectors are summed hop by hop from the BS, so equal paths carry
-bit-identical floats.
+are ranked by (cost vector, hop count, vertex sequence).  The sweep
+keeps a cost vector as two flat float slots of its label, the second
+0.0 for 1-tuples, and sums both hop by hop from the BS, so equal paths
+carry bit-identical floats.
 """
 
 from __future__ import annotations
@@ -164,6 +165,33 @@ class LosGraph:
             raise GraphError("routing graph contains a cycle")
         return tuple(order)
 
+    @cached_property
+    def pred_table(self) -> tuple[tuple[tuple[int, float, float], ...], ...]:
+        """Per vertex, the in-edges that carry labels, as (p, c0, c1).
+
+        ``c0, c1`` are the edge's cost slots, ``c1`` 0.0 for 1-tuple
+        costs.  Users pass no labels on, so their out-edges are left out.
+        """
+        first_user = self.user_vertices.start
+        preds: list[list[tuple[int, float, float]]] = [[] for _ in range(self.num_vertices)]
+        for (i, j), c in self.cost.items():
+            if i < first_user:
+                preds[j].append((i, c[0], c[1] if len(c) == 2 else 0.0))
+        return tuple(map(tuple, preds))
+
+    @cached_property
+    def label_drops(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex v, the predecessors that no vertex after v in
+        ``topo_order`` reads, so the sweep can free their labels at v."""
+        last = {}
+        for v in self.topo_order:
+            for p, _, _ in self.pred_table[v]:
+                last[p] = v
+        drops: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for p, v in last.items():
+            drops[v].append(p)
+        return tuple(map(tuple, drops))
+
     @classmethod
     def from_edges(
         cls,
@@ -272,11 +300,12 @@ def _path_cost(graph: LosGraph, vertices: tuple[int, ...]) -> tuple[float, ...]:
 def _make_route(
     graph: LosGraph, vertices: tuple[int, ...], cost_vec: tuple[float, ...]
 ) -> Route:
+    weight, hop_dist = graph.weight, graph.dist
     cost = 0.0
     dist = 0.0
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        cost += graph.weight[a, b]
-        dist += graph.dist[a, b]
+    for edge in zip(vertices, vertices[1:]):
+        cost += weight[edge]
+        dist += hop_dist[edge]
     return Route(
         user_index=vertices[-1] - graph.num_irs,
         vertices=vertices,
@@ -305,17 +334,24 @@ def _check_target(graph: LosGraph, target: int) -> None:
 def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[Route]]:
     """Every user's up to `count` lowest-cost BS-to-user paths, sorted.
 
-    One label sweep in topological order.  Each vertex keeps its
-    `count` smallest labels (cost vector, hop count, vertex sequence),
-    compared as tuples, and hands them on along its out-edges, adding
-    the edge cost component by component.  Every DAG path is loopless,
-    so no deviation search is needed.  A vertex's labels are final when
-    the sweep reaches it, and labels never extend through a user, so one
-    sweep settles every user.  Ties break toward fewer hops, then the
-    lexicographically smallest vertex sequence.  Paths through a vertex
-    whose bit is set in the node mask `banned` are skipped.  The result
-    maps user index 1..K to its routes; fewer than `count` (possibly
-    none) come back when a user's path set is exhausted.
+    One pull sweep in topological order.  A label is the flat tuple
+    (c0, c1, hop count, vertex sequence), where (c0, c1) holds the cost
+    vector (c1 is 0.0 for 1-tuple costs), so comparing labels ranks
+    paths by (cost vector, hop count, vertex sequence).  Each vertex
+    gathers the labels of its predecessors extended by the in-edge
+    (``LosGraph.pred_table``), sorts them once and keeps `count`; labels
+    no later vertex reads are freed (``LosGraph.label_drops``).  Every
+    predecessor comes earlier in the order, so its labels are final, and
+    every DAG path is loopless, so no deviation search is needed.
+    Labels never extend through a user, so one sweep settles every user.
+    Ties break toward fewer hops, then the lexicographically smallest
+    vertex sequence.  Keeping `count` per vertex is exact unless an edge
+    cost rounds two different label costs to one float; then the hop
+    count or sequence decides their order downstream, and a label a
+    vertex dropped can be missing.  A vertex whose bit is set in the
+    node mask `banned` gets no labels.  The result maps user index 1..K
+    to its routes; fewer than `count` (possibly none) come back when a
+    user's path set is exhausted.
     """
     if count < 1:
         raise GraphError("path count must be positive")
@@ -323,32 +359,38 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     first_hops = graph.succ.get(0, ())
     if not first_hops or banned & 1:
         return routes
+    wide = len(graph.cost[0, first_hops[0]]) == 2
     first_user = graph.user_vertices.start
-    zero = (0.0,) * len(graph.cost[0, first_hops[0]])
-    labels = {0: [(zero, 0, (0,))]}
+    preds = graph.pred_table
+    drops = graph.label_drops
+    labels: list[list[tuple[float, float, int, tuple[int, ...]]]] = [[]] * graph.num_vertices
+    labels[0] = [(0.0, 0.0, 0, (0,))]
     for v in graph.topo_order:
-        # a vertex's labels are final once every predecessor is swept
-        here = labels.pop(v, None)
-        if here is None:
+        if banned >> v & 1:
             continue
-        if v >= first_user:
+        here = []
+        for p, c0, c1 in preds[v]:
+            got = labels[p]
+            if got:
+                here += [(a0 + c0, a1 + c1, hops, path) for a0, a1, hops, path in got]
+        if not here:
+            continue
+        # free what no later vertex reads, or every label lives to the end
+        # (a banned last reader leaves them in place, costing memory only)
+        for p in drops[v]:
+            labels[p] = []
+        # gathered labels still carry their predecessor's hop count and
+        # path; one more hop and a final v on every path keep their
+        # order, so only the `count` survivors are extended
+        here.sort()
+        here = [(a0, a1, hops + 1, path + (v,)) for a0, a1, hops, path in here[:count]]
+        if v < first_user:
+            labels[v] = here
+        else:
             routes[v - graph.num_irs] = [
-                _make_route(graph, path, cost) for cost, _, path in here
+                _make_route(graph, path, (c0, c1) if wide else (c0,))
+                for c0, c1, _, path in here
             ]
-            continue
-        for j in graph.succ.get(v, ()):
-            if banned >> j & 1:
-                continue
-            c = graph.cost[v, j]
-            bucket = labels.setdefault(j, [])
-            bucket += [
-                (tuple(map(add, cost, c)), hops + 1, path + (j,))
-                for cost, hops, path in here
-            ]
-            # one edge extends labels in their order (barring float
-            # rounding that merges two costs), so `count` per vertex suffice
-            bucket.sort()
-            del bucket[count:]
     return routes
 
 

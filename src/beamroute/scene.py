@@ -185,7 +185,7 @@ class Scene:
                 raise SceneError(f"{name} must be positive")
         if not math.isfinite(self.bs_axis_azimuth):
             raise SceneError("bs_axis_azimuth must be finite")
-        if self.los_threshold < 0:
+        if not self.los_threshold >= 0:
             raise SceneError("los_threshold must be nonnegative")
         if not 0.0 < self.ref_path_gain < 1.0:
             raise SceneError(

@@ -78,6 +78,17 @@ def test_generator_spec_errors():
         generate_scene("random(30,0,8,3)", seed=4)
 
 
+def test_generator_spec_rejects_non_finite(capsys):
+    for spec in ("random(5,2,nan,4)", "grid(2,2,nan,1)", "grid(2,2,inf,1)",
+                 "random(5,2,40,-inf)", "grid(nan,2,5,1)"):
+        with pytest.raises(CliError, match="malformed generator spec"):
+            generate_scene(spec)
+        assert main(["--generate", spec]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": f"malformed generator spec {spec!r}"}
+
+
 # --------------------------------------------------------------- reports
 
 def test_run_experiment_demo():

@@ -1,6 +1,7 @@
 """Routing graph construction and the one top-Q path sweep over all users."""
 
 import math
+from operator import add
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from beamroute.graph import (
     GraphError,
     LosGraph,
     Route,
+    _make_route,
     build_routing_graph,
     edge_weight,
     enumerate_paths,
@@ -111,6 +113,46 @@ def random_losgraph(rng, num_irs=None, num_users=1, negative=True):
     if not edges:
         edges = [(0, 1, 1.0), (1, j + 1, 1.0)]
     return LosGraph.from_edges(j, num_users, edges)
+
+
+def reference_top_routes(graph, count, banned=0):
+    """The push sweep `top_routes` replaced, kept as a test oracle.
+
+    Each swept vertex extends its labels (cost vector, hop count,
+    vertex sequence) along every out-edge, adding the edge cost
+    component by component, and each successor re-sorts its bucket and
+    keeps `count` after every edge.
+    """
+    if count < 1:
+        raise GraphError("path count must be positive")
+    routes = {u: [] for u in range(1, graph.num_users + 1)}
+    first_hops = graph.succ.get(0, ())
+    if not first_hops or banned & 1:
+        return routes
+    first_user = graph.user_vertices.start
+    zero = (0.0,) * len(graph.cost[0, first_hops[0]])
+    labels = {0: [(zero, 0, (0,))]}
+    for v in graph.topo_order:
+        here = labels.pop(v, None)
+        if here is None:
+            continue
+        if v >= first_user:
+            routes[v - graph.num_irs] = [
+                _make_route(graph, path, cost) for cost, _, path in here
+            ]
+            continue
+        for j in graph.succ.get(v, ()):
+            if banned >> j & 1:
+                continue
+            c = graph.cost[v, j]
+            bucket = labels.setdefault(j, [])
+            bucket += [
+                (tuple(map(add, cost, c)), hops + 1, path + (j,))
+                for cost, hops, path in here
+            ]
+            bucket.sort()
+            del bucket[count:]
+    return routes
 
 
 class TestEdgeWeight:
@@ -420,6 +462,66 @@ class TestYen:
             top_routes(g, 0)
         with pytest.raises(GraphError):
             yen_k_shortest(g, 2, 0)
+
+
+class TestPullSweepMatchesPushReference:
+    """`top_routes` against the push sweep it replaced, compared by repr,
+    so routes, tie order and every cost float must agree."""
+
+    @staticmethod
+    def masks(rng, g):
+        users = list(g.user_vertices)
+        masks = [0, 1]
+        for _ in range(3):
+            masks.append(sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.15))
+        masks.append(masks[-1] | 1 << int(rng.choice(users)))
+        masks.append(masks[-1] | 1)
+        return masks
+
+    def test_random_half_unit_and_hop_priority_graphs(self):
+        rng = np.random.default_rng(88)
+        graphs = [
+            random_losgraph(rng, num_irs=int(rng.integers(3, 14)), num_users=int(rng.integers(1, 4)))
+            for _ in range(40)
+        ]
+        # half-unit weights sum exactly, so cost ties are common
+        graphs += [
+            LosGraph.from_edges(
+                g.num_irs, g.num_users, [(i, j, round(2 * g.weight[i, j]) / 2) for i, j in g.edges]
+            )
+            for g in graphs[:20]
+        ]
+        scenes = mask_rule_scenes(rng)
+        graphs += [build_routing_graph(s, hop_priority=True) for s in scenes]
+        graphs += [build_routing_graph(s) for s in scenes[:6]]
+        checked = bs_banned = users_banned = 0
+        for g in graphs:
+            paths = max(len(enumerate_paths(g, t)) for t in g.user_vertices)
+            for mask in self.masks(rng, g):
+                bs_banned += mask & 1
+                users_banned += any(mask >> t & 1 for t in g.user_vertices)
+                for count in (1, 5, 50, paths + 3):
+                    got = top_routes(g, count, mask)
+                    assert repr(got) == repr(reference_top_routes(g, count, mask))
+                    checked += sum(map(len, got.values()))
+        assert bs_banned >= len(graphs) and users_banned >= len(graphs)
+        assert checked > 5000
+
+    def test_rounding_merge_keeps_reference_truncation(self):
+        # two paths reach vertex 2 at different costs, 1.0 and the next
+        # float up; the 512.0 edge rounds both sums to 513.0, so at the
+        # user the hop count decides and the order of vertex 2 flips
+        g = LosGraph.from_edges(
+            2, 1, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, math.nextafter(1.0, 2.0)), (2, 3, 512.0)]
+        )
+        both = top_routes(g, 2)[1]
+        assert [r.vertices for r in both] == [(0, 2, 3), (0, 1, 2, 3)]
+        assert both[0].cost_vec == both[1].cost_vec == (513.0,)
+        # with one label per vertex only the cheaper path survives at
+        # vertex 2, and the search returns it, as the push sweep did
+        assert [r.vertices for r in top_routes(g, 1)[1]] == [(0, 1, 2, 3)]
+        for count in (1, 2, 3):
+            assert repr(top_routes(g, count)) == repr(reference_top_routes(g, count))
 
 
 class TestEnumeratePaths:

@@ -144,6 +144,10 @@ class TestLoadScene:
             load_scene(small_doc(N=0))
         with pytest.raises(SceneError):
             load_scene(small_doc(M1=-2))
+        # json.loads parses NaN, which compares false against any bound
+        for threshold in (-1.0, math.nan):
+            with pytest.raises(SceneError, match="los_threshold must be nonnegative"):
+                load_scene(small_doc(los_threshold=threshold))
 
     def test_unknown_param_rejected(self):
         with pytest.raises(SceneError, match="unknown param"):
