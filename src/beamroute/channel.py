@@ -176,8 +176,10 @@ def mrt_precoder(scene: Scene, route: Route) -> np.ndarray:
     length D, so the end to end channel comes out real positive.
     """
     validate_route(scene, route)
-    steer = _bs_departure(scene, route.vertices[1])
-    phi = TWO_PI * route.distance_m / scene.wavelength
+    seq = route.vertices
+    steer = _bs_departure(scene, seq[1])
+    length = sum(scene.distance(a, b) for a, b in zip(seq[:-1], seq[1:]))
+    phi = TWO_PI * length / scene.wavelength
     return np.exp(1j * phi) * steer / np.linalg.norm(steer)
 
 

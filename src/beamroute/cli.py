@@ -212,6 +212,10 @@ def generate_scene(spec: str, seed: int = 0) -> str:
     nums = _spec_numbers(body, spec)
     if len(nums) != 4:
         raise CliError(f"generator spec {spec!r} takes four arguments")
+    # rows, cols and users, or J and K, are counts
+    counts = nums[:2] + nums[3:] if name == "grid" else nums[:2]
+    if not all(x.is_integer() for x in counts):
+        raise CliError(f"malformed generator spec {spec!r}")
     if name == "grid":
         text = _grid_document(int(nums[0]), int(nums[1]), nums[2], int(nums[3]))
     else:
@@ -458,14 +462,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         config = _config_from_args(parser.parse_args(argv))
-        if config.sweep is not None:
-            result = sweep(config)
-            _emit(_render(result, config), config.out)
-            ok = all("error" not in p and p["feasible"] for p in result["points"])
-            return 0 if ok else 2
-        result = run_experiment(config)
+        result = sweep(config) if config.sweep else run_experiment(config)
         _emit(_render(result, config), config.out)
-        return 0 if result["feasible"] else 2
+        # a single run is judged as a one-point series
+        points = result["points"] if config.sweep else [result]
+        ok = all("error" not in p and p["feasible"] for p in points)
+        return 0 if ok else 2
     except (CliError, SceneError, SolverError, OSError, ValueError, ArithmeticError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 1

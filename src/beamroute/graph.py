@@ -17,7 +17,9 @@ realizes the large-M limit without evaluating any large power.  Paths
 are ranked by (cost vector, hop count, vertex sequence).  The sweep
 keeps a cost vector as two flat float slots of its label, the second
 0.0 for 1-tuples, and sums both hop by hop from the BS, so equal paths
-carry bit-identical floats.
+carry bit-identical floats.  A ``Route`` is what the search decides:
+its vertex path and that cost vector; hop lengths and powers come from
+the scene.
 """
 
 from __future__ import annotations
@@ -41,16 +43,15 @@ class GraphError(ValueError):
 class Route:
     """One beam route: vertex 0, an ordered surface sequence, a user.
 
-    ``cost`` is the scalar weight sum of the underlying graph and
-    ``cost_vec`` the tuple the search ordered by; they coincide (up to
-    wrapping) except in the hop-greedy variant.
+    ``cost_vec`` is the cost tuple the search ordered by, summed hop by
+    hop from the BS; on the plain graph its one entry is the weight sum.
+    The route's power is ``channel.closed_form_power(scene, route)`` and
+    its hop lengths are the scene's distances between its vertices.
     """
 
     user_index: int
     vertices: tuple[int, ...]
-    cost: float
     cost_vec: tuple[float, ...]
-    distance_m: float
 
     @property
     def hops(self) -> int:
@@ -99,18 +100,11 @@ def validate_route(scene: Scene, route: Route) -> None:
 def route_from_sequence(scene: Scene, user_index: int, irs_ids: list[int]) -> Route:
     """Build and validate a route from an explicit surface sequence."""
     seq = (0, *irs_ids, scene.user_vertex(user_index))
-    dist = sum(scene.distance(a, b) for a, b in zip(seq[:-1], seq[1:]))
     cost = sum(
         edge_weight(scene.distance(a, b), scene.elements, scene.ref_path_gain)
         for a, b in zip(seq[:-1], seq[1:])
     )
-    route = Route(
-        user_index=user_index,
-        vertices=seq,
-        cost=cost,
-        cost_vec=(cost,),
-        distance_m=dist,
-    )
+    route = Route(user_index=user_index, vertices=seq, cost_vec=(cost,))
     validate_route(scene, route)
     return route
 
@@ -120,8 +114,8 @@ class LosGraph:
     """Immutable routing DAG.
 
     Vertex ids: 0 is the BS, 1..num_irs the surfaces, then the users.
-    ``weight`` holds the scalar per-edge weight, ``cost`` the tuple the
-    searches compare, ``dist`` the hop length in meters.
+    ``weight`` holds the scalar per-edge weight and ``cost`` the tuple
+    the searches compare.
     """
 
     num_irs: int
@@ -129,9 +123,6 @@ class LosGraph:
     succ: dict[int, tuple[int, ...]]
     weight: dict[tuple[int, int], float]
     cost: dict[tuple[int, int], tuple[float, ...]]
-    dist: dict[tuple[int, int], float]
-    elements: int
-    ref_path_gain: float
 
     @property
     def num_vertices(self) -> int:
@@ -140,10 +131,6 @@ class LosGraph:
     @property
     def user_vertices(self) -> range:
         return range(1 + self.num_irs, self.num_vertices)
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in sorted(self.succ) for j in self.succ[i]]
 
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
@@ -198,35 +185,23 @@ class LosGraph:
         num_irs: int,
         num_users: int,
         weighted_edges: list[tuple[int, int, float]],
-        elements: int = 1,
-        ref_path_gain: float = 0.25,
     ) -> "LosGraph":
-        """Synthetic graph from explicit weighted edges.
-
-        Hop distances are derived from the weights by inverting the
-        weight formula so cost and power stay mutually consistent.
-        """
+        """Synthetic graph from explicit weighted edges."""
         succ: dict[int, list[int]] = {}
         weight = {}
         cost = {}
-        dist = {}
-        scale = elements * math.sqrt(ref_path_gain)
         for i, j, w in weighted_edges:
             if (i, j) in weight:
                 raise GraphError(f"duplicate edge ({i}, {j})")
             succ.setdefault(i, []).append(j)
             weight[i, j] = w
             cost[i, j] = (w,)
-            dist[i, j] = scale * math.exp(w)
         g = cls(
             num_irs=num_irs,
             num_users=num_users,
             succ={i: tuple(sorted(js)) for i, js in succ.items()},
             weight=weight,
             cost=cost,
-            dist=dist,
-            elements=elements,
-            ref_path_gain=ref_path_gain,
         )
         g.topo_order
         return g
@@ -258,7 +233,6 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     succ: dict[int, list[int]] = {}
     weight = {}
     cost = {}
-    dist = {}
     for row0, col0, block in blocks:
         rows, cols = np.nonzero(block)
         rows, cols = rows + row0, cols + col0
@@ -266,7 +240,6 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
             succ.setdefault(i, []).append(j)
             weight[i, j] = edge_weight(dij, m, scene.ref_path_gain)
             cost[i, j] = (-1.0, math.log(dij)) if hop_priority else (weight[i, j],)
-            dist[i, j] = dij
 
     g = LosGraph(
         num_irs=j_count,
@@ -274,9 +247,6 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
         succ={i: tuple(sorted(js)) for i, js in succ.items()},
         weight=weight,
         cost=cost,
-        dist=dist,
-        elements=m,
-        ref_path_gain=scene.ref_path_gain,
     )
     g.topo_order
     return g
@@ -297,24 +267,6 @@ def _path_cost(graph: LosGraph, vertices: tuple[int, ...]) -> tuple[float, ...]:
     return total
 
 
-def _make_route(
-    graph: LosGraph, vertices: tuple[int, ...], cost_vec: tuple[float, ...]
-) -> Route:
-    weight, hop_dist = graph.weight, graph.dist
-    cost = 0.0
-    dist = 0.0
-    for edge in zip(vertices, vertices[1:]):
-        cost += weight[edge]
-        dist += hop_dist[edge]
-    return Route(
-        user_index=vertices[-1] - graph.num_irs,
-        vertices=vertices,
-        cost=cost,
-        cost_vec=cost_vec,
-        distance_m=dist,
-    )
-
-
 def make_route(graph: LosGraph, vertices: tuple[int, ...]) -> Route:
     """Route for an explicit vertex path; every hop must be an edge."""
     for a, b in zip(vertices[:-1], vertices[1:]):
@@ -323,7 +275,7 @@ def make_route(graph: LosGraph, vertices: tuple[int, ...]) -> Route:
     if len(vertices) < 3 or vertices[0] != 0:
         raise GraphError(f"not a BS-to-user path: {vertices}")
     _check_target(graph, vertices[-1])
-    return _make_route(graph, vertices, _path_cost(graph, vertices))
+    return Route(vertices[-1] - graph.num_irs, vertices, _path_cost(graph, vertices))
 
 
 def _check_target(graph: LosGraph, target: int) -> None:
@@ -387,9 +339,9 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
         if v < first_user:
             labels[v] = here
         else:
-            routes[v - graph.num_irs] = [
-                _make_route(graph, path, (c0, c1) if wide else (c0,))
-                for c0, c1, _, path in here
+            user = v - graph.num_irs
+            routes[user] = [
+                Route(user, path, (c0, c1) if wide else (c0,)) for c0, c1, _, path in here
             ]
     return routes
 

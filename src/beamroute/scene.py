@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +40,11 @@ def _check_grid(grid: tuple[int, int]) -> None:
     m1, m2 = grid
     if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= 1 and m2 >= 1):
         raise SceneError(f"irs_grid must be positive integers, got {grid!r}")
+
+
+def _check_antennas(antennas: int) -> None:
+    if not isinstance(antennas, int) or antennas < 1:
+        raise SceneError(f"bs_antennas must be a positive integer, got {antennas!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +182,7 @@ class Scene:
         for node, p in zip(self.nodes, pos):
             object.__setattr__(node, "position", p)
 
-        if not isinstance(self.bs_antennas, int) or self.bs_antennas < 1:
-            raise SceneError(f"bs_antennas must be a positive integer, got {self.bs_antennas!r}")
+        _check_antennas(self.bs_antennas)
         _check_grid(self.irs_grid)
         for name in ("antenna_spacing", "element_spacing", "wavelength", "min_far_field"):
             if not getattr(self, name) > 0:
@@ -317,9 +321,17 @@ class Scene:
         return scene
 
     def with_antennas(self, antennas: int) -> "Scene":
+        """Copy of the scene with a different BS antenna count.
+
+        Like ``with_elements``, the copy shares the validated layout and
+        its cached geometry, none of which depends on the antenna count.
+        """
         if antennas < 1:
             raise SceneError("antenna count must be positive")
-        return replace(self, bs_antennas=antennas)
+        _check_antennas(antennas)
+        scene = copy.copy(self)
+        object.__setattr__(scene, "bs_antennas", antennas)
+        return scene
 
 
 # -- document I/O ------------------------------------------------------

@@ -211,7 +211,7 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
         implied = (
             scene.bs_antennas
             / scene.elements**2
-            * math.exp(-2 * max(r.cost for r in routes))
+            * math.exp(-2 * max(r.cost_vec[0] for r in routes))
         )
         objective = min(powers)
         if not math.isclose(objective, implied, rel_tol=IDENTITY_RTOL):

@@ -171,7 +171,7 @@ def test_04_candidate_search_is_exact():
         target = graph.num_irs + 1
         paths = oracle_paths(graph.succ, 0, target, set(graph.user_vertices))
         want = sorted(oracle_cost(graph.weight, p) for p in paths)[:5]
-        got = [r.cost for r in yen_k_shortest(graph, target, 5)]
+        got = [r.cost_vec[0] for r in yen_k_shortest(graph, target, 5)]
         if got != want:
             ok = False
             break

@@ -18,8 +18,15 @@ from beamroute.channel import (
     ula_response,
     ura_response,
 )
-from beamroute.graph import route_from_sequence
-from scenefab import chain_scene, full_los, make_scene, star_scene
+from beamroute.graph import build_routing_graph, route_from_sequence, top_routes
+from scenefab import (
+    adversarial_scene,
+    chain_scene,
+    corridor_scene,
+    full_los,
+    make_scene,
+    star_scene,
+)
 
 WL = 0.06
 
@@ -239,8 +246,24 @@ class TestPrecoder:
         scene = chain_scene(rng, 1, antennas=1)
         route = route_from_sequence(scene, 1, [1])
         w = mrt_precoder(scene, route)
-        want = cmath.exp(2j * math.pi * route.distance_m / WL)
+        length = scene.distance(0, 1) + scene.distance(1, 2)
+        want = cmath.exp(2j * math.pi * length / WL)
         assert w[0] == pytest.approx(want, rel=1e-12)
+
+    def test_searched_route_matches_explicit_sequence(self):
+        # a route found by the sweep and the same surfaces given by hand
+        # are equal routes with bit-identical precoders
+        rng = np.random.default_rng(16)
+        scenes = [corridor_scene(), adversarial_scene(), chain_scene(rng, 4, antennas=8)]
+        checked = 0
+        for scene in scenes:
+            for routes in top_routes(build_routing_graph(scene), 5).values():
+                for r in routes:
+                    explicit = route_from_sequence(scene, r.user_index, list(r.irs_ids))
+                    assert explicit == r
+                    assert mrt_precoder(scene, r).tobytes() == mrt_precoder(scene, explicit).tobytes()
+                    checked += 1
+        assert checked >= 10
 
 
 class TestEndToEnd:

@@ -89,6 +89,21 @@ def test_generator_spec_rejects_non_finite(capsys):
         assert json.loads(out) == {"error": f"malformed generator spec {spec!r}"}
 
 
+def test_generator_spec_rejects_non_integral_counts(capsys):
+    # rows, cols and users of grid(), J and K of random(), one at a time
+    for spec in ("grid(2.7,2,5,1)", "grid(2,2.5,5,1)", "grid(2,2,5,1.9)",
+                 "random(5.5,2,40,3)", "random(5,2.2,40,3)"):
+        with pytest.raises(CliError, match="malformed generator spec"):
+            generate_scene(spec)
+        assert main(["--generate", spec]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": f"malformed generator spec {spec!r}"}
+    # integral floats stay counts, as in a scene document
+    assert generate_scene("grid(2.0,2,5,1.0)") == generate_scene("grid(2,2,5,1)")
+    assert generate_scene("random(5.0,2,40,3)", seed=3) == generate_scene("random(5,2,40,3)", seed=3)
+
+
 # --------------------------------------------------------------- reports
 
 def test_run_experiment_demo():

@@ -11,7 +11,6 @@ from beamroute.graph import (
     GraphError,
     LosGraph,
     Route,
-    _make_route,
     build_routing_graph,
     edge_weight,
     enumerate_paths,
@@ -48,7 +47,7 @@ def oracle_paths(succ, source, target, user_vertices):
 
 
 def oracle_routing_graph(scene, elements, hop_priority):
-    """succ, weight, cost and dist from per-pair LoS and distance queries."""
+    """succ, weight and cost from per-pair LoS and distance queries."""
     m = scene.elements if elements is None else elements
     surfaces = range(1, 1 + scene.num_irs)
     users = range(1 + scene.num_irs, scene.num_nodes)
@@ -60,7 +59,7 @@ def oracle_routing_graph(scene, elements, hop_priority):
         if i != j and scene.distance(j, 0) > scene.distance(i, 0)
     ]
     pairs += [(i, u) for i in surfaces for u in users]
-    succ, weight, cost, dist = {}, {}, {}, {}
+    succ, weight, cost = {}, {}, {}
     for i, j in pairs:
         if not scene.los_indicator(i, j):
             continue
@@ -68,8 +67,7 @@ def oracle_routing_graph(scene, elements, hop_priority):
         succ.setdefault(i, []).append(j)
         weight[i, j] = math.log(d / (m * math.sqrt(scene.ref_path_gain)))
         cost[i, j] = (-1.0, math.log(d)) if hop_priority else (weight[i, j],)
-        dist[i, j] = d
-    return {i: tuple(sorted(js)) for i, js in succ.items()}, weight, cost, dist
+    return {i: tuple(sorted(js)) for i, js in succ.items()}, weight, cost
 
 
 def bits(values):
@@ -138,7 +136,7 @@ def reference_top_routes(graph, count, banned=0):
             continue
         if v >= first_user:
             routes[v - graph.num_irs] = [
-                _make_route(graph, path, cost) for cost, _, path in here
+                Route(v - graph.num_irs, path, cost) for cost, _, path in here
             ]
             continue
         for j in graph.succ.get(v, ()):
@@ -189,7 +187,7 @@ class TestBuildRoutingGraph:
 
     def test_edge_set(self):
         g = build_routing_graph(self.scene())
-        edges = set(g.edges)
+        edges = set(g.weight)
         assert (0, 1) in edges and (0, 2) in edges
         assert (0, 3) not in edges  # 9 m from BS, beyond LoS range
         assert (1, 3) in edges      # LoS and strictly farther
@@ -214,10 +212,11 @@ class TestBuildRoutingGraph:
         assert (0, 2) not in g.weight
 
     def test_weight_distance_consistency(self):
-        g = build_routing_graph(self.scene())
-        scale = g.elements * math.sqrt(g.ref_path_gain)
+        scene = self.scene()
+        g = build_routing_graph(scene)
+        scale = scene.elements * math.sqrt(scene.ref_path_gain)
         for (i, j), w in g.weight.items():
-            assert math.exp(w) * scale == pytest.approx(g.dist[i, j], rel=1e-12)
+            assert math.exp(w) * scale == pytest.approx(scene.distance(i, j), rel=1e-12)
 
     def test_elements_override(self):
         scene = self.scene()
@@ -226,18 +225,19 @@ class TestBuildRoutingGraph:
         for key in g1.weight:
             assert g1.weight[key] > g2.weight[key]
             assert g1.weight[key] == pytest.approx(
-                edge_weight(g1.dist[key], 1, scene.ref_path_gain), rel=1e-12
+                edge_weight(scene.distance(*key), 1, scene.ref_path_gain), rel=1e-12
             )
 
     def test_hop_priority_costs(self):
-        g = build_routing_graph(self.scene(), hop_priority=True)
+        scene = self.scene()
+        g = build_routing_graph(scene, hop_priority=True)
         for (i, j), c in g.cost.items():
-            assert c == (-1.0, math.log(g.dist[i, j]))
+            assert c == (-1.0, math.log(scene.distance(i, j)))
 
     def test_topo_order_valid(self):
         g = build_routing_graph(self.scene())
         pos = {v: idx for idx, v in enumerate(g.topo_order)}
-        for i, j in g.edges:
+        for i, j in g.weight:
             assert pos[i] < pos[j]
 
     def test_matches_per_pair_oracle(self):
@@ -247,11 +247,10 @@ class TestBuildRoutingGraph:
             for elements, hop_priority in ((None, False), (1, False), (None, True)):
                 scaled = scene if elements is None else scene.with_elements(elements)
                 g = build_routing_graph(scaled, hop_priority=hop_priority)
-                succ, weight, cost, dist = oracle_routing_graph(scene, elements, hop_priority)
+                succ, weight, cost = oracle_routing_graph(scene, elements, hop_priority)
                 assert g.succ == succ
                 assert bits(g.weight) == bits(weight)
                 assert bits(g.cost) == bits(cost)
-                assert bits(g.dist) == bits(dist)
                 edges += len(weight)
         assert edges >= 500
 
@@ -279,7 +278,7 @@ class TestDagShortestPath:
         g = LosGraph.from_edges(2, 1, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
         (r,) = top_routes(g, 1)[1]
         assert r.vertices == (0, 1, 2, 3)
-        assert r.cost == pytest.approx(1.75)
+        assert r.cost_vec == (1.75,)
         assert r.hops == 2
 
     def test_negative_edge_changes_winner(self):
@@ -289,7 +288,7 @@ class TestDagShortestPath:
         )
         (r,) = top_routes(g, 1)[1]
         assert r.vertices == (0, 2, 3, 4)
-        assert r.cost == pytest.approx(0.5)
+        assert r.cost_vec == (0.5,)
 
     def test_tie_prefers_fewer_hops(self):
         g = LosGraph.from_edges(
@@ -347,7 +346,7 @@ class TestDagShortestPath:
                 (r,) = routes
                 assert r.vertices == best[2]
                 assert r.user_index == target - g.num_irs
-                assert r.cost == best[0]  # identical accumulation order, bit equal
+                assert r.cost_vec == (best[0],)  # identical accumulation order, bit equal
                 checked += 1
         assert checked >= 60
 
@@ -411,7 +410,7 @@ class TestYen:
         # half-unit weights sum exactly, so hop and vertex ties are common
         graphs += [
             LosGraph.from_edges(
-                g.num_irs, g.num_users, [(i, j, round(2 * g.weight[i, j]) / 2) for i, j in g.edges]
+                g.num_irs, g.num_users, [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()]
             )
             for g in graphs[:20]
         ]
@@ -450,9 +449,6 @@ class TestYen:
                         assert [r.cost_vec for r in routes] == [
                             oracle_cost_vec(g.cost, r.vertices) for r in routes
                         ]
-                        assert [r.cost for r in routes] == [
-                            oracle_cost(g.weight, r.vertices) for r in routes
-                        ]
         assert bs_banned >= len(graphs)
         assert banned_users >= len(graphs)
 
@@ -487,7 +483,7 @@ class TestPullSweepMatchesPushReference:
         # half-unit weights sum exactly, so cost ties are common
         graphs += [
             LosGraph.from_edges(
-                g.num_irs, g.num_users, [(i, j, round(2 * g.weight[i, j]) / 2) for i, j in g.edges]
+                g.num_irs, g.num_users, [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()]
             )
             for g in graphs[:20]
         ]
@@ -547,8 +543,9 @@ class TestRouteConstruction:
         expect = sum(
             edge_weight(d, scene.elements, scene.ref_path_gain) for d in (5, 4, 5)
         )
-        assert r.cost == pytest.approx(expect, rel=1e-12)
-        assert r.distance_m == pytest.approx(14.0)
+        assert r.cost_vec == (pytest.approx(expect, rel=1e-12),)
+        # the route's length comes from the scene
+        assert sum(scene.distance(a, b) for a, b in zip(r.vertices, r.vertices[1:])) == 14.0
         assert r.hops == 2
         assert str(r) == "BS -> IRS 1 -> IRS 2 -> User 1"
 
@@ -563,13 +560,13 @@ class TestRouteConstruction:
             1,
             los_override=full_los(4),
         )
-        r = Route(1, (0, 1, 1, 3), 0.0, (0.0,), 0.0)
+        r = Route(1, (0, 1, 1, 3), (0.0,))
         with pytest.raises(GraphError, match="repeats"):
             validate_route(scene, r)
 
     def test_rejects_wrong_terminal(self):
         scene = self.scene()
-        r = Route(1, (0, 1, 2), 0.0, (0.0,), 0.0)
+        r = Route(1, (0, 1, 2), (0.0,))
         with pytest.raises(GraphError):
             validate_route(scene, r)
 
@@ -591,5 +588,5 @@ class TestCostPowerDuality:
                 power = closed_form_power(scene, route)
                 n, m = scene.bs_antennas, scene.elements
                 assert power == pytest.approx(
-                    n / m**2 * math.exp(-2 * route.cost), rel=1e-9
+                    n / m**2 * math.exp(-2 * route.cost_vec[0]), rel=1e-9
                 )

@@ -335,6 +335,37 @@ class TestDerivedScenes:
             assert {f.name: getattr(scene, f.name) for f in fields(Scene)} == before
             assert scene.elements == 400
 
+    def test_with_antennas_matches_fresh_scene(self):
+        positions = [[0, 0, 0], [5, 0, 0], [10, 0, 0], [5, 6, 0], [15, 0, 0], [15, 6, 0]]
+        cached = [n for n, v in vars(Scene).items() if isinstance(v, cached_property)]
+        for override in (None, full_los(6)):
+            scene = make_scene(positions, 3, 2, los_override=override)
+            scene.los_masks  # fill the caches the copy should share
+            before = {f.name: getattr(scene, f.name) for f in fields(Scene)}
+            for n in (1, 7, 64):
+                scaled = scene.with_antennas(n)
+                fresh = replace(scene, bs_antennas=n)
+                assert scaled.bs_antennas == fresh.bs_antennas == n
+                for f in fields(Scene):
+                    if f.name != "bs_antennas":
+                        assert getattr(scaled, f.name) is getattr(scene, f.name)
+                for name in cached:
+                    # shared, not recomputed
+                    assert getattr(scaled, name) is getattr(scene, name)
+                    got, want = getattr(scaled, name), getattr(fresh, name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and not got.flags.writeable
+                        assert np.array_equal(got, want)
+                    else:
+                        assert got == want
+            assert {f.name: getattr(scene, f.name) for f in fields(Scene)} == before
+        for bad in (0, -3):
+            with pytest.raises(SceneError, match="positive"):
+                scene.with_antennas(bad)
+        for bad in (2.5, 4.0, np.int64(4)):
+            with pytest.raises(SceneError, match="bs_antennas"):
+                scene.with_antennas(bad)
+
     def test_with_elements_rejects_non_int_grid(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         with pytest.raises(SceneError, match="irs_grid"):
