@@ -179,6 +179,23 @@ class LosGraph:
             drops[v].append(p)
         return tuple(map(tuple, drops))
 
+    @cached_property
+    def upstream_masks(self) -> tuple[int, ...]:
+        """Per vertex v, the node mask of v and of every vertex with a
+        path to v along ``pred_table`` edges (so never through a user).
+
+        ``top_routes`` derives v's labels from these vertices' ban bits
+        alone, so its answer for v under ``banned`` equals its answer
+        under ``banned & upstream_masks[v]``, floats and ties included.
+        """
+        up = [0] * self.num_vertices
+        for v in self.topo_order:
+            mask = 1 << v
+            for p, _, _ in self.pred_table[v]:
+                mask |= up[p]
+            up[v] = mask
+        return tuple(up)
+
     @classmethod
     def from_edges(
         cls,

@@ -316,9 +316,7 @@ class Scene:
                 break
         grid = (m1, elements // m1)
         _check_grid(grid)
-        scene = copy.copy(self)
-        object.__setattr__(scene, "irs_grid", grid)
-        return scene
+        return self._copy_with("irs_grid", grid)
 
     def with_antennas(self, antennas: int) -> "Scene":
         """Copy of the scene with a different BS antenna count.
@@ -329,8 +327,17 @@ class Scene:
         if antennas < 1:
             raise SceneError("antenna count must be positive")
         _check_antennas(antennas)
+        return self._copy_with("bs_antennas", antennas)
+
+    def _copy_with(self, name: str, value) -> "Scene":
+        """Shallow copy with one size field replaced.
+
+        The LoS caches are filled first, so the copy and every later
+        copy share them with this scene instead of rebuilding them.
+        """
+        self.los_masks  # fills los_matrix too
         scene = copy.copy(self)
-        object.__setattr__(scene, "bs_antennas", antennas)
+        object.__setattr__(scene, name, value)
         return scene
 
 

@@ -4,7 +4,9 @@ The proposed pipeline chains candidate search (the cheapest paths per
 user from one top-Q label sweep of the routing DAG, whose paths are all
 loopless), compatibility graph assembly and min-max clique selection,
 then maps the winning cost back to channel powers.  The
-alternatives exist to bound it: a sequential greedy baseline, two
+alternatives exist to bound it: a sequential greedy baseline (every
+user order, walked as a tree of shared prefixes, with one routing sweep
+shared by all lookups that agree on the bans upstream of their user), two
 asymptotic benchmarks for small and large surfaces (the same pipeline
 on another routing graph), and a brute-force enumeration that is exact
 but exponential.  ``solve`` is the one entry point.
@@ -228,8 +230,16 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     then the route's closed neighbourhood (its vertices and all their
     LoS neighbors, bar the BS) is dropped so later users cannot
     conflict.  Orders where some user becomes unreachable fail; with K
-    users all K! orders are tried.  Orders that reach the same banned
-    set share one sweep of the routing graph.
+    users all K! orders are tried, in lexicographic order, and the first
+    best one is kept.
+
+    The orders are walked as a tree of prefixes, so a shared prefix is
+    routed once, and a user left without a route under a prefix fails
+    every order below it at once.  A user's route depends only on the
+    banned vertices upstream of it (``LosGraph.upstream_masks``), so
+    lookups that agree there share one sweep of the routing graph, and
+    each sweep settles every user.  ``diagnostics["sweeps"]`` counts
+    the sweeps.
     """
     _require_users(scene)
     k = scene.num_users
@@ -239,40 +249,57 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         )
     start = time.perf_counter()
     graph = build_routing_graph(scene)
-    # banned node mask -> every user's shortest route avoiding it
-    sweeps: dict[int, dict[int, list[Route]]] = {}
+    users = range(1, k + 1)
+    upstream = {u: graph.upstream_masks[graph.num_irs + u] for u in users}
+    # (user, banned bits upstream of it) -> its shortest route avoiding them
+    shortest: dict[tuple[int, int], list[Route]] = {}
     # route vertices -> its closed mask minus the BS bit; its power
     bans: dict[tuple[int, ...], int] = {}
     power_of: dict[tuple[int, ...], float] = {}
     best: tuple[tuple[Route, ...], tuple[float, ...], tuple[int, ...]] | None = None
     orders_feasible = 0
-    for order in itertools.permutations(range(1, k + 1)):
-        banned = 0
-        chosen: dict[int, Route] = {}
-        for u in order:
-            if banned not in sweeps:
-                sweeps[banned] = top_routes(graph, 1, banned)
-            found = sweeps[banned][u]
+    sweeps = 0
+
+    def walk(chosen: dict[int, Route], banned: int) -> None:
+        """Every order extending ``chosen`` (user -> route, in order)."""
+        nonlocal best, orders_feasible, sweeps
+        if len(chosen) == k:
+            orders_feasible += 1
+            routes = tuple(chosen[u] for u in users)
+            for r in routes:
+                # only routes of feasible orders are evaluated
+                if r.vertices not in power_of:
+                    power_of[r.vertices] = closed_form_power(scene, r)
+            powers = tuple(power_of[r.vertices] for r in routes)
+            if best is None or min(powers) > min(best[1]):
+                best = (routes, powers, tuple(chosen))
+            return
+        steps = []
+        for u in users:
+            if u in chosen:
+                continue
+            key = (u, banned & upstream[u])
+            if key not in shortest:
+                sweeps += 1
+                for w, got in top_routes(graph, 1, banned).items():
+                    shortest[w, banned & upstream[w]] = got
+            found = shortest[key]
             if not found:
-                break
-            route = chosen[u] = found[0]
+                # bans only grow along an order, so u stays unreachable
+                return
+            steps.append(found[0])
+        for route in steps:
             if route.vertices not in bans:
                 bans[route.vertices] = route_masks(route, scene).closed & ~1
-            banned |= bans[route.vertices]
-        if len(chosen) != k:
-            continue
-        orders_feasible += 1
-        routes = tuple(chosen[u] for u in range(1, k + 1))
-        for r in routes:
-            # only routes of feasible orders are evaluated, as without the memo
-            if r.vertices not in power_of:
-                power_of[r.vertices] = closed_form_power(scene, r)
-        powers = tuple(power_of[r.vertices] for r in routes)
-        if best is None or min(powers) > min(best[1]):
-            best = (routes, powers, order)
+            chosen[route.user_index] = route
+            walk(chosen, banned | bans[route.vertices])
+            del chosen[route.user_index]
+
+    walk({}, 0)
     diagnostics = {
         "orders_total": math.factorial(k),
         "orders_feasible": orders_feasible,
+        "sweeps": sweeps,
     }
     if best is None:
         diagnostics["reason"] = "every user order left some user unreachable"

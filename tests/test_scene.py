@@ -306,6 +306,15 @@ class TestDerivedScenes:
         with pytest.raises(SceneError):
             scene.with_antennas(0)
 
+    def test_copies_share_los_caches(self):
+        positions = [[0, 0, 0], [5, 0, 0], [10, 0, 0], [15, 0, 0]]
+        for override in (None, full_los(4)):
+            scene = make_scene(positions, 2, 1, los_override=override)
+            for rescaled in (scene.with_elements(9), scene.with_antennas(7)):
+                assert rescaled.los_matrix is scene.los_matrix
+                assert rescaled.los_masks is scene.los_masks
+            assert scene.with_elements(9).with_antennas(7).los_masks is scene.los_masks
+
     def test_original_unchanged(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         scene.with_elements(9)
