@@ -64,25 +64,13 @@ def ura_response(
 
 
 def _bs_departure(scene: Scene, j: int) -> np.ndarray:
-    g = scene.link_geometry(0, j)
-    return ula_response(scene.bs_antennas, scene.antenna_spacing, scene.wavelength, g.bs_aod)
+    return ula_response(scene.bs_antennas, scene.antenna_spacing, scene.wavelength, scene.bs_aod(j))
 
 
-def _irs_vec(scene: Scene, azimuth: float, elevation: float) -> np.ndarray:
+def _irs_response(scene: Scene, j: int, i: int) -> np.ndarray:
+    """Response of surface j toward node i, for waves arriving from or leaving to it."""
     m1, m2 = scene.irs_grid
-    return ura_response(m1, m2, scene.element_spacing, scene.wavelength, azimuth, elevation)
-
-
-def _arrival_at(scene: Scene, j: int, i: int) -> np.ndarray:
-    """Response of surface j for a wave arriving from node i."""
-    g = scene.link_geometry(i, j)
-    return _irs_vec(scene, g.aoa_azimuth, g.aoa_elevation)
-
-
-def _departure_from(scene: Scene, i: int, j: int) -> np.ndarray:
-    """Response of surface i for a wave departing toward node j."""
-    g = scene.link_geometry(i, j)
-    return _irs_vec(scene, g.aod_azimuth, g.aod_elevation)
+    return ura_response(m1, m2, scene.element_spacing, scene.wavelength, *scene.direction(j, i))
 
 
 def _amplitude(scene: Scene, i: int, j: int) -> complex:
@@ -106,14 +94,14 @@ def link_channel(scene: Scene, i: int, j: int) -> np.ndarray:
     amp = _amplitude(scene, i, j)
     if ki == BS and kj == IRS:
         tx = _bs_departure(scene, j)
-        rx = _arrival_at(scene, j, i)
+        rx = _irs_response(scene, j, i)
         return amp * np.outer(rx, tx.conj())
     if ki == IRS and kj == IRS:
-        tx = _departure_from(scene, i, j)
-        rx = _arrival_at(scene, j, i)
+        tx = _irs_response(scene, i, j)
+        rx = _irs_response(scene, j, i)
         return amp * np.outer(rx, tx.conj())
     if ki == IRS and kj == USER:
-        tx = _departure_from(scene, i, j)
+        tx = _irs_response(scene, i, j)
         return amp * tx.conj()[None, :]
     raise ChannelError(f"unsupported link kind {ki} -> {kj}")
 
@@ -130,18 +118,10 @@ def _alignment_pairs(scene: Scene, route: Route):
     """
     validate_route(scene, route)
     seq = route.vertices
-    hops = route.hops
-    pairs = []
-    for n in range(1, hops + 1):
-        here = seq[n]
-        inc = _arrival_at(scene, here, seq[n - 1])
-        out = (
-            _departure_from(scene, here, seq[n + 1])
-            if n < hops
-            else _departure_from(scene, here, seq[-1])
-        )
-        pairs.append((here, inc, out))
-    return pairs
+    return [
+        (seq[n], _irs_response(scene, seq[n], seq[n - 1]), _irs_response(scene, seq[n], seq[n + 1]))
+        for n in range(1, route.hops + 1)
+    ]
 
 
 def optimal_phase_shifts(scene: Scene, route: Route) -> dict[int, np.ndarray]:
@@ -212,10 +192,8 @@ def end_to_end_channel(
                 f"phase vector for surface {irs_id} must have shape ({scene.elements},)"
             )
         v = np.exp(1j * theta) * v
-        if n < route.hops:
-            v = link_channel(scene, irs_id, seq[n + 1]) @ v
-    out = link_channel(scene, seq[-2], seq[-1]) @ v
-    return complex(out[0])
+        v = link_channel(scene, irs_id, seq[n + 1]) @ v
+    return complex(v[0])
 
 
 def closed_form_power(scene: Scene, route: Route) -> float:

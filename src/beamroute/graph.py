@@ -373,11 +373,7 @@ def yen_k_shortest(graph: LosGraph, target: int, count: int) -> list[Route]:
     return top_routes(graph, count)[target - graph.num_irs]
 
 
-def enumerate_paths(
-    graph: LosGraph,
-    target: int,
-    banned_vertices: frozenset[int] = frozenset(),
-) -> list[tuple[int, ...]]:
+def enumerate_paths(graph: LosGraph, target: int) -> list[tuple[int, ...]]:
     """All simple BS-to-user vertex sequences, in lexicographic order."""
     _check_target(graph, target)
     out: list[tuple[int, ...]] = []
@@ -388,14 +384,11 @@ def enumerate_paths(
             out.append(tuple(stack))
             return
         for j in graph.succ.get(v, ()):
-            if j in banned_vertices or j in stack:
-                continue
-            if j in graph.user_vertices and j != target:
+            if j in stack or (j in graph.user_vertices and j != target):
                 continue
             stack.append(j)
             walk(j)
             stack.pop()
 
-    if 0 not in banned_vertices:
-        walk(0)
+    walk(0)
     return out

@@ -1,4 +1,4 @@
-"""Scene model: node layout, line-of-sight structure, and link geometry.
+"""Scene model: node positions, line-of-sight structure, and link directions.
 
 A scene holds one base station (vertex 0), J reflecting surfaces
 (vertices 1..J) and K users (vertices J+1..J+K), together with the
@@ -36,45 +36,20 @@ class SceneError(ValueError):
     """Raised for malformed or physically inconsistent scene documents."""
 
 
+def _is_count(value) -> bool:
+    """True for a non-bool int of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _check_count(name: str, value) -> None:
+    if not _is_count(value):
+        raise SceneError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_grid(grid: tuple[int, int]) -> None:
     m1, m2 = grid
-    if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= 1 and m2 >= 1):
+    if not (_is_count(m1) and _is_count(m2)):
         raise SceneError(f"irs_grid must be positive integers, got {grid!r}")
-
-
-def _check_antennas(antennas: int) -> None:
-    if not isinstance(antennas, int) or antennas < 1:
-        raise SceneError(f"bs_antennas must be a positive integer, got {antennas!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class Node:
-    id: int
-    kind: str
-    position: np.ndarray
-
-    def __repr__(self) -> str:
-        x, y, z = self.position
-        return f"Node({self.id}, {self.kind}, [{x:g}, {y:g}, {z:g}])"
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Geometry of one directed link i -> j.
-
-    Angles follow a fixed convention: elevation is measured from the
-    +z axis (arccos of the z direction cosine), azimuth in the x-y
-    plane via atan2(dy, dx).  ``bs_aod`` is the ULA departure angle
-    against broadside (+y, elements along +x) and is only set when the
-    transmitter is the base station.
-    """
-
-    distance: float
-    aod_azimuth: float
-    aod_elevation: float
-    aoa_azimuth: float
-    aoa_elevation: float
-    bs_aod: float | None = None
 
 
 def _angles(delta: np.ndarray) -> tuple[float, float]:
@@ -99,11 +74,15 @@ def direction_from_angles(azimuth: float, elevation: float) -> np.ndarray:
 class Scene:
     """Immutable node layout plus physical constants.
 
+    Row i of ``positions`` is node i: the BS at row 0, surfaces at rows
+    1..num_irs, then the users.  The validated copy is read-only.
     ``ref_path_gain`` is the channel power gain at 1 m reference
     distance and must lie strictly inside (0, 1).
     """
 
-    nodes: tuple[Node, ...]
+    positions: np.ndarray
+    num_irs: int
+    num_users: int
     bs_antennas: int = DEFAULT_BS_ANTENNAS
     irs_grid: tuple[int, int] = DEFAULT_IRS_GRID
     antenna_spacing: float = DEFAULT_WAVELENGTH / 2
@@ -123,26 +102,12 @@ class Scene:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @cached_property
-    def num_irs(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == IRS)
-
-    @cached_property
-    def num_users(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == USER)
+        return len(self.positions)
 
     @property
     def elements(self) -> int:
         """Total reflecting elements per surface, M1 * M2."""
         return self.irs_grid[0] * self.irs_grid[1]
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        pos = np.stack([n.position for n in self.nodes])
-        pos.flags.writeable = False
-        return pos
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
@@ -156,33 +121,23 @@ class Scene:
     # -- validation ----------------------------------------------------
 
     def _validate(self) -> None:
-        if not self.nodes:
-            raise SceneError("scene has no nodes")
-        ids = [n.id for n in self.nodes]
-        if ids != list(range(len(self.nodes))):
-            raise SceneError(f"node ids must be consecutive from 0, got {ids}")
-        kinds = [n.kind for n in self.nodes]
-        for k in kinds:
-            if k not in _KINDS:
-                raise SceneError(f"unknown node kind {k!r}")
-        if kinds[0] != BS or kinds.count(BS) != 1:
-            raise SceneError("scene must contain exactly one BS at index 0")
-        j = self.num_irs
-        if kinds[1 : 1 + j] != [IRS] * j or kinds[1 + j :] != [USER] * (
-            len(kinds) - 1 - j
-        ):
-            raise SceneError("nodes must be ordered BS, IRS..., User...")
-        pos = [np.asarray(n.position, dtype=float) for n in self.nodes]
-        # a misshapen position counts as non-finite, so the first bad node is named
-        rows = np.stack([p if p.shape == (3,) else np.full(3, np.nan) for p in pos])
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        counts = (self.num_irs, self.num_users)
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts):
+            raise SceneError(f"num_irs and num_users must be nonnegative integers, got {counts}")
+        n = 1 + sum(counts)
+        pos = np.array(self.positions, dtype=float)
+        if pos.shape != (n, 3):
+            raise SceneError(
+                f"positions must be {n}x3 for one BS, {counts[0]} surfaces "
+                f"and {counts[1]} users, got shape {pos.shape}"
+            )
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
         if bad.size:
-            i = int(bad[0])  # ids are indices, checked above
-            raise SceneError(f"node {i} has invalid position {self.nodes[i].position!r}")
-        for node, p in zip(self.nodes, pos):
-            object.__setattr__(node, "position", p)
+            raise SceneError(f"node {bad[0]} has invalid position {pos[bad[0]]!r}")
+        pos.flags.writeable = False
+        object.__setattr__(self, "positions", pos)
 
-        _check_antennas(self.bs_antennas)
+        _check_count("bs_antennas", self.bs_antennas)
         _check_grid(self.irs_grid)
         for name in ("antenna_spacing", "element_spacing", "wavelength", "min_far_field"):
             if not getattr(self, name) > 0:
@@ -196,7 +151,6 @@ class Scene:
                 f"invalid path gain: ref_path_gain must lie in (0, 1), got {self.ref_path_gain}"
             )
 
-        n = self.num_nodes
         d = self.dist_matrix
         # argwhere walks row-major, so this is the first pair i < k in that order
         close = np.argwhere(np.triu(d < self.min_far_field, 1))
@@ -264,33 +218,29 @@ class Scene:
         rows = np.packbits(los, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
-    def link_geometry(self, i: int, j: int) -> LinkGeometry:
-        """Distance and departure/arrival angles for the link i -> j."""
-        if i == j:
-            raise SceneError("link geometry undefined for identical nodes")
-        delta = self.nodes[j].position - self.nodes[i].position
-        dist = self.distance(i, j)
-        aod_az, aod_el = _angles(delta)
-        aoa_az, aoa_el = _angles(-delta)
-        bs_aod = None
-        if self.nodes[i].kind == BS:
-            # departure angle from the direction cosine on the array
-            # axis; with the default axis azimuth this reads delta_x/d
-            axial = delta[0] * math.cos(self.bs_axis_azimuth) + delta[1] * math.sin(
-                self.bs_axis_azimuth
-            )
-            bs_aod = math.asin(max(-1.0, min(1.0, axial / dist)))
-        return LinkGeometry(
-            distance=dist,
-            aod_azimuth=aod_az,
-            aod_elevation=aod_el,
-            aoa_azimuth=aoa_az,
-            aoa_elevation=aoa_el,
-            bs_aod=bs_aod,
+    def direction(self, i: int, j: int) -> tuple[float, float]:
+        """Azimuth and elevation of the direction from node i toward node j.
+
+        Elevation is measured from the +z axis (arccos of the z
+        direction cosine), azimuth in the x-y plane via atan2(dy, dx).
+        The arrival angles of the link i -> j are ``direction(j, i)``.
+        """
+        return _angles(self.positions[j] - self.positions[i])
+
+    def bs_aod(self, j: int) -> float:
+        """ULA departure angle from the BS toward node j, against broadside.
+
+        Taken from the direction cosine on the array axis; with the
+        default axis azimuth (+x axis, broadside +y) this reads dx/d.
+        """
+        delta = self.positions[j] - self.positions[0]
+        axial = delta[0] * math.cos(self.bs_axis_azimuth) + delta[1] * math.sin(
+            self.bs_axis_azimuth
         )
+        return math.asin(max(-1.0, min(1.0, axial / self.distance(0, j))))
 
     def kind(self, i: int) -> str:
-        return self.nodes[i].kind
+        return _KINDS[(i > 0) + (i > self.num_irs)]
 
     def user_vertex(self, k: int) -> int:
         """Vertex id of user k (1-based)."""
@@ -307,16 +257,9 @@ class Scene:
         the requested total.  The copy shares the validated layout and
         its cached geometry, none of which depends on the element count.
         """
-        if elements < 1:
-            raise SceneError("element count must be positive")
-        m1 = 1
-        for cand in range(int(math.isqrt(elements)), 0, -1):
-            if elements % cand == 0:
-                m1 = cand
-                break
-        grid = (m1, elements // m1)
-        _check_grid(grid)
-        return self._copy_with("irs_grid", grid)
+        _check_count("irs_grid element count", elements)
+        m1 = next(c for c in range(math.isqrt(elements), 0, -1) if elements % c == 0)
+        return self._copy_with("irs_grid", (m1, elements // m1))
 
     def with_antennas(self, antennas: int) -> "Scene":
         """Copy of the scene with a different BS antenna count.
@@ -324,9 +267,7 @@ class Scene:
         Like ``with_elements``, the copy shares the validated layout and
         its cached geometry, none of which depends on the antenna count.
         """
-        if antennas < 1:
-            raise SceneError("antenna count must be positive")
-        _check_antennas(antennas)
+        _check_count("bs_antennas", antennas)
         return self._copy_with("bs_antennas", antennas)
 
     def _copy_with(self, name: str, value) -> "Scene":
@@ -344,8 +285,12 @@ class Scene:
 # -- document I/O ------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_number(key: str, value) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise SceneError(f"param {key!r} must be a number, got {value!r}")
     # counts of antennas and elements
     if key in ("N", "M1", "M2") and isinstance(value, float) and not value.is_integer():
@@ -381,31 +326,47 @@ def load_scene(text: str) -> Scene:
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise SceneError("scene document must list at least one node")
-    seen = set()
-    nodes = []
+    entries = {}
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise SceneError(f"malformed node entry {entry!r}")
         try:
-            nid = entry["id"]
-            kind = entry["kind"]
-            pos = entry["pos"]
+            nid, kind, pos = entry["id"], entry["kind"], entry["pos"]
         except KeyError as exc:
             raise SceneError(f"node entry missing key {exc}") from exc
-        if nid in seen:
+        if not _is_number(nid):
+            raise SceneError(f"malformed node entry {entry!r}: id must be a number")
+        if nid in entries:
             raise SceneError(f"duplicate node id {nid}")
-        seen.add(nid)
-        if not isinstance(pos, (list, tuple)) or len(pos) != 3:
+        if not isinstance(pos, list) or len(pos) != 3:
             raise SceneError(f"node {nid} position must be a 3-vector")
-        nodes.append(Node(id=nid, kind=kind, position=np.array(pos, dtype=float)))
-    nodes.sort(key=lambda n: n.id)
+        # null reads as NaN, which the scene then rejects as non-finite
+        if not all(x is None or _is_number(x) for x in pos):
+            raise SceneError(f"node {nid} position entries must be numbers, got {pos!r}")
+        entries[nid] = (kind, pos)
 
     override = doc.get("los_override")
     if override is not None:
         override = np.asarray(override)
 
+    ids = sorted(entries)
+    if ids != list(range(len(ids))):
+        raise SceneError(f"node ids must be consecutive from 0, got {ids}")
+    kinds = [entries[i][0] for i in ids]
+    for k in kinds:
+        if k not in _KINDS:
+            raise SceneError(f"unknown node kind {k!r}")
+    if kinds[0] != BS or kinds.count(BS) != 1:
+        raise SceneError("scene must contain exactly one BS at index 0")
+    num_irs = kinds.count(IRS)
+    num_users = len(kinds) - 1 - num_irs
+    if kinds != [BS] + [IRS] * num_irs + [USER] * num_users:
+        raise SceneError("nodes must be ordered BS, IRS..., User...")
+
     return Scene(
-        nodes=tuple(nodes),
+        positions=np.array([entries[i][1] for i in ids], dtype=float),
+        num_irs=num_irs,
+        num_users=num_users,
         bs_antennas=int(params.get("N", DEFAULT_BS_ANTENNAS)),
         irs_grid=(
             int(params.get("M1", DEFAULT_IRS_GRID[0])),

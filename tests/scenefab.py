@@ -6,19 +6,15 @@ import math
 
 import numpy as np
 
-from beamroute.scene import BS, IRS, USER, Node, Scene
+from beamroute.scene import Scene
 
 
 def make_scene(positions, num_irs, num_users, los_override=None, **kw) -> Scene:
     """Scene from raw positions: BS first, then IRSs, then users."""
-    kinds = [BS] + [IRS] * num_irs + [USER] * num_users
-    nodes = tuple(
-        Node(id=i, kind=k, position=np.array(p, dtype=float))
-        for i, (k, p) in enumerate(zip(kinds, positions))
-    )
     if los_override is not None:
         los_override = np.asarray(los_override)
-    return Scene(nodes=nodes, los_override=los_override, **kw)
+    positions = np.array(positions, dtype=float)
+    return Scene(positions, num_irs, num_users, los_override=los_override, **kw)
 
 
 def full_los(n: int) -> np.ndarray:

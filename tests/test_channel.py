@@ -151,11 +151,10 @@ class TestLinkChannel:
         # rebuild one BS->surface entry from scratch with scalar math
         scene = self.scene()
         h = link_channel(scene, 0, 1)
-        g = scene.link_geometry(0, 1)
-        d = g.distance
+        d = scene.distance(0, 1)
         amp = math.sqrt(scene.ref_path_gain) / d * cmath.exp(-2j * math.pi * d / WL)
-        rx = ura_oracle(4, 4, WL / 2, WL, g.aoa_azimuth, g.aoa_elevation)
-        tx = ula_oracle(8, WL / 2, WL, g.bs_aod)
+        rx = ura_oracle(4, 4, WL / 2, WL, *scene.direction(1, 0))
+        tx = ula_oracle(8, WL / 2, WL, scene.bs_aod(1))
         for m in (0, 5, 15):
             for n in (0, 3, 7):
                 want = amp * rx[m] * tx[n].conjugate()
@@ -235,8 +234,7 @@ class TestPrecoder:
             w = mrt_precoder(scene, route)
             assert w.shape == (antennas,)
             assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
-            g = scene.link_geometry(0, 1)
-            steer = ula_response(antennas, scene.antenna_spacing, WL, g.bs_aod)
+            steer = ula_response(antennas, scene.antenna_spacing, WL, scene.bs_aod(1))
             assert abs(np.vdot(steer, w)) == pytest.approx(
                 math.sqrt(antennas), rel=1e-12
             )
@@ -400,7 +398,7 @@ class TestFavorablePropagation:
         c, s = math.cos(rho), math.sin(rho)
         pos = [
             [c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]]
-            for p in (n.position for n in base.nodes)
+            for p in base.positions
         ]
         rotated = make_scene(pos, 5, 0, bs_antennas=20, bs_axis_azimuth=rho)
         ids = [1, 2, 3, 4, 5]

@@ -31,12 +31,12 @@ def test_grid_layout():
     assert scene.num_irs == 12
     assert scene.num_users == 2
     for j in range(1, 13):
-        x, y, z = scene.nodes[j].position
+        x, y, z = scene.positions[j]
         assert x in (5.0, 10.0, 15.0, 20.0)
         assert y in (0.0, 5.0, 10.0)
         assert z == 0.0
     for u in (13, 14):
-        assert scene.nodes[u].position[0] == 25.0
+        assert scene.positions[u, 0] == 25.0
 
 
 def test_grid_is_deterministic():
@@ -175,8 +175,8 @@ def test_sweep_m_hop_counts_non_decreasing(tmp_path):
     scene = corridor_scene()
     doc = dump_scene_document(
         [
-            {"id": n.id, "kind": n.kind, "pos": [float(x) for x in n.position]}
-            for n in scene.nodes
+            {"id": i, "kind": scene.kind(i), "pos": [float(x) for x in p]}
+            for i, p in enumerate(scene.positions)
         ],
         los_override=[[int(v) for v in row] for row in np.asarray(scene.los_override)],
     )
@@ -289,6 +289,25 @@ def test_main_power_overflow_exit_one(tmp_path, capsys):
     points = json.loads(capsys.readouterr().out)["points"]
     assert "error" not in points[0]
     assert "error" in points[1]
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ({"id": 1, "kind": "IRS", "pos": [{}, 0, 0]}, "node 1 position"),
+        ({"id": 1, "kind": "IRS", "pos": [[1], 0, 0]}, "node 1 position"),
+        ({"id": "1", "kind": "IRS", "pos": [5, 0, 0]}, "{'id': '1', "),
+        ({"id": [1], "kind": "IRS", "pos": [5, 0, 0]}, "{'id': [1], "),
+    ],
+    ids=["pos-object", "pos-list", "id-string", "id-list"],
+)
+def test_main_malformed_node_entry_exit_one(tmp_path, capsys, entry, named):
+    path = tmp_path / "scene.json"
+    path.write_text(dump_scene_document([{"id": 0, "kind": "BS", "pos": [0, 0, 0]}, entry]))
+    assert main(["--scene", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert named in json.loads(out)["error"]
 
 
 def test_main_usage_error_exit_one(capsys):

@@ -1,4 +1,4 @@
-"""Scene loading, validation, distances, LoS and link geometry."""
+"""Scene loading, validation, distances, LoS and link directions."""
 
 import json
 import math
@@ -10,10 +10,9 @@ import pytest
 
 from beamroute.scene import (
     DEFAULT_LOS_THRESHOLD,
-    LinkGeometry,
-    Node,
     Scene,
     SceneError,
+    _angles,
     direction_from_angles,
     load_scene,
 )
@@ -40,6 +39,126 @@ def small_doc(**params):
         {"id": 6, "kind": "User", "pos": [15.0, 6.0, 0.0]},
     ]
     return doc_text(nodes, params)
+
+
+def node(nid, kind, pos):
+    return {"id": nid, "kind": kind, "pos": pos}
+
+
+BS0 = node(0, "BS", [0, 0, 0])
+IRS1 = node(1, "IRS", [5, 0, 0])
+
+
+def nodes_doc(*nodes, **extra):
+    return json.dumps({"nodes": list(nodes), **extra})
+
+
+# Each malformed document and the exact error it raises.  The "order"
+# rows pin which of several faults is reported first.
+DOCUMENT_ERRORS = [
+    ("json", "{nope", "malformed scene document: Expecting property name enclosed "
+     "in double quotes: line 1 column 2 (char 1)"),
+    ("top-level", "[]", "malformed scene document: top level must be an object"),
+    ("params-type", json.dumps({"params": [], "nodes": [BS0]}), "params must be an object"),
+    ("param-unknown", json.dumps({"params": {"M3": 1}, "nodes": [BS0]}), "unknown param 'M3'"),
+    ("param-string", json.dumps({"params": {"N": "8"}, "nodes": [BS0]}),
+     "param 'N' must be a number, got '8'"),
+    ("param-fraction", json.dumps({"params": {"M1": 2.5}, "nodes": [BS0]}),
+     "param 'M1' must be an integer, got 2.5"),
+    ("nodes-missing", "{}", "scene document must list at least one node"),
+    ("nodes-empty", nodes_doc(), "scene document must list at least one node"),
+    ("entry-type", nodes_doc(BS0, 7), "malformed node entry 7"),
+    ("entry-key", nodes_doc(BS0, {"id": 1, "kind": "IRS"}), "node entry missing key 'pos'"),
+    ("id-duplicate", nodes_doc(BS0, node(0, "IRS", [5, 0, 0])), "duplicate node id 0"),
+    ("pos-short", nodes_doc(BS0, node(1, "IRS", [5, 0])), "node 1 position must be a 3-vector"),
+    ("pos-object", nodes_doc(BS0, node(1, "IRS", {"x": 5})),
+     "node 1 position must be a 3-vector"),
+    ("id-gap", nodes_doc(BS0, node(2, "IRS", [5, 0, 0])),
+     "node ids must be consecutive from 0, got [0, 2]"),
+    ("kind-unknown", nodes_doc(BS0, node(1, "Tower", [5, 0, 0])), "unknown node kind 'Tower'"),
+    ("bs-not-first", nodes_doc(node(0, "IRS", [0, 0, 0]), node(1, "BS", [5, 0, 0])),
+     "scene must contain exactly one BS at index 0"),
+    ("bs-twice", nodes_doc(BS0, node(1, "BS", [5, 0, 0])),
+     "scene must contain exactly one BS at index 0"),
+    ("kind-order", nodes_doc(BS0, node(1, "User", [5, 0, 0]), node(2, "IRS", [10, 0, 0])),
+     "nodes must be ordered BS, IRS..., User..."),
+    ("pos-inf", nodes_doc(BS0, node(1, "IRS", [5, 0, math.inf])),
+     "node 1 has invalid position array([ 5.,  0., inf])"),
+    ("pos-null", nodes_doc(BS0, node(1, "IRS", [None, 0, 0])),
+     "node 1 has invalid position array([nan,  0.,  0.])"),
+    ("far-field", nodes_doc(BS0, node(1, "IRS", [2, 0, 0])),
+     "far-field violation: nodes 0 and 1 are 2.000 m apart, below d0 = 3.0 m"),
+    ("beta", json.dumps({"params": {"beta": 1.5}, "nodes": [BS0]}),
+     "invalid path gain: ref_path_gain must lie in (0, 1), got 1.5"),
+    ("dA", json.dumps({"params": {"dA": 0}, "nodes": [BS0]}), "antenna_spacing must be positive"),
+    ("N", json.dumps({"params": {"N": 0}, "nodes": [BS0]}),
+     "bs_antennas must be a positive integer, got 0"),
+    ("M1", json.dumps({"params": {"M1": 0}, "nodes": [BS0]}),
+     "irs_grid must be positive integers, got (0, 20)"),
+    ("threshold", json.dumps({"params": {"los_threshold": -1}, "nodes": [BS0]}),
+     "los_threshold must be nonnegative"),
+    ("override-shape", nodes_doc(BS0, IRS1, los_override=[[0]]),
+     "los_override must be 2x2, got (1, 1)"),
+    ("override-entries", nodes_doc(BS0, IRS1, los_override=[[0, 2], [2, 0]]),
+     "los_override entries must be 0 or 1"),
+    ("override-asymmetric", nodes_doc(BS0, IRS1, los_override=[[0, 1], [0, 0]]),
+     "los_override must be symmetric"),
+    ("override-diagonal", nodes_doc(BS0, IRS1, los_override=[[1, 0], [0, 0]]),
+     "los_override diagonal must be zero"),
+    ("order-duplicate-before-kind",
+     nodes_doc(BS0, node(1, "Tower", [5, 0, 0]), node(1, "IRS", [10, 0, 0])),
+     "duplicate node id 1"),
+    ("order-kind-before-position",
+     nodes_doc(BS0, node(1, "User", [5, 0, None]), node(2, "IRS", [10, 0, 0])),
+     "nodes must be ordered BS, IRS..., User..."),
+    ("order-lowest-bad-position",
+     nodes_doc(BS0, IRS1, node(3, "IRS", [15, 0, None]), node(2, "IRS", [10, math.nan, 0])),
+     "node 2 has invalid position array([10., nan,  0.])"),
+    ("order-position-before-far-field",
+     nodes_doc(BS0, node(1, "IRS", [1, 0, 0]), node(2, "IRS", [10, 0, None])),
+     "node 2 has invalid position array([10.,  0., nan])"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", [row[1:] for row in DOCUMENT_ERRORS], ids=[row[0] for row in DOCUMENT_ERRORS]
+)
+def test_document_error_messages(text, message):
+    with pytest.raises(SceneError) as exc:
+        load_scene(text)
+    assert str(exc.value) == message
+
+
+# Node entries whose id or position entries are not numbers; each is
+# named in the error.
+MALFORMED_ENTRIES = [
+    (node(1, "IRS", [{}, 0, 0]), "node 1 position entries must be numbers, got [{}, 0, 0]"),
+    (node(1, "IRS", [[1], 0, 0]), "node 1 position entries must be numbers, got [[1], 0, 0]"),
+    (node(1, "IRS", ["5", 0, 0]), "node 1 position entries must be numbers, got ['5', 0, 0]"),
+    (node(1, "IRS", [True, 5, 0]),
+     "node 1 position entries must be numbers, got [True, 5, 0]"),
+    (node("1", "IRS", [5, 0, 0]),
+     "malformed node entry {'id': '1', 'kind': 'IRS', 'pos': [5, 0, 0]}: id must be a number"),
+    (node([1], "IRS", [5, 0, 0]),
+     "malformed node entry {'id': [1], 'kind': 'IRS', 'pos': [5, 0, 0]}: id must be a number"),
+    (node(True, "IRS", [5, 0, 0]),
+     "malformed node entry {'id': True, 'kind': 'IRS', 'pos': [5, 0, 0]}: id must be a number"),
+    (node(None, "IRS", [5, 0, 0]),
+     "malformed node entry {'id': None, 'kind': 'IRS', 'pos': [5, 0, 0]}: id must be a number"),
+]
+
+
+@pytest.mark.parametrize("entry, message", MALFORMED_ENTRIES)
+def test_malformed_node_entries_are_named(entry, message):
+    with pytest.raises(SceneError) as exc:
+        load_scene(nodes_doc(BS0, entry))
+    assert str(exc.value) == message
+
+
+def test_integral_float_ids_load():
+    scene = load_scene(nodes_doc(node(0.0, "BS", [0, 0, 0]), node(1.0, "IRS", [5, 0, 0])))
+    assert scene.num_irs == 1 and scene.num_users == 0
+    assert np.array_equal(scene.positions, [[0, 0, 0], [5, 0, 0]])
 
 
 class TestLoadScene:
@@ -121,15 +240,34 @@ class TestLoadScene:
             make_scene(positions, 2, 1)
 
     def test_invalid_position_names_first_bad_node(self):
-        kinds = ["BS", "IRS", "IRS", "User"]
-        for bad in ([20, 0], [20, 0, math.inf]):
-            positions = [[0, 0, 0], [10, 0, 0], bad, [30, 0, math.nan]]
-            nodes = tuple(
-                Node(i, k, np.array(p, dtype=float))
-                for i, (k, p) in enumerate(zip(kinds, positions))
-            )
+        for bad in ([20, math.nan, 0], [20, 0, math.inf]):
+            positions = np.array([[0, 0, 0], [10, 0, 0], bad, [30, 0, math.nan]])
             with pytest.raises(SceneError, match="node 2 has invalid position"):
-                Scene(nodes=nodes)
+                Scene(positions, 2, 1)
+
+    def test_positions_must_match_counts(self):
+        positions = np.array([[0, 0, 0], [10, 0, 0], [20, 0, 0]])
+        for num_irs, num_users in ((1, 0), (2, 1), (0, 1)):
+            if 1 + num_irs + num_users == 3:
+                continue
+            with pytest.raises(SceneError, match=r"positions must be \dx3"):
+                Scene(positions, num_irs, num_users)
+        with pytest.raises(SceneError, match="got shape \\(3, 2\\)"):
+            Scene(positions[:, :2], 1, 1)
+        for counts in ((True, 1), (1, -1), (1.0, 1), (1, np.int64(1))):
+            with pytest.raises(SceneError, match="num_irs and num_users"):
+                Scene(positions, *counts)
+        scene = Scene(positions, 1, 1)
+        assert [scene.kind(i) for i in range(3)] == ["BS", "IRS", "User"]
+        assert scene.user_vertex(1) == 2
+
+    def test_direct_construction_copies_positions(self):
+        positions = np.array([[0.0, 0, 0], [5, 0, 0]])
+        scene = Scene(positions, 1, 0)
+        assert positions.flags.writeable
+        assert scene.positions is not positions
+        assert np.array_equal(scene.positions, positions)
+        assert scene.positions.dtype == float and not scene.positions.flags.writeable
 
     def test_invalid_path_gain(self):
         with pytest.raises(SceneError, match="invalid path gain"):
@@ -228,32 +366,25 @@ class TestLos:
 class TestLinkGeometry:
     def test_straight_up(self):
         scene = make_scene([[0, 0, 0], [0, 0, 5]], 1, 0)
-        g = scene.link_geometry(0, 1)
-        assert g.aod_elevation == pytest.approx(0.0, abs=1e-15)
-        assert g.aoa_elevation == pytest.approx(math.pi, abs=1e-12)
-        assert g.distance == 5.0
+        assert scene.direction(0, 1)[1] == pytest.approx(0.0, abs=1e-15)
+        assert scene.direction(1, 0)[1] == pytest.approx(math.pi, abs=1e-12)
+        assert scene.distance(0, 1) == 5.0
 
     def test_along_x(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
-        g = scene.link_geometry(0, 1)
-        assert g.aod_elevation == pytest.approx(math.pi / 2, rel=1e-15)
-        assert g.aod_azimuth == 0.0
+        azimuth, elevation = scene.direction(0, 1)
+        assert elevation == pytest.approx(math.pi / 2, rel=1e-15)
+        assert azimuth == 0.0
 
     def test_frozen_azimuth(self):
         scene = make_scene([[0, 0, 0], [3, 4, 0]], 1, 0)
-        g = scene.link_geometry(0, 1)
-        assert g.aod_azimuth == pytest.approx(0.9272952180016123, rel=1e-14)
-
-    def test_bs_aod_only_for_bs_links(self):
-        scene = make_scene([[0, 0, 0], [5, 0, 0], [10, 0, 0]], 2, 0)
-        assert scene.link_geometry(0, 1).bs_aod is not None
-        assert scene.link_geometry(1, 2).bs_aod is None
+        assert scene.direction(0, 1)[0] == pytest.approx(0.9272952180016123, rel=1e-14)
 
     def test_bs_aod_convention(self):
         # broadside +y gives aod 0; along the +x array axis gives pi/2
         scene = make_scene([[0, 0, 0], [0, 5, 0], [5, 0, 0]], 2, 0)
-        assert scene.link_geometry(0, 1).bs_aod == pytest.approx(0.0, abs=1e-15)
-        assert scene.link_geometry(0, 2).bs_aod == pytest.approx(math.pi / 2, rel=1e-12)
+        assert scene.bs_aod(1) == pytest.approx(0.0, abs=1e-15)
+        assert scene.bs_aod(2) == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_bs_axis_rotation(self):
         # with the axis turned onto +y, the roles of the two nodes swap
@@ -261,8 +392,8 @@ class TestLinkGeometry:
             [[0, 0, 0], [0, 5, 0], [5, 0, 0]], 2, 0,
             bs_axis_azimuth=math.pi / 2,
         )
-        assert scene.link_geometry(0, 1).bs_aod == pytest.approx(math.pi / 2, rel=1e-12)
-        assert scene.link_geometry(0, 2).bs_aod == pytest.approx(0.0, abs=1e-12)
+        assert scene.bs_aod(1) == pytest.approx(math.pi / 2, rel=1e-12)
+        assert scene.bs_aod(2) == pytest.approx(0.0, abs=1e-12)
 
     def test_bs_axis_must_be_finite(self):
         with pytest.raises(SceneError, match="bs_axis_azimuth"):
@@ -275,18 +406,29 @@ class TestLinkGeometry:
             if np.linalg.norm(pos[0] - pos[1]) < 3.0:
                 continue
             scene = make_scene(pos, 1, 0)
-            g = scene.link_geometry(0, 1)
             delta = pos[1] - pos[0]
             unit = delta / np.linalg.norm(delta)
-            rebuilt = direction_from_angles(g.aod_azimuth, g.aod_elevation)
+            rebuilt = direction_from_angles(*scene.direction(0, 1))
             assert np.allclose(rebuilt, unit, atol=1e-12)
-            back = direction_from_angles(g.aoa_azimuth, g.aoa_elevation)
+            back = direction_from_angles(*scene.direction(1, 0))
             assert np.allclose(back, -unit, atol=1e-12)
+
+    def test_reverse_direction_is_negated_delta(self):
+        # the arrival angles of i -> j are the departure angles of j -> i,
+        # bit for bit
+        rng = np.random.default_rng(5)
+        for pos in rng.uniform(-50, 50, size=(2000, 2, 3)):
+            if np.linalg.norm(pos[0] - pos[1]) < 3.0:
+                continue
+            scene = make_scene(pos, 1, 0)
+            assert scene.direction(1, 0) == _angles(-(pos[1] - pos[0]))
 
     def test_same_node_error(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         with pytest.raises(SceneError):
-            scene.link_geometry(0, 0)
+            scene.direction(0, 0)
+        with pytest.raises(SceneError):
+            scene.bs_aod(0)
 
 
 class TestDerivedScenes:
@@ -323,7 +465,7 @@ class TestDerivedScenes:
     def test_with_elements_matches_fresh_scene(self):
         positions = [[0, 0, 0], [5, 0, 0], [10, 0, 0], [5, 6, 0], [15, 0, 0], [15, 6, 0]]
         cached = [n for n, v in vars(Scene).items() if isinstance(v, cached_property)]
-        assert {"positions", "dist_matrix", "los_matrix", "los_masks"} <= set(cached)
+        assert {"dist_matrix", "los_matrix", "los_masks"} <= set(cached)
         for override in (None, full_los(6)):
             scene = make_scene(positions, 3, 2, los_override=override)
             before = {f.name: getattr(scene, f.name) for f in fields(Scene)}
@@ -379,6 +521,21 @@ class TestDerivedScenes:
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         with pytest.raises(SceneError, match="irs_grid"):
             scene.with_elements(np.int64(6))
+
+    def test_one_count_check_for_both_sizes(self):
+        scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
+        for bad in (0, -3, 4.0, 2.5, True, np.int64(4), "4"):
+            with pytest.raises(SceneError, match="irs_grid element count must be a positive int"):
+                scene.with_elements(bad)
+            with pytest.raises(SceneError, match="bs_antennas must be a positive integer"):
+                scene.with_antennas(bad)
+        assert scene.with_elements(1).irs_grid == (1, 1)
+        assert scene.with_antennas(1).bs_antennas == 1
+
+    def test_bool_grid_rejected(self):
+        for grid in ((True, 2), (2, False)):
+            with pytest.raises(SceneError, match="irs_grid must be positive integers"):
+                make_scene([[0, 0, 0], [5, 0, 0]], 1, 0, irs_grid=grid)
 
 
 class TestImmutability:

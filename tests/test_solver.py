@@ -364,7 +364,9 @@ def raw_sequential(scene: Scene, queried: set | None = None):
         for u in order:
             if queried is not None:
                 queried.add(frozenset(banned))
-            paths = enumerate_paths(graph, scene.user_vertex(u), frozenset(banned))
+            paths = [
+                p for p in enumerate_paths(graph, scene.user_vertex(u)) if banned.isdisjoint(p)
+            ]
             if not paths:
                 break
             route = min(
@@ -498,7 +500,9 @@ def test_no_compatible_combination():
     override = np.array(base.los_override, copy=True)
     override[2, 4] = override[4, 2] = 1
     scene = Scene(
-        nodes=base.nodes,
+        base.positions,
+        base.num_irs,
+        base.num_users,
         bs_antennas=4,
         irs_grid=(2, 2),
         los_override=override,
