@@ -2,7 +2,7 @@
 
 from .scene import Scene, SceneError, load_scene, load_scene_file
 from .channel import closed_form_power, end_to_end_channel, favorable_propagation_metric
-from .graph import Route, build_routing_graph, yen_k_shortest
+from .graph import Route, build_routing_graph
 from .clique import build_path_graph
 from .solver import (
     RoutingSolution,
@@ -25,7 +25,6 @@ __all__ = [
     "favorable_propagation_metric",
     "Route",
     "build_routing_graph",
-    "yen_k_shortest",
     "build_path_graph",
     "RoutingSolution",
     "SolveParams",

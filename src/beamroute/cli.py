@@ -1,10 +1,11 @@
 """Experiment runner: scenes in, routing reports and sweep series out.
 
-Single entry point for loading or generating a scene, running one
-solver, or sweeping the element count or candidate budget across a
-value list.  Reports come out as text tables, fixed-header CSV or
-JSON.  Output bytes are a pure function of config and seed; timing is
-opt-in so repeated runs stay byte-identical.
+Single entry point for loading a scene document or generating a
+``Scene`` from a spec, running one solver, or sweeping the element
+count or candidate budget across a value list.  Reports come out as
+text tables, fixed-header CSV (sweeps only) or JSON.  Output bytes are
+a pure function of config and seed; timing is opt-in so repeated runs
+stay byte-identical.  Run it as ``beamroute`` or ``python -m beamroute``.
 
 Exit codes: 0 feasible, 2 infeasible (or a sweep with failed points),
 1 error.
@@ -28,8 +29,6 @@ from .scene import (
     DEFAULT_MIN_FAR_FIELD,
     Scene,
     SceneError,
-    dump_scene_document,
-    load_scene,
     load_scene_file,
 )
 from .solver import ALGORITHMS, SolveParams, SolverError, solve
@@ -84,6 +83,8 @@ class ExperimentConfig:
                 raise CliError("sweep values must be strictly increasing")
         elif self.values:
             raise CliError("value list given without a sweep variable")
+        elif self.fmt == "csv":
+            raise CliError("csv output needs a sweep; use table or json for single runs")
 
 
 # -- scene generation --------------------------------------------------
@@ -104,7 +105,7 @@ def _spec_numbers(body: str, spec: str) -> list[float]:
     return numbers
 
 
-def _grid_document(rows: int, cols: int, spacing: float, users: int) -> str:
+def _grid_scene(rows: int, cols: int, spacing: float, users: int) -> Scene:
     if rows < 1 or cols < 1 or users < 0:
         raise CliError("grid needs positive rows and cols and users >= 0")
     if spacing < DEFAULT_MIN_FAR_FIELD:
@@ -114,30 +115,14 @@ def _grid_document(rows: int, cols: int, spacing: float, users: int) -> str:
             f"grid spacing beyond the LoS range {DEFAULT_LOS_THRESHOLD} m leaves "
             "the BS without a reachable surface"
         )
-    nodes = [{"id": 0, "kind": "BS", "pos": [0.0, 0.0, 0.0]}]
-    for r in range(rows):
-        for c in range(cols):
-            nodes.append(
-                {
-                    "id": len(nodes),
-                    "kind": "IRS",
-                    "pos": [(c + 1) * spacing, r * spacing, 0.0],
-                }
-            )
-    for k in range(users):
-        nodes.append(
-            {
-                "id": len(nodes),
-                "kind": "User",
-                "pos": [(cols + 1) * spacing, k * spacing, 0.0],
-            }
-        )
-    return dump_scene_document(nodes)
+    irs_rows = [[(c + 1) * spacing, r * spacing, 0.0] for r in range(rows) for c in range(cols)]
+    user_rows = [[(cols + 1) * spacing, k * spacing, 0.0] for k in range(users)]
+    return Scene(np.array([[0.0, 0.0, 0.0], *irs_rows, *user_rows]), rows * cols, users)
 
 
-def _random_document(
+def _random_scene(
     num_irs: int, num_users: int, side: float, min_sep: float, seed: int
-) -> str:
+) -> Scene:
     if num_irs < 1 or num_users < 0:
         raise CliError("random needs at least one surface and users >= 0")
     if side <= 0 or min_sep <= 0:
@@ -151,7 +136,6 @@ def _random_document(
     attempts = 0
     for _ in range(GENERATOR_RESTARTS):
         pts = [np.zeros(3)]
-        ok = True
         for idx in range(num_irs + num_users):
             for _ in range(PLACEMENT_TRIES):
                 attempts += 1
@@ -175,35 +159,22 @@ def _random_document(
                     pts.append(cand)
                     break
             else:
-                ok = False
-                break
-        if ok:
-            nodes = [{"id": 0, "kind": "BS", "pos": [0.0, 0.0, 0.0]}]
-            for j in range(num_irs):
-                nodes.append(
-                    {"id": j + 1, "kind": "IRS", "pos": [float(x) for x in pts[j + 1]]}
-                )
-            for k in range(num_users):
-                nodes.append(
-                    {
-                        "id": num_irs + k + 1,
-                        "kind": "User",
-                        "pos": [float(x) for x in pts[num_irs + 1 + k]],
-                    }
-                )
-            return dump_scene_document(nodes)
+                break  # this node found no place: restart the layout
+        else:
+            return Scene(np.array(pts), num_irs, num_users)
     raise CliError(
         f"random placement unsatisfiable after {attempts} attempts (seed {seed})"
     )
 
 
-def generate_scene(spec: str, seed: int = 0) -> str:
-    """Scene document from a generator spec, deterministic per seed.
+def generate_scene(spec: str, seed: int = 0) -> Scene:
+    """Validated scene from a generator spec, deterministic per seed.
 
     ``grid(rows, cols, spacing, users)`` lays surfaces on a lattice
     with the users one column beyond it; ``random(J, K, side, min_sep)``
-    scatters J surfaces and K users over a side x side area.  The
-    result always passes the scene validator.
+    scatters J surfaces and K users over a side x side area.  Every
+    physical constant keeps the ``Scene`` default, which is also the
+    default of a scene document without ``params``.
     """
     m = _SPEC_RE.match(spec)
     if not m:
@@ -217,11 +188,8 @@ def generate_scene(spec: str, seed: int = 0) -> str:
     if not all(x.is_integer() for x in counts):
         raise CliError(f"malformed generator spec {spec!r}")
     if name == "grid":
-        text = _grid_document(int(nums[0]), int(nums[1]), nums[2], int(nums[3]))
-    else:
-        text = _random_document(int(nums[0]), int(nums[1]), nums[2], nums[3], seed)
-    load_scene(text)
-    return text
+        return _grid_scene(int(nums[0]), int(nums[1]), nums[2], int(nums[3]))
+    return _random_scene(int(nums[0]), int(nums[1]), nums[2], nums[3], seed)
 
 
 # -- reports -----------------------------------------------------------
@@ -234,7 +202,7 @@ def _load_config_scene(config: ExperimentConfig) -> Scene:
     if config.scene_path is not None:
         scene = load_scene_file(config.scene_path)
     else:
-        scene = load_scene(generate_scene(config.generate, config.seed))
+        scene = generate_scene(config.generate, config.seed)
     if config.antennas is not None:
         scene = scene.with_antennas(config.antennas)
     if config.elements is not None:
@@ -377,13 +345,11 @@ def _series_table(series: dict) -> str:
 def _render(result: dict, config: ExperimentConfig) -> str:
     if config.fmt == "json":
         return json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if config.sweep is not None:
-        if config.fmt == "csv":
-            return _series_csv(result, result["users"])
-        return _series_table(result)
+    if config.sweep is None:
+        return _run_table(result)
     if config.fmt == "csv":
-        raise CliError("csv output needs a sweep; use table or json for single runs")
-    return _run_table(result)
+        return _series_csv(result, result["users"])
+    return _series_table(result)
 
 
 # -- entry point -------------------------------------------------------
@@ -471,7 +437,3 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, SceneError, SolverError, OSError, ValueError, ArithmeticError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

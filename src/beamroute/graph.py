@@ -100,13 +100,12 @@ def validate_route(scene: Scene, route: Route) -> None:
 def route_from_sequence(scene: Scene, user_index: int, irs_ids: list[int]) -> Route:
     """Build and validate a route from an explicit surface sequence."""
     seq = (0, *irs_ids, scene.user_vertex(user_index))
+    validate_route(scene, Route(user_index=user_index, vertices=seq, cost_vec=()))
     cost = sum(
         edge_weight(scene.distance(a, b), scene.elements, scene.ref_path_gain)
         for a, b in zip(seq[:-1], seq[1:])
     )
-    route = Route(user_index=user_index, vertices=seq, cost_vec=(cost,))
-    validate_route(scene, route)
-    return route
+    return Route(user_index=user_index, vertices=seq, cost_vec=(cost,))
 
 
 @dataclass(frozen=True, eq=False)

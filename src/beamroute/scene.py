@@ -347,7 +347,10 @@ def load_scene(text: str) -> Scene:
 
     override = doc.get("los_override")
     if override is not None:
-        override = np.asarray(override)
+        try:
+            override = np.asarray(override)
+        except ValueError:  # ragged rows
+            raise SceneError("los_override must be a rectangular matrix") from None
 
     ids = sorted(entries)
     if ids != list(range(len(ids))):
@@ -386,14 +389,3 @@ def load_scene_file(path: str) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         return load_scene(fh.read())
 
-
-def dump_scene_document(
-    nodes: list[dict],
-    params: dict | None = None,
-    los_override: list[list[int]] | None = None,
-) -> str:
-    """Serialize a scene document with deterministic formatting."""
-    doc: dict = {"params": dict(params or {}), "nodes": nodes}
-    if los_override is not None:
-        doc["los_override"] = los_override
-    return json.dumps(doc, indent=2, sort_keys=True)

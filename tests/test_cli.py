@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
+import beamroute
 from beamroute.cli import (
     CliError,
     ExperimentConfig,
@@ -17,16 +20,39 @@ from beamroute.cli import (
     run_experiment,
     sweep,
 )
-from beamroute.scene import dump_scene_document, load_scene
+from beamroute.scene import Scene, load_scene
 from beamroute.solver import SolveParams, solve
 
-DEMO = os.path.join(os.path.dirname(__file__), "..", "scenes", "demo.json")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DEMO = os.path.join(ROOT, "scenes", "demo.json")
+
+
+def scene_document(nodes: list[dict], los_override: list[list[int]] | None = None) -> str:
+    """Scene document text with default params."""
+    doc: dict = {"nodes": nodes}
+    if los_override is not None:
+        doc["los_override"] = los_override
+    return json.dumps(doc)
+
+
+def scene_nodes(scene: Scene) -> list[dict]:
+    """Node entries of a scene document holding the scene's layout."""
+    return [
+        {"id": i, "kind": scene.kind(i), "pos": p.tolist()}
+        for i, p in enumerate(scene.positions)
+    ]
+
+
+def scene_fields(scene: Scene) -> dict:
+    """Every field of a scene, with the positions as raw bytes."""
+    values = {f.name: getattr(scene, f.name) for f in fields(Scene)}
+    return values | {"positions": (scene.positions.shape, scene.positions.tobytes())}
 
 
 # ------------------------------------------------------------ generators
 
 def test_grid_layout():
-    scene = load_scene(generate_scene("grid(3,4,5,2)"))
+    scene = generate_scene("grid(3,4,5,2)")
     assert scene.num_nodes == 15
     assert scene.num_irs == 12
     assert scene.num_users == 2
@@ -40,20 +66,22 @@ def test_grid_layout():
 
 
 def test_grid_is_deterministic():
-    assert generate_scene("grid(3,4,5,2)") == generate_scene("grid(3,4,5,2)", seed=99)
+    assert scene_fields(generate_scene("grid(3,4,5,2)")) == scene_fields(
+        generate_scene("grid(3,4,5,2)", seed=99)
+    )
 
 
 def test_random_deterministic_per_seed():
-    a = generate_scene("random(10,4,40,3)", seed=5)
-    b = generate_scene("random(10,4,40,3)", seed=5)
-    c = generate_scene("random(10,4,40,3)", seed=6)
+    a, b, c = (
+        scene_fields(generate_scene("random(10,4,40,3)", seed=seed)) for seed in (5, 5, 6)
+    )
     assert a == b
     assert a != c
 
 
 def test_random_documents_always_validate():
     for seed in range(1000):
-        scene = load_scene(generate_scene("random(6,2,25,3)", seed=seed))
+        scene = generate_scene("random(6,2,25,3)", seed=seed)
         assert scene.num_irs == 6
         assert scene.num_users == 2
         # the BS can always reach at least one surface
@@ -61,7 +89,7 @@ def test_random_documents_always_validate():
 
 
 def test_random_respects_min_sep():
-    scene = load_scene(generate_scene("random(8,2,30,4.5)", seed=3))
+    scene = generate_scene("random(8,2,30,4.5)", seed=3)
     n = scene.num_nodes
     for i in range(n):
         for j in range(i + 1, n):
@@ -100,8 +128,20 @@ def test_generator_spec_rejects_non_integral_counts(capsys):
         assert out.count("\n") == 1
         assert json.loads(out) == {"error": f"malformed generator spec {spec!r}"}
     # integral floats stay counts, as in a scene document
-    assert generate_scene("grid(2.0,2,5,1.0)") == generate_scene("grid(2,2,5,1)")
-    assert generate_scene("random(5.0,2,40,3)", seed=3) == generate_scene("random(5,2,40,3)", seed=3)
+    for spec, same in (("grid(2.0,2,5,1.0)", "grid(2,2,5,1)"),
+                       ("random(5.0,2,40,3)", "random(5,2,40,3)")):
+        assert scene_fields(generate_scene(spec, seed=3)) == scene_fields(
+            generate_scene(same, seed=3)
+        )
+
+
+@pytest.mark.parametrize("spec", ["grid(2,3,5,2)", "random(6,2,25,3)"])
+def test_generated_scene_has_document_defaults(spec):
+    # a generated scene takes Scene's defaults, a document without
+    # params takes load_scene's; the two sets must stay the same
+    scene = generate_scene(spec, seed=3)
+    loaded = load_scene(scene_document(scene_nodes(scene)))
+    assert scene_fields(loaded) == scene_fields(scene)
 
 
 # --------------------------------------------------------------- reports
@@ -170,16 +210,9 @@ def test_sweep_q_monotone_on_demo():
 def test_sweep_m_hop_counts_non_decreasing(tmp_path):
     # a chain-plus-shortcut layout where bigger surfaces favor more hops
     from scenefab import corridor_scene
-    from beamroute.scene import dump_scene_document
 
     scene = corridor_scene()
-    doc = dump_scene_document(
-        [
-            {"id": i, "kind": scene.kind(i), "pos": [float(x) for x in p]}
-            for i, p in enumerate(scene.positions)
-        ],
-        los_override=[[int(v) for v in row] for row in np.asarray(scene.los_override)],
-    )
+    doc = scene_document(scene_nodes(scene), los_override=scene.los_override.tolist())
     path = tmp_path / "corridor.json"
     path.write_text(doc)
     series = sweep(
@@ -194,33 +227,20 @@ def test_sweep_m_hop_counts_non_decreasing(tmp_path):
 
 def test_bruteforce_matches_proposed_on_small_scene():
     # five nodes: BS, a two-surface corridor, shortcut surface, one user
-    doc = generate_scene("grid(1,3,5,1)")
-    path = os.path.join(os.path.dirname(__file__), "_small.json")
-    with open(path, "w") as fh:
-        fh.write(doc)
-    try:
-        prop = run_experiment(ExperimentConfig(scene_path=path))
-        brute = run_experiment(ExperimentConfig(scene_path=path, algorithm="brute_force"))
-    finally:
-        os.unlink(path)
+    spec = "grid(1,3,5,1)"
+    prop = run_experiment(ExperimentConfig(generate=spec))
+    brute = run_experiment(ExperimentConfig(generate=spec, algorithm="brute_force"))
     assert prop["feasible"] and brute["feasible"]
     assert prop["objective"] == pytest.approx(brute["objective"], rel=1e-12)
 
 
 def test_sweep_records_errors_in_row():
     # nine users break the sequential order guard at every point
-    doc = generate_scene("grid(1,1,5,9)")
-    path = os.path.join(os.path.dirname(__file__), "_nine_users.json")
-    with open(path, "w") as fh:
-        fh.write(doc)
-    try:
-        series = sweep(
-            ExperimentConfig(
-                scene_path=path, algorithm="sequential", sweep="Q", values=(1, 2)
-            )
+    series = sweep(
+        ExperimentConfig(
+            generate="grid(1,1,5,9)", algorithm="sequential", sweep="Q", values=(1, 2)
         )
-    finally:
-        os.unlink(path)
+    )
     assert len(series["points"]) == 2
     for point in series["points"]:
         assert "at most 8" in point["error"]
@@ -241,6 +261,9 @@ def test_config_validation():
         ExperimentConfig(scene_path=DEMO, values=(3,))
     with pytest.raises(CliError, match="sweep requires"):
         ExperimentConfig(scene_path=DEMO, sweep="Q")
+    # rejected before the scene is loaded or solved
+    with pytest.raises(CliError, match="csv output needs a sweep"):
+        ExperimentConfig(scene_path=DEMO, fmt="csv")
 
 
 # -------------------------------------------------------- command line
@@ -272,7 +295,7 @@ def _chain_document(surfaces: int) -> str:
         for i in range(n)
     ]
     los = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
-    return dump_scene_document(nodes, los_override=los)
+    return scene_document(nodes, los_override=los)
 
 
 def test_main_power_overflow_exit_one(tmp_path, capsys):
@@ -303,11 +326,33 @@ def test_main_power_overflow_exit_one(tmp_path, capsys):
 )
 def test_main_malformed_node_entry_exit_one(tmp_path, capsys, entry, named):
     path = tmp_path / "scene.json"
-    path.write_text(dump_scene_document([{"id": 0, "kind": "BS", "pos": [0, 0, 0]}, entry]))
+    path.write_text(scene_document([{"id": 0, "kind": "BS", "pos": [0, 0, 0]}, entry]))
     assert main(["--scene", str(path)]) == 1
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert named in json.loads(out)["error"]
+
+
+def test_package_exports_resolve():
+    for name in beamroute.__all__:
+        assert hasattr(beamroute, name), name
+
+
+def test_python_m_beamroute_matches_golden():
+    # runs the package as a module; -W error turns a runpy warning
+    # about a module imported twice into a failure
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "beamroute", "--scene", "scenes/demo.json",
+         "--algorithm", "proposed", "--output", "json"],
+        cwd=ROOT, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(GOLDEN, "demo_proposed.json"), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_main_usage_error_exit_one(capsys):

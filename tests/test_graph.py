@@ -574,6 +574,13 @@ class TestRouteConstruction:
         with pytest.raises(GraphError):
             validate_route(scene, r)
 
+    def test_validates_before_cost(self):
+        # a repeated surface or an unknown vertex is a route error, not
+        # a failure while summing its hops
+        for irs_ids in ([1, 1], [999]):
+            with pytest.raises(GraphError):
+                route_from_sequence(self.scene(), 1, irs_ids)
+
     def test_rejects_bad_user_index(self):
         with pytest.raises(Exception):
             route_from_sequence(self.scene(), 5, [1, 2])

@@ -99,6 +99,8 @@ DOCUMENT_ERRORS = [
      "los_threshold must be nonnegative"),
     ("override-shape", nodes_doc(BS0, IRS1, los_override=[[0]]),
      "los_override must be 2x2, got (1, 1)"),
+    ("override-ragged", nodes_doc(BS0, IRS1, los_override=[[0, 1], [1]]),
+     "los_override must be a rectangular matrix"),
     ("override-entries", nodes_doc(BS0, IRS1, los_override=[[0, 2], [2, 0]]),
      "los_override entries must be 0 or 1"),
     ("override-asymmetric", nodes_doc(BS0, IRS1, los_override=[[0, 1], [0, 0]]),
