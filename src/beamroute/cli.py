@@ -48,8 +48,9 @@ class CliError(ValueError):
 class ExperimentConfig:
     """Everything one invocation depends on.
 
-    Exactly one of ``scene_path`` and ``generate`` must be set.  Sweep
-    values must be positive and strictly increasing.
+    Exactly one of ``scene_path`` and ``generate`` must be set.
+    ``paths`` and sweep values must be positive, sweep values strictly
+    increasing, and ``seed`` non-negative.
     """
 
     scene_path: str | None = None
@@ -68,6 +69,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.scene_path is None) == (self.generate is None):
             raise CliError("exactly one of scene path and generator spec required")
+        if self.paths < 1:
+            raise CliError("paths must be positive")
+        if self.seed < 0:
+            raise CliError("seed must be non-negative")
         if self.algorithm not in ALGORITHMS:
             raise CliError(f"unknown algorithm {self.algorithm!r}")
         if self.fmt not in FORMATS:

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 
 import numpy as np
 
@@ -97,8 +97,8 @@ def validate_route(scene: Scene, route: Route) -> None:
             raise GraphError(f"route hop {a} -> {b} has no LoS")
 
 
-def route_from_sequence(scene: Scene, user_index: int, irs_ids: list[int]) -> Route:
-    """Build and validate a route from an explicit surface sequence."""
+def route_from_sequence(scene: Scene, user_index: int, irs_ids: Sequence[int]) -> Route:
+    """Build, validate and price a route from an explicit surface sequence."""
     seq = (0, *irs_ids, scene.user_vertex(user_index))
     validate_route(scene, Route(user_index=user_index, vertices=seq, cost_vec=()))
     cost = sum(
@@ -110,18 +110,21 @@ def route_from_sequence(scene: Scene, user_index: int, irs_ids: list[int]) -> Ro
 
 @dataclass(frozen=True, eq=False)
 class LosGraph:
-    """Immutable routing DAG.
+    """Immutable routing DAG, held as its edge tables.
 
     Vertex ids: 0 is the BS, 1..num_irs the surfaces, then the users.
     ``weight`` holds the scalar per-edge weight and ``cost`` the tuple
-    the searches compare.
+    the searches compare, over the same edges.  ``succ`` and the other
+    views derive from ``cost``; construction fails on a cycle.
     """
 
     num_irs: int
     num_users: int
-    succ: dict[int, tuple[int, ...]]
     weight: dict[tuple[int, int], float]
     cost: dict[tuple[int, int], tuple[float, ...]]
+
+    def __post_init__(self) -> None:
+        self.topo_order
 
     @property
     def num_vertices(self) -> int:
@@ -132,12 +135,19 @@ class LosGraph:
         return range(1 + self.num_irs, self.num_vertices)
 
     @cached_property
+    def succ(self) -> dict[int, tuple[int, ...]]:
+        """Sorted out-neighbours of every vertex that has any."""
+        succ: dict[int, list[int]] = {}
+        for i, j in self.cost:
+            succ.setdefault(i, []).append(j)
+        return {i: tuple(sorted(js)) for i, js in succ.items()}
+
+    @cached_property
     def topo_order(self) -> tuple[int, ...]:
-        """Topological vertex order; construction fails on any cycle."""
+        """Topological vertex order; raises GraphError on any cycle."""
         indeg = {v: 0 for v in range(self.num_vertices)}
-        for i in self.succ:
-            for j in self.succ[i]:
-                indeg[j] += 1
+        for _, j in self.cost:
+            indeg[j] += 1
         ready = deque(v for v in range(self.num_vertices) if indeg[v] == 0)
         order = []
         while ready:
@@ -203,24 +213,12 @@ class LosGraph:
         weighted_edges: list[tuple[int, int, float]],
     ) -> "LosGraph":
         """Synthetic graph from explicit weighted edges."""
-        succ: dict[int, list[int]] = {}
         weight = {}
-        cost = {}
         for i, j, w in weighted_edges:
             if (i, j) in weight:
                 raise GraphError(f"duplicate edge ({i}, {j})")
-            succ.setdefault(i, []).append(j)
             weight[i, j] = w
-            cost[i, j] = (w,)
-        g = cls(
-            num_irs=num_irs,
-            num_users=num_users,
-            succ={i: tuple(sorted(js)) for i, js in succ.items()},
-            weight=weight,
-            cost=cost,
-        )
-        g.topo_order
-        return g
+        return cls(num_irs, num_users, weight, {e: (w,) for e, w in weight.items()})
 
 
 def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
@@ -246,52 +244,18 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
         (1, 1, los[surfaces, surfaces] & (d_bs[None, :] > d_bs[:, None])),
         (1, 1 + j_count, los[surfaces, 1 + j_count :]),
     )
-    succ: dict[int, list[int]] = {}
     weight = {}
     cost = {}
     for row0, col0, block in blocks:
         rows, cols = np.nonzero(block)
         rows, cols = rows + row0, cols + col0
         for i, j, dij in zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist()):
-            succ.setdefault(i, []).append(j)
             weight[i, j] = edge_weight(dij, m, scene.ref_path_gain)
             cost[i, j] = (-1.0, math.log(dij)) if hop_priority else (weight[i, j],)
-
-    g = LosGraph(
-        num_irs=j_count,
-        num_users=scene.num_users,
-        succ={i: tuple(sorted(js)) for i, js in succ.items()},
-        weight=weight,
-        cost=cost,
-    )
-    g.topo_order
-    return g
+    return LosGraph(j_count, scene.num_users, weight, cost)
 
 
 # -- path search -------------------------------------------------------
-
-
-def _path_cost(graph: LosGraph, vertices: tuple[int, ...]) -> tuple[float, ...]:
-    """Cost vector of an explicit path, summed hop by hop in path order.
-
-    The sweep below accumulates in the same order, so a path gets
-    bit-identical floats however it was found.
-    """
-    total = (0.0,) * len(graph.cost[vertices[0], vertices[1]])
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        total = tuple(map(add, total, graph.cost[a, b]))
-    return total
-
-
-def make_route(graph: LosGraph, vertices: tuple[int, ...]) -> Route:
-    """Route for an explicit vertex path; every hop must be an edge."""
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        if (a, b) not in graph.weight:
-            raise GraphError(f"no edge {a} -> {b}")
-    if len(vertices) < 3 or vertices[0] != 0:
-        raise GraphError(f"not a BS-to-user path: {vertices}")
-    _check_target(graph, vertices[-1])
-    return Route(vertices[-1] - graph.num_irs, vertices, _path_cost(graph, vertices))
 
 
 def _check_target(graph: LosGraph, target: int) -> None:

@@ -34,7 +34,7 @@ from .graph import (
     Route,
     build_routing_graph,
     enumerate_paths,
-    make_route,
+    route_from_sequence,
     top_routes,
     validate_route,
 )
@@ -311,24 +311,25 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
 def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
     """Exact max-min selection by full simple-path enumeration.
 
-    Refuses scenes where the product of per-user path counts exceeds
-    ``BRUTEFORCE_CAP``.
+    Paths come from the routing graph, but each is checked and priced
+    on the raw scene (``route_from_sequence``), not on the graph's cost
+    table, so the result stays an independent oracle.  Scenes whose
+    product of per-user path counts exceeds ``BRUTEFORCE_CAP`` are
+    refused before any route is built.
     """
     _require_users(scene)
     start = time.perf_counter()
     k = scene.num_users
     graph = build_routing_graph(scene)
-    per_user: list[list[Route]] = []
-    product = 1
-    for u in range(1, k + 1):
-        paths = enumerate_paths(graph, scene.num_irs + u)
-        product *= len(paths)
-        per_user.append([make_route(graph, p) for p in paths])
+    paths = [enumerate_paths(graph, scene.num_irs + u) for u in range(1, k + 1)]
+    product = math.prod(map(len, paths))
     if product > BRUTEFORCE_CAP:
         raise SolverError(f"path count product {product} exceeds cap {BRUTEFORCE_CAP}")
-    powers = [
-        [closed_form_power(scene, r) for r in routes] for routes in per_user
+    per_user = [
+        [route_from_sequence(scene, u, p[1:-1]) for p in user_paths]
+        for u, user_paths in enumerate(paths, start=1)
     ]
+    powers = [_route_powers(scene, routes) for routes in per_user]
     masks = [[route_masks(r, scene) for r in routes] for routes in per_user]
     compat: dict[tuple[int, int, int, int], bool] = {}
     for ua in range(k):

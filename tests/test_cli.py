@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -286,6 +287,14 @@ def test_main_error_exit_one(capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_main_bad_paths_or_seed_exit_one_before_any_work(capsys):
+    # a sweep must not report a bad budget as one failed row per point
+    assert main(["--scene", DEMO, "--sweep", "M", "--values", "1,2", "--paths", "0"]) == 1
+    assert capsys.readouterr().out == '{"error": "paths must be positive"}\n'
+    assert main(["--generate", "random(5,2,20,4)", "--seed", "-1"]) == 1
+    assert capsys.readouterr().out == '{"error": "seed must be non-negative"}\n'
+
+
 def _chain_document(surfaces: int) -> str:
     """A straight chain of 4 m hops with LoS only between neighbours."""
     n = surfaces + 2
@@ -423,6 +432,8 @@ GOLDEN_RUNS = [
     ),
     ("demo_sweep_M.csv", ["--sweep", "M", "--values", "100,200,400,800", "--output", "csv"]),
     ("demo_sweep_Q.csv", ["--sweep", "Q", "--values", "1..20", "--output", "csv"]),
+    ("demo_proposed.txt", []),
+    ("demo_sweep_M.txt", ["--sweep", "M", "--values", "100,200,400,800"]),
 ]
 
 
@@ -434,6 +445,32 @@ def test_report_bytes_match_golden(tmp_path, golden, args):
     assert main(["--scene", DEMO, *args, "--out", str(out)]) == 0
     with open(os.path.join(GOLDEN, golden), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_timing_adds_one_trailing_line(tmp_path):
+    out = tmp_path / "timed.txt"
+    assert main(["--scene", DEMO, "--timing", "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, "demo_proposed.txt")) as fh:
+        golden = fh.read()
+    text = out.read_text()
+    assert text.startswith(golden)
+    assert re.fullmatch(r"wall time   \d+\.\d{6} s\n", text[len(golden):])
+
+
+def test_main_sweep_error_rows_exit_two(capsys):
+    # nine users break the sequential order guard at every point
+    args = ["--generate", "grid(1,1,5,9)", "--algorithm", "sequential", "--sweep", "Q",
+            "--values", "1,2"]
+    error = "sequential solver supports at most 8 users, got 9"
+    assert main(args) == 2
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"       1            -  error: {error}",
+        f"       2            -  error: {error}",
+    ]
+    assert main([*args, "--output", "csv"]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f'{value},{"," * 20}"{error}"' for value in (1, 2)
+    ]
 
 
 def test_main_algorithm_names(capsys):

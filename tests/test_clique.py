@@ -17,7 +17,6 @@ from beamroute.clique import (
 from beamroute.graph import (
     build_routing_graph,
     enumerate_paths,
-    make_route,
     route_from_sequence,
     top_routes,
 )
@@ -141,7 +140,7 @@ def mask_rule_scenes(rng):
 def all_routes(scene, cap=60):
     graph = build_routing_graph(scene)
     return [
-        make_route(graph, path)
+        route_from_sequence(scene, k, path[1:-1])
         for k in range(1, scene.num_users + 1)
         for path in enumerate_paths(graph, scene.user_vertex(k))[:cap]
     ]

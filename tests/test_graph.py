@@ -14,7 +14,6 @@ from beamroute.graph import (
     build_routing_graph,
     edge_weight,
     enumerate_paths,
-    make_route,
     route_from_sequence,
     top_routes,
     validate_route,
@@ -403,7 +402,7 @@ class TestYen:
                     prev = r.cost_vec
 
     def test_against_bruteforce_five_smallest(self):
-        # every user of one sweep against enumerate_paths + make_route,
+        # every user of one sweep against enumerate_paths + oracle_cost_vec,
         # full (cost_vec, hops, vertices) keys, so tie order is pinned too
         rng = np.random.default_rng(23)
         graphs = [random_losgraph(rng, num_users=int(rng.integers(1, 4))) for _ in range(40)]
@@ -435,7 +434,7 @@ class TestYen:
                 want = {
                     target - g.num_irs: sorted(
                         (
-                            make_route(g, p)
+                            Route(target - g.num_irs, p, oracle_cost_vec(g.cost, p))
                             for p in enumerate_paths(g, target)
                             if ban.isdisjoint(p)
                         ),
@@ -584,6 +583,22 @@ class TestRouteConstruction:
     def test_rejects_bad_user_index(self):
         with pytest.raises(Exception):
             route_from_sequence(self.scene(), 5, [1, 2])
+
+    def test_prices_every_graph_path_like_the_sweep(self):
+        # brute force prices enumerated paths from the scene; they must
+        # carry the very floats the plain graph's cost table sums to
+        rng = np.random.default_rng(47)
+        checked = 0
+        for base in mask_rule_scenes(rng):
+            for scene in (base, base.with_elements(1)):
+                g = build_routing_graph(scene)
+                for target in g.user_vertices:
+                    for p in enumerate_paths(g, target):
+                        r = route_from_sequence(scene, target - g.num_irs, p[1:-1])
+                        assert r.vertices == p
+                        assert bits({p: r.cost_vec}) == bits({p: oracle_cost_vec(g.cost, p)})
+                        checked += 1
+        assert checked >= 200
 
 
 class TestCostPowerDuality:

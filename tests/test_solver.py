@@ -20,7 +20,7 @@ from beamroute.channel import closed_form_power
 from beamroute.graph import (
     build_routing_graph,
     enumerate_paths,
-    make_route,
+    route_from_sequence,
     top_routes,
     yen_k_shortest,
 )
@@ -370,7 +370,7 @@ def raw_sequential(scene: Scene, queried: set | None = None):
             if not paths:
                 break
             route = min(
-                (make_route(graph, p) for p in paths),
+                (route_from_sequence(scene, u, p[1:-1]) for p in paths),
                 key=lambda r: (r.cost_vec, r.hops, r.vertices),
             )
             chosen[u] = route
@@ -476,9 +476,18 @@ def test_bruteforce_matches_oracle_random():
 
 
 def test_bruteforce_cap(monkeypatch):
+    # the cap is judged on path counts alone: an over-cap scene never
+    # reaches the route builder
+    def no_routes(*args):
+        raise AssertionError("route built")
+
+    scene = corridor_scene(bs_antennas=4)
+    monkeypatch.setattr(solver, "route_from_sequence", no_routes)
+    with pytest.raises(AssertionError, match="route built"):
+        solve_bruteforce(scene)
     monkeypatch.setattr(solver, "BRUTEFORCE_CAP", 1)
     with pytest.raises(SolverError, match="exceeds cap"):
-        solve_bruteforce(corridor_scene(bs_antennas=4))
+        solve_bruteforce(scene)
 
 
 # ----------------------------------------------------------- infeasible
