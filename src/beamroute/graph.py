@@ -101,10 +101,10 @@ def route_from_sequence(scene: Scene, user_index: int, irs_ids: Sequence[int]) -
     """Build, validate and price a route from an explicit surface sequence."""
     seq = (0, *irs_ids, scene.user_vertex(user_index))
     validate_route(scene, Route(user_index=user_index, vertices=seq, cost_vec=()))
-    cost = sum(
-        edge_weight(scene.distance(a, b), scene.elements, scene.ref_path_gain)
-        for a, b in zip(seq[:-1], seq[1:])
-    )
+    # Left to right, as the sweep adds: sum() compensates on Python 3.12+.
+    cost = 0.0
+    for a, b in zip(seq[:-1], seq[1:]):
+        cost += edge_weight(scene.distance(a, b), scene.elements, scene.ref_path_gain)
     return Route(user_index=user_index, vertices=seq, cost_vec=(cost,))
 
 

@@ -235,7 +235,7 @@ def test_bruteforce_matches_proposed_on_small_scene():
     assert prop["objective"] == pytest.approx(brute["objective"], rel=1e-12)
 
 
-def test_sweep_records_errors_in_row():
+def test_sweep_records_errors_in_row(capsys):
     # nine users break the sequential order guard at every point
     series = sweep(
         ExperimentConfig(
@@ -245,9 +245,22 @@ def test_sweep_records_errors_in_row():
     assert len(series["points"]) == 2
     for point in series["points"]:
         assert "at most 8" in point["error"]
+    # the reports print one error row per point and exit 2
+    args = ["--generate", "grid(1,1,5,9)", "--algorithm", "sequential", "--sweep", "Q",
+            "--values", "1,2"]
+    error = "sequential solver supports at most 8 users, got 9"
+    assert main(args) == 2
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"       1            -  error: {error}",
+        f"       2            -  error: {error}",
+    ]
+    assert main([*args, "--output", "csv"]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f'{value},{"," * 20}"{error}"' for value in (1, 2)
+    ]
 
 
-def test_config_validation():
+def test_config_validation(capsys):
     with pytest.raises(CliError, match="exactly one"):
         ExperimentConfig()
     with pytest.raises(CliError, match="exactly one"):
@@ -265,6 +278,13 @@ def test_config_validation():
     # rejected before the scene is loaded or solved
     with pytest.raises(CliError, match="csv output needs a sweep"):
         ExperimentConfig(scene_path=DEMO, fmt="csv")
+    with pytest.raises(CliError, match="paths must be positive"):
+        ExperimentConfig(scene_path=DEMO, paths=0)
+    with pytest.raises(CliError, match="seed must be non-negative"):
+        ExperimentConfig(generate="random(5,2,20,4)", seed=-1)
+    # a sweep must not report a bad budget as one failed row per point
+    assert main(["--scene", DEMO, "--sweep", "M", "--values", "1,2", "--paths", "0"]) == 1
+    assert capsys.readouterr().out == '{"error": "paths must be positive"}\n'
 
 
 # -------------------------------------------------------- command line
@@ -285,14 +305,6 @@ def test_main_infeasible_exit_two(capsys):
 def test_main_error_exit_one(capsys):
     assert main(["--scene", "does_not_exist.json"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
-
-
-def test_main_bad_paths_or_seed_exit_one_before_any_work(capsys):
-    # a sweep must not report a bad budget as one failed row per point
-    assert main(["--scene", DEMO, "--sweep", "M", "--values", "1,2", "--paths", "0"]) == 1
-    assert capsys.readouterr().out == '{"error": "paths must be positive"}\n'
-    assert main(["--generate", "random(5,2,20,4)", "--seed", "-1"]) == 1
-    assert capsys.readouterr().out == '{"error": "seed must be non-negative"}\n'
 
 
 def _chain_document(surfaces: int) -> str:
@@ -455,22 +467,6 @@ def test_timing_adds_one_trailing_line(tmp_path):
     text = out.read_text()
     assert text.startswith(golden)
     assert re.fullmatch(r"wall time   \d+\.\d{6} s\n", text[len(golden):])
-
-
-def test_main_sweep_error_rows_exit_two(capsys):
-    # nine users break the sequential order guard at every point
-    args = ["--generate", "grid(1,1,5,9)", "--algorithm", "sequential", "--sweep", "Q",
-            "--values", "1,2"]
-    error = "sequential solver supports at most 8 users, got 9"
-    assert main(args) == 2
-    assert capsys.readouterr().out.splitlines()[2:] == [
-        f"       1            -  error: {error}",
-        f"       2            -  error: {error}",
-    ]
-    assert main([*args, "--output", "csv"]) == 2
-    assert capsys.readouterr().out.splitlines()[1:] == [
-        f'{value},{"," * 20}"{error}"' for value in (1, 2)
-    ]
 
 
 def test_main_algorithm_names(capsys):
