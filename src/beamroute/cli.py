@@ -24,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import (
-    DEFAULT_LOS_THRESHOLD,
-    DEFAULT_MIN_FAR_FIELD,
-    Scene,
-    SceneError,
-    load_scene_file,
-)
-from .solver import ALGORITHMS, SolveParams, SolverError, solve
+from .scene import DEFAULT_LOS_THRESHOLD, DEFAULT_MIN_FAR_FIELD, Scene, load_scene_file
+from .solver import ALGORITHMS, SolveParams, solve
 
 FORMATS = ("table", "csv", "json")
 SWEEP_VARIABLES = ("M", "Q")
@@ -98,16 +92,14 @@ _SPEC_RE = re.compile(r"^\s*(grid|random)\s*\(\s*([^)]*?)\s*\)\s*$")
 
 
 def _spec_numbers(body: str, spec: str) -> list[float]:
-    parts = [p.strip() for p in body.split(",")]
-    if any(not p for p in parts):
-        raise CliError(f"malformed generator spec {spec!r}")
+    # float() strips surrounding whitespace and rejects an empty part
     try:
-        numbers = [float(p) for p in parts]
+        numbers = [float(p) for p in body.split(",")]
+        if all(map(math.isfinite, numbers)):
+            return numbers
     except ValueError:
-        raise CliError(f"malformed generator spec {spec!r}") from None
-    if not all(map(math.isfinite, numbers)):
-        raise CliError(f"malformed generator spec {spec!r}")
-    return numbers
+        pass
+    raise CliError(f"malformed generator spec {spec!r}")
 
 
 def _grid_scene(rows: int, cols: int, spacing: float, users: int) -> Scene:
@@ -269,7 +261,7 @@ def sweep(config: ExperimentConfig) -> dict:
             else:
                 record = _solve_record(scene, config, value)
             points.append({"value": value, **record})
-        except (SceneError, SolverError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             points.append({"value": value, "error": str(exc)})
     return {"sweep": config.sweep, "users": scene.num_users, "points": points}
 
@@ -297,37 +289,27 @@ def _run_table(record: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _series_csv_header(num_users: int) -> list[str]:
-    cols = ["value", "objective_db", "feasible"]
-    for k in range(1, num_users + 1):
-        cols.append(f"power_db_u{k}")
-    for k in range(1, num_users + 1):
-        cols.append(f"hops_u{k}")
-    cols.append("error")
-    return cols
-
-
-def _series_csv(series: dict, num_users: int) -> str:
+def _series_csv(series: dict) -> str:
+    ks = range(1, series["users"] + 1)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_series_csv_header(num_users))
+    writer.writerow([
+        "value", "objective_db", "feasible",
+        *(f"power_db_u{k}" for k in ks), *(f"hops_u{k}" for k in ks), "error",
+    ])
     for point in series["points"]:
-        if "error" in point:
-            row = [point["value"], "", ""] + [""] * (2 * num_users) + [point["error"]]
-            writer.writerow(row)
-            continue
-        by_user = {u["user"]: u for u in point["users"]}
-        row: list = [point["value"]]
-        row.append("" if point["objective_db"] is None else repr(point["objective_db"]))
-        row.append(int(point["feasible"]))
-        for k in range(1, num_users + 1):
-            u = by_user.get(k)
-            row.append("" if u is None else repr(u["power_db"]))
-        for k in range(1, num_users + 1):
-            u = by_user.get(k)
-            row.append("" if u is None else u["hops"])
-        row.append("")
-        writer.writerow(row)
+        # a feasible point lists every user in order, any other point none
+        users = point.get("users", [])
+        pad = [""] * (len(ks) - len(users))
+        objective = point.get("objective_db")
+        writer.writerow([
+            point["value"],
+            "" if objective is None else repr(objective),
+            "" if "error" in point else int(point["feasible"]),
+            *(repr(u["power_db"]) for u in users), *pad,
+            *(u["hops"] for u in users), *pad,
+            point.get("error", ""),
+        ])
     return buf.getvalue()
 
 
@@ -353,7 +335,7 @@ def _render(result: dict, config: ExperimentConfig) -> str:
     if config.sweep is None:
         return _run_table(result)
     if config.fmt == "csv":
-        return _series_csv(result, result["users"])
+        return _series_csv(result)
     return _series_table(result)
 
 
@@ -368,7 +350,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="beamroute", description="Multi-hop beam routing experiments.")
-    p.add_argument("--scene", help="scene document path")
+    p.add_argument("--scene", dest="scene_path", metavar="SCENE", help="scene document path")
     p.add_argument("--generate", metavar="SPEC", help="grid(R,C,S,U) or random(J,K,side,min_sep)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -385,6 +367,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--timing", action="store_true", help="include wall time in reports")
     return p
+
+
+# every dest is an ExperimentConfig field; parse_args leaves the parser as it was
+_PARSER = _build_parser()
 
 
 def _parse_values(text: str | None) -> tuple[int, ...]:
@@ -404,23 +390,6 @@ def _parse_values(text: str | None) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        scene_path=args.scene,
-        generate=args.generate,
-        seed=args.seed,
-        algorithm=args.algorithm.replace("-", "_"),
-        paths=args.paths,
-        elements=args.elements,
-        antennas=args.antennas,
-        sweep=args.sweep,
-        values=_parse_values(args.values),
-        fmt=args.fmt,
-        out=args.out,
-        timing=args.timing,
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -430,15 +399,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        config = _config_from_args(parser.parse_args(argv))
+        ns = _PARSER.parse_args(argv)
+        ns.algorithm = ns.algorithm.replace("-", "_")
+        ns.values = _parse_values(ns.values)
+        config = ExperimentConfig(**vars(ns))
         result = sweep(config) if config.sweep else run_experiment(config)
         _emit(_render(result, config), config.out)
         # a single run is judged as a one-point series
         points = result["points"] if config.sweep else [result]
         ok = all("error" not in p and p["feasible"] for p in points)
         return 0 if ok else 2
-    except (CliError, SceneError, SolverError, OSError, ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:  # every package error is a ValueError
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 1

@@ -331,20 +331,11 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     ]
     powers = [_route_powers(scene, routes) for routes in per_user]
     masks = [[route_masks(r, scene) for r in routes] for routes in per_user]
-    compat: dict[tuple[int, int, int, int], bool] = {}
-    for ua in range(k):
-        for ub in range(ua + 1, k):
-            for ia, ma in enumerate(masks[ua]):
-                for ib, mb in enumerate(masks[ub]):
-                    compat[ua, ia, ub, ib] = compatible(ma, mb)
     best: tuple[float, tuple[int, ...]] | None = None
-    checked = 0
     for combo in itertools.product(*(range(len(p)) for p in per_user)):
-        checked += 1
         ok = all(
-            compat[ua, combo[ua], ub, combo[ub]]
-            for ua in range(k)
-            for ub in range(ua + 1, k)
+            compatible(masks[ua][combo[ua]], masks[ub][combo[ub]])
+            for ua, ub in itertools.combinations(range(k), 2)
         )
         if not ok:
             continue
@@ -353,7 +344,7 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
             best = (objective, combo)
     diagnostics = {
         "path_counts": tuple(len(p) for p in per_user),
-        "combinations_checked": checked,
+        "combinations_checked": product,
     }
     if best is None:
         diagnostics["reason"] = "no compatible route combination"

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -406,6 +407,11 @@ def test_main_csv_sweep(capsys):
         cells = line.split(",")
         assert cells[2] == "1"
         assert float(cells[1]) == run["objective_db"]
+    # an infeasible point without an error fills only value and feasible
+    code = main(["--generate", "grid(3,4,5,2)", "--sweep", "M", "--values", "1,2",
+                 "--output", "csv"])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[1:] == ["1,,0,,,,,", "2,,0,,,,,"]
 
 
 def test_main_range_values_match_list(capsys):
@@ -459,7 +465,7 @@ def test_report_bytes_match_golden(tmp_path, golden, args):
         assert out.read_bytes() == fh.read()
 
 
-def test_timing_adds_one_trailing_line(tmp_path):
+def test_timing_adds_one_trailing_line(tmp_path, capsys):
     out = tmp_path / "timed.txt"
     assert main(["--scene", DEMO, "--timing", "--out", str(out)]) == 0
     with open(os.path.join(GOLDEN, "demo_proposed.txt")) as fh:
@@ -467,6 +473,30 @@ def test_timing_adds_one_trailing_line(tmp_path):
     text = out.read_text()
     assert text.startswith(golden)
     assert re.fullmatch(r"wall time   \d+\.\d{6} s\n", text[len(golden):])
+    # the parser is shared by every call: nothing of this one leaks into the next
+    plain = tmp_path / "plain.txt"
+    assert main(["--scene", DEMO, "--out", str(plain)]) == 0
+    assert plain.read_text() == golden
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "[--scene SCENE]" in capsys.readouterr().out
+
+
+def test_readme_command_lines_succeed(tmp_path, monkeypatch):
+    # every example of the README's "Command line" block runs from the
+    # repo root and routes every user
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert len(commands) >= 6 and all(c[0] == "beamroute" for c in commands)
+    monkeypatch.chdir(ROOT)
+    for args in commands:
+        if "--out" in args:
+            at = args.index("--out") + 1
+            args[at] = str(tmp_path / args[at])
+        assert main(args[1:]) == 0, args
 
 
 def test_main_algorithm_names(capsys):

@@ -465,6 +465,8 @@ def test_bruteforce_matches_oracle_random():
     for _ in range(40):
         scene = random_scene(rng)
         sol = solve_bruteforce(scene)
+        diag = sol.diagnostics
+        assert diag["combinations_checked"] == math.prod(diag["path_counts"])
         want = oracle_maxmin(scene)
         if want is None:
             assert not sol.feasible
