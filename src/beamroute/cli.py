@@ -29,6 +29,7 @@ from .solver import ALGORITHMS, SolveParams, solve
 
 FORMATS = ("table", "csv", "json")
 SWEEP_VARIABLES = ("M", "Q")
+MAX_SWEEP_VALUES = 10_000
 
 GENERATOR_RESTARTS = 60
 PLACEMENT_TRIES = 200
@@ -44,7 +45,7 @@ class ExperimentConfig:
 
     Exactly one of ``scene_path`` and ``generate`` must be set.
     ``paths`` and sweep values must be positive, sweep values strictly
-    increasing, and ``seed`` non-negative.
+    increasing and at most ``MAX_SWEEP_VALUES``, and ``seed`` non-negative.
     """
 
     scene_path: str | None = None
@@ -76,6 +77,8 @@ class ExperimentConfig:
                 raise CliError(f"sweep variable must be one of {SWEEP_VARIABLES}")
             if not self.values:
                 raise CliError("sweep requires a value list")
+            if len(self.values) > MAX_SWEEP_VALUES:
+                raise CliError(f"sweep lists at most {MAX_SWEEP_VALUES} values")
             if any(v < 1 for v in self.values):
                 raise CliError("sweep values must be positive")
             if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -380,13 +383,13 @@ def _parse_values(text: str | None) -> tuple[int, ...]:
     for token in text.split(","):
         token = token.strip()
         try:
-            if ".." in token:
-                lo, hi = token.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(token))
+            lo, hi = map(int, token.split("..")) if ".." in token else (int(token),) * 2
         except ValueError:
             raise CliError(f"bad sweep value {token!r}") from None
+        # counted from the endpoints, so a huge range is never built
+        if len(out) + hi - lo + 1 > MAX_SWEEP_VALUES:
+            raise CliError(f"sweep lists at most {MAX_SWEEP_VALUES} values")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 

@@ -6,9 +6,10 @@ the weight ln(d / (M sqrt(beta))).  Minimizing the weight sum of a
 BS-to-user path maximizes its end to end channel power, so candidate
 route search reduces to shortest paths on a DAG.  Every edge leads
 strictly away from the BS, so every path is loopless, and a single
-label sweep in topological order finds every user's cheapest `count`
-paths at once (``top_routes``).  Weights can be negative; the sweep
-never relies on Dijkstra's nonnegativity assumption.
+label sweep in the graph's ``topo_order`` (the BS, the surfaces
+nearest the BS first, then the users) finds every user's cheapest
+`count` paths at once (``top_routes``).  Weights can be negative; the
+sweep never relies on Dijkstra's nonnegativity assumption.
 
 Edge costs are short float tuples compared lexicographically.  The
 plain graph uses 1-tuples of the scalar weight; the hop-greedy variant
@@ -25,7 +26,6 @@ the scene.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,17 +114,24 @@ class LosGraph:
 
     Vertex ids: 0 is the BS, 1..num_irs the surfaces, then the users.
     ``weight`` holds the scalar per-edge weight and ``cost`` the tuple
-    the searches compare, over the same edges.  ``succ`` and the other
-    views derive from ``cost``; construction fails on a cycle.
+    the searches compare, over the same edges.  ``topo_order`` lists
+    every vertex once and every edge must run forward in it, so the
+    graph is acyclic.  ``succ`` and the other views derive from ``cost``.
     """
 
     num_irs: int
     num_users: int
     weight: dict[tuple[int, int], float]
     cost: dict[tuple[int, int], tuple[float, ...]]
+    topo_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self.topo_order
+        if sorted(self.topo_order) != list(range(self.num_vertices)):
+            raise GraphError("topo_order must list every vertex exactly once")
+        rank = {v: k for k, v in enumerate(self.topo_order)}
+        for i, j in self.cost:
+            if rank[i] >= rank[j]:
+                raise GraphError(f"edge ({i}, {j}) runs backward in topo_order")
 
     @property
     def num_vertices(self) -> int:
@@ -141,25 +148,6 @@ class LosGraph:
         for i, j in self.cost:
             succ.setdefault(i, []).append(j)
         return {i: tuple(sorted(js)) for i, js in succ.items()}
-
-    @cached_property
-    def topo_order(self) -> tuple[int, ...]:
-        """Topological vertex order; raises GraphError on any cycle."""
-        indeg = {v: 0 for v in range(self.num_vertices)}
-        for _, j in self.cost:
-            indeg[j] += 1
-        ready = deque(v for v in range(self.num_vertices) if indeg[v] == 0)
-        order = []
-        while ready:
-            v = ready.popleft()
-            order.append(v)
-            for j in self.succ.get(v, ()):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(order) != self.num_vertices:
-            raise GraphError("routing graph contains a cycle")
-        return tuple(order)
 
     @cached_property
     def pred_table(self) -> tuple[tuple[tuple[int, float, float], ...], ...]:
@@ -212,13 +200,15 @@ class LosGraph:
         num_users: int,
         weighted_edges: list[tuple[int, int, float]],
     ) -> "LosGraph":
-        """Synthetic graph from explicit weighted edges."""
+        """Synthetic graph from explicit weighted edges; its ``topo_order``
+        is id order, so every edge must run from a lower to a higher id."""
         weight = {}
         for i, j, w in weighted_edges:
             if (i, j) in weight:
                 raise GraphError(f"duplicate edge ({i}, {j})")
             weight[i, j] = w
-        return cls(num_irs, num_users, weight, {e: (w,) for e, w in weight.items()})
+        order = tuple(range(1 + num_irs + num_users))
+        return cls(num_irs, num_users, weight, {e: (w,) for e, w in weight.items()}, order)
 
 
 def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
@@ -252,7 +242,10 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
         for i, j, dij in zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist()):
             weight[i, j] = edge_weight(dij, m, scene.ref_path_gain)
             cost[i, j] = (-1.0, math.log(dij)) if hop_priority else (weight[i, j],)
-    return LosGraph(j_count, scene.num_users, weight, cost)
+    # edges run forward in: BS, surfaces nearest first (ties share no edge), users
+    near_first = sorted(range(1, 1 + j_count), key=d[0].tolist().__getitem__)
+    order = (0, *near_first, *range(1 + j_count, scene.num_nodes))
+    return LosGraph(j_count, scene.num_users, weight, cost, order)
 
 
 # -- path search -------------------------------------------------------
@@ -266,7 +259,7 @@ def _check_target(graph: LosGraph, target: int) -> None:
 def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[Route]]:
     """Every user's up to `count` lowest-cost BS-to-user paths, sorted.
 
-    One pull sweep in topological order.  A label is the flat tuple
+    One pull sweep in ``LosGraph.topo_order``.  A label is the flat tuple
     (c0, c1, hop count, vertex sequence), where (c0, c1) holds the cost
     vector (c1 is 0.0 for 1-tuple costs), so comparing labels ranks
     paths by (cost vector, hop count, vertex sequence).  Each vertex
@@ -288,10 +281,9 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     if count < 1:
         raise GraphError("path count must be positive")
     routes: dict[int, list[Route]] = {u: [] for u in range(1, graph.num_users + 1)}
-    first_hops = graph.succ.get(0, ())
-    if not first_hops or banned & 1:
+    if banned & 1:
         return routes
-    wide = len(graph.cost[0, first_hops[0]]) == 2
+    wide = len(next(iter(graph.cost.values()), ())) == 2
     first_user = graph.user_vertices.start
     preds = graph.pred_table
     drops = graph.label_drops
@@ -347,7 +339,7 @@ def enumerate_paths(graph: LosGraph, target: int) -> list[tuple[int, ...]]:
             out.append(tuple(stack))
             return
         for j in graph.succ.get(v, ()):
-            if j in stack or (j in graph.user_vertices and j != target):
+            if j in graph.user_vertices and j != target:
                 continue
             stack.append(j)
             walk(j)

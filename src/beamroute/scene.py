@@ -91,8 +91,6 @@ class Scene:
     ref_path_gain: float = (DEFAULT_WAVELENGTH / (4 * math.pi)) ** 2
     los_threshold: float = DEFAULT_LOS_THRESHOLD
     min_far_field: float = DEFAULT_MIN_FAR_FIELD
-    # azimuth of the BS array axis; 0 puts the axis on +x, broadside +y
-    bs_axis_azimuth: float = 0.0
     los_override: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
@@ -142,8 +140,6 @@ class Scene:
         for name in ("antenna_spacing", "element_spacing", "wavelength", "min_far_field"):
             if not getattr(self, name) > 0:
                 raise SceneError(f"{name} must be positive")
-        if not math.isfinite(self.bs_axis_azimuth):
-            raise SceneError("bs_axis_azimuth must be finite")
         if not self.los_threshold >= 0:
             raise SceneError("los_threshold must be nonnegative")
         if not 0.0 < self.ref_path_gain < 1.0:
@@ -230,14 +226,11 @@ class Scene:
     def bs_aod(self, j: int) -> float:
         """ULA departure angle from the BS toward node j, against broadside.
 
-        Taken from the direction cosine on the array axis; with the
-        default axis azimuth (+x axis, broadside +y) this reads dx/d.
+        The BS array lies on the +x axis with broadside +y, so this is
+        asin(dx / d) for the offset (dx, dy, dz) of node j from the BS.
         """
-        delta = self.positions[j] - self.positions[0]
-        axial = delta[0] * math.cos(self.bs_axis_azimuth) + delta[1] * math.sin(
-            self.bs_axis_azimuth
-        )
-        return math.asin(max(-1.0, min(1.0, axial / self.distance(0, j))))
+        dx = self.positions[j][0] - self.positions[0][0]
+        return math.asin(max(-1.0, min(1.0, dx / self.distance(0, j))))
 
     def kind(self, i: int) -> str:
         return _KINDS[(i > 0) + (i > self.num_irs)]

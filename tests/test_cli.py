@@ -17,6 +17,7 @@ import beamroute
 from beamroute.cli import (
     CliError,
     ExperimentConfig,
+    _parse_values,
     generate_scene,
     main,
     run_experiment,
@@ -286,6 +287,15 @@ def test_config_validation(capsys):
     # a sweep must not report a bad budget as one failed row per point
     assert main(["--scene", DEMO, "--sweep", "M", "--values", "1,2", "--paths", "0"]) == 1
     assert capsys.readouterr().out == '{"error": "paths must be positive"}\n'
+    # a range is counted from its endpoints, never built past the limit
+    assert main(["--scene", DEMO, "--sweep", "Q", "--values", "1..1000000000000000"]) == 1
+    assert capsys.readouterr().out == '{"error": "sweep lists at most 10000 values"}\n'
+    assert _parse_values("1,2,3..10000") == tuple(range(1, 10_001))
+    with pytest.raises(CliError, match="sweep lists at most 10000 values"):
+        _parse_values("1,2,3..10001")
+    ExperimentConfig(scene_path=DEMO, sweep="Q", values=tuple(range(1, 10_001)))
+    with pytest.raises(CliError, match="sweep lists at most 10000 values"):
+        ExperimentConfig(scene_path=DEMO, sweep="Q", values=tuple(range(1, 10_002)))
 
 
 # -------------------------------------------------------- command line

@@ -234,10 +234,20 @@ class TestBuildRoutingGraph:
             assert c == (-1.0, math.log(scene.distance(i, j)))
 
     def test_topo_order_valid(self):
-        g = build_routing_graph(self.scene())
-        pos = {v: idx for idx, v in enumerate(g.topo_order)}
-        for i, j in g.weight:
-            assert pos[i] < pos[j]
+        # the BS, the surfaces nearest the BS first, then the users by id
+        rng = np.random.default_rng(46)
+        for scene in [self.scene(), *mask_rule_scenes(rng)]:
+            for hop_priority in (False, True):
+                g = build_routing_graph(scene, hop_priority=hop_priority)
+                order, j = g.topo_order, scene.num_irs
+                assert order[0] == 0
+                assert sorted(order[1 : 1 + j]) == list(range(1, 1 + j))
+                d_bs = [scene.distance(0, v) for v in order[1 : 1 + j]]
+                assert d_bs == sorted(d_bs)
+                assert order[1 + j :] == tuple(range(1 + j, scene.num_nodes))
+                pos = {v: idx for idx, v in enumerate(order)}
+                for i, k in g.weight:
+                    assert pos[i] < pos[k]
 
     def test_matches_per_pair_oracle(self):
         rng = np.random.default_rng(45)
@@ -253,9 +263,21 @@ class TestBuildRoutingGraph:
                 edges += len(weight)
         assert edges >= 500
 
-    def test_cycle_rejected(self):
-        with pytest.raises(GraphError, match="cycle"):
+    def test_backward_edge_rejected(self):
+        # from_edges orders vertices by id, so (2, 1) runs backward,
+        # whether it closes a cycle or not
+        with pytest.raises(GraphError, match=r"edge \(2, 1\) runs backward"):
             LosGraph.from_edges(2, 1, [(1, 2, 1.0), (2, 1, 1.0), (0, 1, 1.0)])
+        with pytest.raises(GraphError, match=r"edge \(2, 1\) runs backward"):
+            LosGraph.from_edges(2, 1, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
+
+    def test_order_must_list_every_vertex_once(self):
+        cost = {(0, 1): (1.0,), (1, 2): (1.0,)}
+        weight = {e: c[0] for e, c in cost.items()}
+        LosGraph(1, 1, weight, cost, (0, 1, 2))
+        for order in ((0, 1, 1, 2), (0, 1), (0, 1, 1), (0, 1, 3)):
+            with pytest.raises(GraphError, match="every vertex exactly once"):
+                LosGraph(1, 1, weight, cost, order)
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
@@ -311,6 +333,11 @@ class TestDagShortestPath:
         assert top_routes(g, 1, banned=1 << 1)[1][0].vertices == (0, 2, 3)
         assert top_routes(g, 1, banned=1 << 3) == {1: []}
         assert top_routes(g, 1, banned=1) == {1: []}
+
+    def test_no_edges(self):
+        g = LosGraph.from_edges(2, 2, [])
+        for banned in (0, 1, 0b110):
+            assert top_routes(g, 3, banned) == {1: [], 2: []}
 
     def test_labels_never_pass_through_a_user(self):
         # vertex 3 is user 1; its out-edge must not carry user 2's labels

@@ -1,10 +1,13 @@
-"""Property tests for the routing sweep's dependence on upstream bans.
+"""Property tests for the routing sweep's dependence on upstream bans
+and on the graph's vertex order.
 
 ``LosGraph.upstream_masks`` claims that a user's routes depend only on
 the ban bits of vertices with a path to it.  The sequential solver keys
 its memo on exactly that, so it is checked here on random graphs and
 random ban masks, against the sweep itself and against a reachability
-oracle over the raw successor map.
+oracle over the raw successor map.  The sweep's answer must not depend
+on which topological order the graph carries, so it is also checked
+against the same graph rebuilt with a random one.
 """
 
 import numpy as np
@@ -28,8 +31,9 @@ WEIGHTS = st.one_of(
 def edge_graphs(draw) -> LosGraph:
     """Random forward edges over all vertices, users included.
 
-    Edges only run from lower to higher ids, so the graph is a DAG; edges
-    out of users exist but must carry no labels.
+    Edges only run from lower to higher ids, as ``from_edges`` requires,
+    so the graph is a DAG; edges out of users exist but must carry no
+    labels.
     """
     num_irs = draw(st.integers(0, 6))
     num_users = draw(st.integers(1, 4))
@@ -82,3 +86,25 @@ def test_upstream_masks_match_reachability(graph):
     for v in range(graph.num_vertices):
         want = sum(1 << w for w in range(graph.num_vertices) if w == v or reaches(graph, w, v))
         assert graph.upstream_masks[v] == want
+
+
+@given(GRAPHS, st.data())
+def test_routes_do_not_depend_on_the_topological_order(graph, data):
+    # a random linear extension of the same edges, one ready vertex at a time
+    indeg = [0] * graph.num_vertices
+    for _, j in graph.cost:
+        indeg[j] += 1
+    ready = [v for v in range(graph.num_vertices) if indeg[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop(data.draw(st.integers(0, len(ready) - 1)))
+        order.append(v)
+        for j in graph.succ.get(v, ()):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
+    other = LosGraph(graph.num_irs, graph.num_users, graph.weight, graph.cost, tuple(order))
+    banned = data.draw(st.integers(0, 2**graph.num_vertices - 1))
+    for count in (1, 5):
+        assert repr(top_routes(other, count, banned)) == repr(top_routes(graph, count, banned))
+    assert other.upstream_masks == graph.upstream_masks

@@ -388,19 +388,6 @@ class TestLinkGeometry:
         assert scene.bs_aod(1) == pytest.approx(0.0, abs=1e-15)
         assert scene.bs_aod(2) == pytest.approx(math.pi / 2, rel=1e-12)
 
-    def test_bs_axis_rotation(self):
-        # with the axis turned onto +y, the roles of the two nodes swap
-        scene = make_scene(
-            [[0, 0, 0], [0, 5, 0], [5, 0, 0]], 2, 0,
-            bs_axis_azimuth=math.pi / 2,
-        )
-        assert scene.bs_aod(1) == pytest.approx(math.pi / 2, rel=1e-12)
-        assert scene.bs_aod(2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bs_axis_must_be_finite(self):
-        with pytest.raises(SceneError, match="bs_axis_azimuth"):
-            make_scene([[0, 0, 0], [0, 5, 0]], 1, 0, bs_axis_azimuth=math.inf)
-
     def test_direction_reconstruction(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
