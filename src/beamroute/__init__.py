@@ -1,7 +1,7 @@
 """Multi-hop beam routing over reflecting-surface networks."""
 
 from .scene import Scene, SceneError, load_scene, load_scene_file
-from .channel import closed_form_power, end_to_end_channel, favorable_propagation_metric
+from .channel import closed_form_power
 from .graph import Route, build_routing_graph
 from .clique import build_path_graph
 from .solver import (
@@ -21,8 +21,6 @@ __all__ = [
     "load_scene",
     "load_scene_file",
     "closed_form_power",
-    "end_to_end_channel",
-    "favorable_propagation_metric",
     "Route",
     "build_routing_graph",
     "build_path_graph",

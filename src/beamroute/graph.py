@@ -130,6 +130,8 @@ class LosGraph:
             raise GraphError("topo_order must list every vertex exactly once")
         rank = {v: k for k, v in enumerate(self.topo_order)}
         for i, j in self.cost:
+            if i not in rank or j not in rank:
+                raise GraphError(f"edge ({i}, {j}) has an endpoint outside 0..{len(rank) - 1}")
             if rank[i] >= rank[j]:
                 raise GraphError(f"edge ({i}, {j}) runs backward in topo_order")
 

@@ -1,8 +1,10 @@
-"""Scene model: node positions, line-of-sight structure, and link directions.
+"""Scene model: node positions, line-of-sight structure and array sizes.
 
 A scene holds one base station (vertex 0), J reflecting surfaces
 (vertices 1..J) and K users (vertices J+1..J+K), together with the
-physical constants needed by the channel and routing layers.
+physical constants of a scene document.  Routing and the closed-form
+power read N, M, beta and the LoS rule; the grid shape, spacings and
+wavelength are only validated, for the matrix-product channel model.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ DEFAULT_MIN_FAR_FIELD = 3.0
 DEFAULT_BS_ANTENNAS = 20
 DEFAULT_IRS_GRID = (20, 20)
 
+# Divisors tried below isqrt(M) when splitting M into a grid; past this
+# many steps the split falls back to 1 x M, so any M splits quickly.
+GRID_SPLIT_STEPS = 2**16
+
 
 class SceneError(ValueError):
     """Raised for malformed or physically inconsistent scene documents."""
@@ -50,24 +56,6 @@ def _check_grid(grid: tuple[int, int]) -> None:
     m1, m2 = grid
     if not (_is_count(m1) and _is_count(m2)):
         raise SceneError(f"irs_grid must be positive integers, got {grid!r}")
-
-
-def _angles(delta: np.ndarray) -> tuple[float, float]:
-    """Azimuth and elevation of a direction vector, in radians."""
-    r = float(np.linalg.norm(delta))
-    if r == 0.0:
-        raise SceneError("zero-length direction vector")
-    azimuth = math.atan2(delta[1], delta[0])
-    elevation = math.acos(max(-1.0, min(1.0, delta[2] / r)))
-    return azimuth, elevation
-
-
-def direction_from_angles(azimuth: float, elevation: float) -> np.ndarray:
-    """Unit vector with the given azimuth/elevation, inverse of _angles."""
-    se = math.sin(elevation)
-    return np.array(
-        [se * math.cos(azimuth), se * math.sin(azimuth), math.cos(elevation)]
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,24 +202,6 @@ class Scene:
         rows = np.packbits(los, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
-    def direction(self, i: int, j: int) -> tuple[float, float]:
-        """Azimuth and elevation of the direction from node i toward node j.
-
-        Elevation is measured from the +z axis (arccos of the z
-        direction cosine), azimuth in the x-y plane via atan2(dy, dx).
-        The arrival angles of the link i -> j are ``direction(j, i)``.
-        """
-        return _angles(self.positions[j] - self.positions[i])
-
-    def bs_aod(self, j: int) -> float:
-        """ULA departure angle from the BS toward node j, against broadside.
-
-        The BS array lies on the +x axis with broadside +y, so this is
-        asin(dx / d) for the offset (dx, dy, dz) of node j from the BS.
-        """
-        dx = self.positions[j][0] - self.positions[0][0]
-        return math.asin(max(-1.0, min(1.0, dx / self.distance(0, j))))
-
     def kind(self, i: int) -> str:
         return _KINDS[(i > 0) + (i > self.num_irs)]
 
@@ -247,11 +217,15 @@ class Scene:
         """Copy of the scene with a different per-surface element count.
 
         The grid is refactored as the most balanced M1 x M2 split of
-        the requested total.  The copy shares the validated layout and
-        its cached geometry, none of which depends on the element count.
+        the requested total whose M1 lies within ``GRID_SPLIT_STEPS`` of
+        isqrt(M), else as 1 x M.  The copy shares the validated layout
+        and its cached geometry, none of which depends on the element
+        count.
         """
         _check_count("irs_grid element count", elements)
-        m1 = next(c for c in range(math.isqrt(elements), 0, -1) if elements % c == 0)
+        top = math.isqrt(elements)
+        tried = range(top, max(top - GRID_SPLIT_STEPS, 0), -1)
+        m1 = next((c for c in tried if elements % c == 0), 1)
         return self._copy_with("irs_grid", (m1, elements // m1))
 
     def with_antennas(self, antennas: int) -> "Scene":

@@ -1,4 +1,5 @@
-"""Array responses, link channels, phase alignment, power closed form."""
+"""The closed-form power, and the matrix-product channel model it is checked
+against: array responses, link channels, phase alignment, precoding."""
 
 import cmath
 import math
@@ -6,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from beamroute.channel import (
+from beamroute.channel import closed_form_power
+from channel_model import (
     ChannelError,
-    closed_form_power,
+    bs_aod,
+    direction,
     end_to_end_channel,
     favorable_propagation_metric,
     hop_gains,
@@ -153,8 +156,8 @@ class TestLinkChannel:
         h = link_channel(scene, 0, 1)
         d = scene.distance(0, 1)
         amp = math.sqrt(scene.ref_path_gain) / d * cmath.exp(-2j * math.pi * d / WL)
-        rx = ura_oracle(4, 4, WL / 2, WL, *scene.direction(1, 0))
-        tx = ula_oracle(8, WL / 2, WL, scene.bs_aod(1))
+        rx = ura_oracle(4, 4, WL / 2, WL, *direction(scene, 1, 0))
+        tx = ula_oracle(8, WL / 2, WL, bs_aod(scene, 1))
         for m in (0, 5, 15):
             for n in (0, 3, 7):
                 want = amp * rx[m] * tx[n].conjugate()
@@ -234,7 +237,7 @@ class TestPrecoder:
             w = mrt_precoder(scene, route)
             assert w.shape == (antennas,)
             assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
-            steer = ula_response(antennas, scene.antenna_spacing, WL, scene.bs_aod(1))
+            steer = ula_response(antennas, scene.antenna_spacing, WL, bs_aod(scene, 1))
             assert abs(np.vdot(steer, w)) == pytest.approx(
                 math.sqrt(antennas), rel=1e-12
             )

@@ -330,6 +330,19 @@ def _chain_document(surfaces: int) -> str:
     return scene_document(nodes, los_override=los)
 
 
+def test_main_huge_element_count_keeps_the_contract(capsys):
+    # a prime M far beyond any real surface still gives a report or one
+    # JSON error line, without a long search for its grid split
+    code = main(["--scene", DEMO, "--elements", "1000000000000000003", "--output", "json"])
+    assert code in (0, 1, 2)
+    out = capsys.readouterr().out
+    if code == 1:
+        assert out.count("\n") == 1
+        assert "error" in json.loads(out)
+    else:
+        assert json.loads(out)["params"]["elements"] == 1000000000000000003
+
+
 def test_main_power_overflow_exit_one(tmp_path, capsys):
     # M^(2h) overflows a float on a 40-surface route at M = 100000
     path = tmp_path / "chain.json"

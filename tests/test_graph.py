@@ -283,6 +283,12 @@ class TestBuildRoutingGraph:
         with pytest.raises(GraphError, match="duplicate"):
             LosGraph.from_edges(1, 1, [(0, 1, 1.0), (0, 1, 2.0)])
 
+    def test_endpoint_out_of_range_rejected(self):
+        # one surface and one user are vertices 0..2
+        for i, j in ((1, 7), (-1, 1), (0, 3)):
+            with pytest.raises(GraphError, match=rf"edge \({i}, {j}\) has an endpoint outside 0\.\.2"):
+                LosGraph.from_edges(1, 1, [(0, 1, 1.0), (i, j, 1.0)])
+
 
 def ban_set(mask):
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)

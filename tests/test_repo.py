@@ -1,0 +1,56 @@
+"""Repository checks: the README's Python examples run, and every
+module-level definition in the package has a user outside itself."""
+
+from __future__ import annotations
+
+import ast
+import re
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "beamroute"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_readme_python_examples_run(monkeypatch, capsys):
+    # the blocks run in order in one namespace, as a reader would paste
+    # them: the candidate block reuses the generated scene
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 5
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    for number, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+    assert "BS -> IRS" in capsys.readouterr().out
+    assert namespace["route"].vertices == (0, 1, 2, 5)
+
+
+def _references(tree: ast.Module):
+    """(name, owner) for every name, attribute and import in a module,
+    owner being the top-level definition the reference sits in."""
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.alias):
+                yield node.name, owner
+
+
+def test_every_package_definition_is_used():
+    # code only the tests need lives under tests/, not in the package
+    users = defaultdict(set)
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for name, owner in _references(ast.parse(path.read_text(encoding="utf-8"))):
+            users[name].add((path, owner))
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, DEFINITIONS) and not users[node.name] - {(path, node.name)}
+    ]
+    assert unused == []

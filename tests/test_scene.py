@@ -1,4 +1,5 @@
-"""Scene loading, validation, distances, LoS and link directions."""
+"""Scene loading, validation, distances and LoS; link directions of the test
+channel model."""
 
 import json
 import math
@@ -12,10 +13,9 @@ from beamroute.scene import (
     DEFAULT_LOS_THRESHOLD,
     Scene,
     SceneError,
-    _angles,
-    direction_from_angles,
     load_scene,
 )
+from channel_model import _angles, bs_aod, direction, direction_from_angles
 from scenefab import full_los, make_scene
 
 BETA_5GHZ = 2.2797266319525994e-05
@@ -368,25 +368,25 @@ class TestLos:
 class TestLinkGeometry:
     def test_straight_up(self):
         scene = make_scene([[0, 0, 0], [0, 0, 5]], 1, 0)
-        assert scene.direction(0, 1)[1] == pytest.approx(0.0, abs=1e-15)
-        assert scene.direction(1, 0)[1] == pytest.approx(math.pi, abs=1e-12)
+        assert direction(scene, 0, 1)[1] == pytest.approx(0.0, abs=1e-15)
+        assert direction(scene, 1, 0)[1] == pytest.approx(math.pi, abs=1e-12)
         assert scene.distance(0, 1) == 5.0
 
     def test_along_x(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
-        azimuth, elevation = scene.direction(0, 1)
+        azimuth, elevation = direction(scene, 0, 1)
         assert elevation == pytest.approx(math.pi / 2, rel=1e-15)
         assert azimuth == 0.0
 
     def test_frozen_azimuth(self):
         scene = make_scene([[0, 0, 0], [3, 4, 0]], 1, 0)
-        assert scene.direction(0, 1)[0] == pytest.approx(0.9272952180016123, rel=1e-14)
+        assert direction(scene, 0, 1)[0] == pytest.approx(0.9272952180016123, rel=1e-14)
 
     def test_bs_aod_convention(self):
         # broadside +y gives aod 0; along the +x array axis gives pi/2
         scene = make_scene([[0, 0, 0], [0, 5, 0], [5, 0, 0]], 2, 0)
-        assert scene.bs_aod(1) == pytest.approx(0.0, abs=1e-15)
-        assert scene.bs_aod(2) == pytest.approx(math.pi / 2, rel=1e-12)
+        assert bs_aod(scene, 1) == pytest.approx(0.0, abs=1e-15)
+        assert bs_aod(scene, 2) == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_direction_reconstruction(self):
         rng = np.random.default_rng(11)
@@ -397,9 +397,9 @@ class TestLinkGeometry:
             scene = make_scene(pos, 1, 0)
             delta = pos[1] - pos[0]
             unit = delta / np.linalg.norm(delta)
-            rebuilt = direction_from_angles(*scene.direction(0, 1))
+            rebuilt = direction_from_angles(*direction(scene, 0, 1))
             assert np.allclose(rebuilt, unit, atol=1e-12)
-            back = direction_from_angles(*scene.direction(1, 0))
+            back = direction_from_angles(*direction(scene, 1, 0))
             assert np.allclose(back, -unit, atol=1e-12)
 
     def test_reverse_direction_is_negated_delta(self):
@@ -410,14 +410,14 @@ class TestLinkGeometry:
             if np.linalg.norm(pos[0] - pos[1]) < 3.0:
                 continue
             scene = make_scene(pos, 1, 0)
-            assert scene.direction(1, 0) == _angles(-(pos[1] - pos[0]))
+            assert direction(scene, 1, 0) == _angles(-(pos[1] - pos[0]))
 
     def test_same_node_error(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         with pytest.raises(SceneError):
-            scene.direction(0, 0)
+            direction(scene, 0, 0)
         with pytest.raises(SceneError):
-            scene.bs_aod(0)
+            bs_aod(scene, 0)
 
 
 class TestDerivedScenes:
@@ -430,6 +430,9 @@ class TestDerivedScenes:
         assert s3.irs_grid == (8, 8)
         s4 = scene.with_elements(13)
         assert s4.irs_grid == (1, 13)
+        # 10**18 + 3 is prime: trial division down from its square root
+        # would take 10**9 steps, the bounded search falls back to 1 x M
+        assert scene.with_elements(10**18 + 3).irs_grid == (1, 10**18 + 3)
 
     def test_with_antennas(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
