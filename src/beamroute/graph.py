@@ -2,7 +2,9 @@
 
 Vertices are the scene nodes.  Directed edges run BS -> surface,
 surface -> strictly-farther surface, and surface -> user, each carrying
-the weight ln(d / (M sqrt(beta))).  Minimizing the weight sum of a
+the weight ln(d / (M sqrt(beta))).  The edges and the vertex order are
+the scene's (``Scene.forward_edges``, shared by its copies at other
+array sizes); a graph only prices them.  Minimizing the weight sum of a
 BS-to-user path maximizes its end to end channel power, so candidate
 route search reduces to shortest paths on a DAG.  Every edge leads
 strictly away from the BS, so every path is loopless, and a single
@@ -29,8 +31,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .scene import IRS, Scene
 
@@ -126,6 +126,8 @@ class LosGraph:
     topo_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.weight.keys() != self.cost.keys():
+            raise GraphError("weight and cost must hold the same edges")
         if sorted(self.topo_order) != list(range(self.num_vertices)):
             raise GraphError("topo_order must list every vertex exactly once")
         rank = {v: k for k, v in enumerate(self.topo_order)}
@@ -214,40 +216,26 @@ class LosGraph:
 
 
 def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
-    """Routing DAG of a scene.
+    """Routing DAG of a scene: its topology, priced at the scene's M.
 
     Edges: BS to every LoS surface, surface to every LoS surface that
     is strictly farther from the BS, surface to every LoS user.  Users
     never transmit and the BS-user link is treated as blocked, so no
-    other edges exist.
+    other edges exist.  The edges and the vertex order come from
+    ``Scene.forward_edges``, which copies of the scene at other array
+    sizes share, so a graph per M only prices the edges.
 
     ``hop_priority`` switches the search cost to (-1, ln d) per edge.
     """
+    edges, order = scene.forward_edges
     m = scene.elements
-    j_count = scene.num_irs
-    los = scene.los_matrix
-    d = scene.dist_matrix
-    surfaces = slice(1, 1 + j_count)
-    d_bs = d[0, surfaces]
-    # (first row id, first column id, LoS block), edges in row-major order
-    blocks = (
-        (0, 1, los[:1, surfaces]),
-        # only edges leading strictly away from the BS keep the graph acyclic
-        (1, 1, los[surfaces, surfaces] & (d_bs[None, :] > d_bs[:, None])),
-        (1, 1 + j_count, los[surfaces, 1 + j_count :]),
-    )
+    beta = scene.ref_path_gain
     weight = {}
     cost = {}
-    for row0, col0, block in blocks:
-        rows, cols = np.nonzero(block)
-        rows, cols = rows + row0, cols + col0
-        for i, j, dij in zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist()):
-            weight[i, j] = edge_weight(dij, m, scene.ref_path_gain)
-            cost[i, j] = (-1.0, math.log(dij)) if hop_priority else (weight[i, j],)
-    # edges run forward in: BS, surfaces nearest first (ties share no edge), users
-    near_first = sorted(range(1, 1 + j_count), key=d[0].tolist().__getitem__)
-    order = (0, *near_first, *range(1 + j_count, scene.num_nodes))
-    return LosGraph(j_count, scene.num_users, weight, cost, order)
+    for i, j, dij in edges:
+        weight[i, j] = edge_weight(dij, m, beta)
+        cost[i, j] = (-1.0, math.log(dij)) if hop_priority else (weight[i, j],)
+    return LosGraph(scene.num_irs, scene.num_users, weight, cost, order)
 
 
 # -- path search -------------------------------------------------------
@@ -296,9 +284,8 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
             continue
         here = []
         for p, c0, c1 in preds[v]:
-            got = labels[p]
-            if got:
-                here += [(a0 + c0, a1 + c1, hops, path) for a0, a1, hops, path in got]
+            for a0, a1, hops, path in labels[p]:
+                here.append((a0 + c0, a1 + c1, hops, path))
         if not here:
             continue
         # free what no later vertex reads, or every label lives to the end

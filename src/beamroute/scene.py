@@ -202,6 +202,38 @@ class Scene:
         rows = np.packbits(los, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
+    @cached_property
+    def forward_edges(self) -> tuple[tuple[tuple[int, int, float], ...], tuple[int, ...]]:
+        """The routing topology: its edges as (i, j, d_ij) and a vertex order.
+
+        Edges run BS -> LoS surface, surface -> LoS surface strictly
+        farther from the BS, and surface -> LoS user, in that order and
+        row-major within each block.  The order is the BS, the surfaces
+        nearest the BS first, then the users; every edge runs forward in
+        it.  Neither depends on the array sizes, so ``with_elements``
+        and ``with_antennas`` copies share one topology.
+        """
+        j_count = self.num_irs
+        los = self.los_matrix
+        d = self.dist_matrix
+        surfaces = slice(1, 1 + j_count)
+        d_bs = d[0, surfaces]
+        # (first row id, first column id, LoS block), edges in row-major order
+        blocks = (
+            (0, 1, los[:1, surfaces]),
+            # only edges leading strictly away from the BS keep the graph acyclic
+            (1, 1, los[surfaces, surfaces] & (d_bs[None, :] > d_bs[:, None])),
+            (1, 1 + j_count, los[surfaces, 1 + j_count :]),
+        )
+        edges = []
+        for row0, col0, block in blocks:
+            rows, cols = np.nonzero(block)
+            rows, cols = rows + row0, cols + col0
+            edges += zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist())
+        # surfaces at equal BS distance share no edge, so their order is free
+        near_first = sorted(range(1, 1 + j_count), key=d[0].tolist().__getitem__)
+        return tuple(edges), (0, *near_first, *range(1 + j_count, self.num_nodes))
+
     def kind(self, i: int) -> str:
         return _KINDS[(i > 0) + (i > self.num_irs)]
 
@@ -240,10 +272,12 @@ class Scene:
     def _copy_with(self, name: str, value) -> "Scene":
         """Shallow copy with one size field replaced.
 
-        The LoS caches are filled first, so the copy and every later
-        copy share them with this scene instead of rebuilding them.
+        The LoS caches and the routing topology are filled first, so the
+        copy and every later copy share them with this scene instead of
+        rebuilding them.
         """
         self.los_masks  # fills los_matrix too
+        self.forward_edges
         scene = copy.copy(self)
         object.__setattr__(scene, name, value)
         return scene

@@ -5,7 +5,8 @@ user from one top-Q label sweep of the routing DAG, whose paths are all
 loopless), compatibility graph assembly and min-max clique selection,
 then maps the winning cost back to channel powers.  The
 alternatives exist to bound it: a sequential greedy baseline (every
-user order, walked as a tree of shared prefixes, with one routing sweep
+user order, searched as states of the users still to route and the
+bans upstream of them, each state solved once, with one routing sweep
 shared by all lookups that agree on the bans upstream of their user), two
 asymptotic benchmarks for small and large surfaces (the same pipeline
 on another routing graph), and a brute-force enumeration that is exact
@@ -44,6 +45,10 @@ IDENTITY_RTOL = 1e-9
 MAX_SEQUENTIAL_USERS = 8
 # bound on the product of per-user path counts solve_bruteforce accepts
 BRUTEFORCE_CAP = 1_000_000
+
+# a feasible completion of a sequential state: its worst power, its
+# users in order and their routes
+_Record = tuple[float, tuple[int, ...], tuple[Route, ...]]
 
 ALGORITHMS = ("proposed", "sequential", "min_pathloss", "max_cpb", "brute_force")
 
@@ -233,13 +238,19 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     users all K! orders are tried, in lexicographic order, and the first
     best one is kept.
 
-    The orders are walked as a tree of prefixes, so a shared prefix is
-    routed once, and a user left without a route under a prefix fails
-    every order below it at once.  A user's route depends only on the
-    banned vertices upstream of it (``LosGraph.upstream_masks``), so
-    lookups that agree there share one sweep of the routing graph, and
-    each sweep settles every user.  ``diagnostics["sweeps"]`` counts
-    the sweeps.
+    The orders are searched as states: the set R of users still to
+    route and the bans upstream of them (``LosGraph.upstream_masks``),
+    which fix every route and ban below, so each state is solved once
+    (``diagnostics["order_states"]`` counts them) and a user left
+    without a route fails every order below it at once.  A state's
+    answer is its records: the completions, in lexicographic order,
+    whose worst power beats every earlier one, and the count of
+    feasible completions.  The first best order with a prefix whose
+    worst power is p is the first record reaching p, else the last.
+    A user's route depends only on the bans upstream of it, so lookups
+    that agree there share one sweep of the routing graph, and each
+    sweep settles every user.  ``diagnostics["sweeps"]`` counts the
+    sweeps.
     """
     _require_users(scene)
     k = scene.num_users
@@ -251,60 +262,82 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     graph = build_routing_graph(scene)
     users = range(1, k + 1)
     upstream = {u: graph.upstream_masks[graph.num_irs + u] for u in users}
+    # users set bit u - 1 of a state's mask; reach[R] is R's upstream union
+    reach = [0] * (1 << k)
+    for state in range(1, 1 << k):
+        low = state & -state
+        reach[state] = reach[state ^ low] | upstream[low.bit_length()]
     # (user, banned bits upstream of it) -> its shortest route avoiding them
     shortest: dict[tuple[int, int], list[Route]] = {}
     # route vertices -> its closed mask minus the BS bit; its power
     bans: dict[tuple[int, ...], int] = {}
     power_of: dict[tuple[int, ...], float] = {}
-    best: tuple[tuple[Route, ...], tuple[float, ...], tuple[int, ...]] | None = None
-    orders_feasible = 0
+    # with no user left there is one completion, the empty one
+    done: list[_Record] = [(math.inf, (), ())]
+    # (remaining users, bans upstream of them) -> records, feasible count
+    memo: dict[tuple[int, int], tuple[list[_Record], int]] = {}
     sweeps = 0
 
-    def walk(chosen: dict[int, Route], banned: int) -> None:
-        """Every order extending ``chosen`` (user -> route, in order)."""
-        nonlocal best, orders_feasible, sweeps
-        if len(chosen) == k:
-            orders_feasible += 1
-            routes = tuple(chosen[u] for u in users)
-            for r in routes:
-                # only routes of feasible orders are evaluated
-                if r.vertices not in power_of:
-                    power_of[r.vertices] = closed_form_power(scene, r)
-            powers = tuple(power_of[r.vertices] for r in routes)
-            if best is None or min(powers) > min(best[1]):
-                best = (routes, powers, tuple(chosen))
-            return
+    def walk(remaining: int, banned: int) -> tuple[list[_Record], int]:
+        """Records and feasible count of the orders of ``remaining``."""
+        nonlocal sweeps
+        if not remaining:
+            return done, 1
+        key = (remaining, banned & reach[remaining])
+        if key in memo:
+            return memo[key]
         steps = []
         for u in users:
-            if u in chosen:
+            if not remaining >> (u - 1) & 1:
                 continue
-            key = (u, banned & upstream[u])
-            if key not in shortest:
+            look = (u, banned & upstream[u])
+            if look not in shortest:
                 sweeps += 1
                 for w, got in top_routes(graph, 1, banned).items():
                     shortest[w, banned & upstream[w]] = got
-            found = shortest[key]
+            found = shortest[look]
             if not found:
                 # bans only grow along an order, so u stays unreachable
-                return
+                memo[key] = [], 0
+                return memo[key]
             steps.append(found[0])
+        records: list[_Record] = []
+        count = 0
         for route in steps:
             if route.vertices not in bans:
                 bans[route.vertices] = route_masks(route, scene).closed & ~1
-            chosen[route.user_index] = route
-            walk(chosen, banned | bans[route.vertices])
-            del chosen[route.user_index]
+            u = route.user_index
+            below, n = walk(remaining & ~(1 << (u - 1)), banned | bans[route.vertices])
+            if not n:
+                continue
+            count += n
+            # only routes of feasible orders are evaluated
+            if route.vertices not in power_of:
+                power_of[route.vertices] = closed_form_power(scene, route)
+            p = power_of[route.vertices]
+            for tail, order, routes in below:
+                worst = min(p, tail)
+                if not records or worst > records[-1][0]:
+                    records.append((worst, (u, *order), (route, *routes)))
+                if worst == p:
+                    # no later completion below this route can beat p
+                    break
+        memo[key] = records, count
+        return memo[key]
 
-    walk({}, 0)
+    records, orders_feasible = walk((1 << k) - 1, 0)
     diagnostics = {
         "orders_total": math.factorial(k),
         "orders_feasible": orders_feasible,
         "sweeps": sweeps,
+        "order_states": len(memo),
     }
-    if best is None:
+    if not records:
         diagnostics["reason"] = "every user order left some user unreachable"
         return _finish(scene, "sequential", diagnostics, start)
-    routes, powers, diagnostics["best_order"] = best
+    _, diagnostics["best_order"], chosen = records[-1]
+    routes = tuple(sorted(chosen, key=lambda r: r.user_index))
+    powers = tuple(power_of[r.vertices] for r in routes)
     return _finish(scene, "sequential", diagnostics, start, routes, powers)
 
 

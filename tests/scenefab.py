@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
 from beamroute.scene import Scene
+
+BENCH_SCENES = Path(__file__).resolve().parent.parent / "perfbench" / "scenes.py"
 
 
 def make_scene(positions, num_irs, num_users, los_override=None, **kw) -> Scene:
@@ -140,3 +145,22 @@ def adversarial_scene(**kw) -> Scene:
     return make_scene(
         positions, 4, 2, los_override=override_from_pairs(7, pairs), **kw
     )
+
+
+@functools.cache
+def bench_scenes():
+    """``perfbench/scenes.py``, the benchmark's seeded scene documents.
+
+    Loaded from its file under its own name, so it neither needs the
+    benchmark directory on the path nor meets the ``scenes/`` folder.
+    """
+    spec = importlib.util.spec_from_file_location("bench_scenes", BENCH_SCENES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def corridors_k8_document(scene_seed: int) -> str:
+    """A benchmark corridors document with eight users, eight surfaces each."""
+    gen = bench_scenes()
+    return gen.corridors_document(scene_seed, dict(gen.CORRIDORS, users=8, per_sector=8))

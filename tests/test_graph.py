@@ -1,5 +1,7 @@
 """Routing graph construction and the one top-Q path sweep over all users."""
 
+import functools
+import json
 import math
 from operator import add
 
@@ -19,7 +21,16 @@ from beamroute.graph import (
     validate_route,
     yen_k_shortest,
 )
-from scenefab import adversarial_scene, chain_scene, corridor_scene, full_los, make_scene
+from beamroute.scene import Scene, load_scene
+from scenefab import (
+    adversarial_scene,
+    bench_scenes,
+    chain_scene,
+    corridor_scene,
+    corridors_k8_document,
+    full_los,
+    make_scene,
+)
 from test_clique import mask_rule_scenes
 
 BETA_5GHZ = 2.2797266319525994e-05
@@ -278,6 +289,50 @@ class TestBuildRoutingGraph:
         for order in ((0, 1, 1, 2), (0, 1), (0, 1, 1), (0, 1, 3)):
             with pytest.raises(GraphError, match="every vertex exactly once"):
                 LosGraph(1, 1, weight, cost, order)
+
+    def test_weight_and_cost_must_hold_the_same_edges(self):
+        cost = {(0, 1): (1.0,), (1, 2): (1.0,)}
+        for weight in ({(0, 1): 1.0, (1, 9): 1.0}, {(0, 1): 1.0}, {**cost, (0, 2): 1.0}):
+            with pytest.raises(GraphError, match="weight and cost must hold the same edges"):
+                LosGraph(1, 1, weight, cost, (0, 1, 2))
+
+    def test_size_copies_share_one_topology(self, monkeypatch):
+        # the topology is built once per loaded scene, and every copy at
+        # another M or N prices it exactly like a fresh load at that size
+        built = []
+        topology = Scene.forward_edges.func
+
+        def counting(scene):
+            built.append(scene)
+            return topology(scene)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(Scene, "forward_edges")
+        monkeypatch.setattr(Scene, "forward_edges", prop)
+        texts = [corridors_k8_document(3), bench_scenes().mesh_document(2)]
+        for text in texts:
+            scene = load_scene(text)
+            copies = [scene.with_antennas(4)]
+            copies += [scene.with_elements(m) for m in (1, 16, 100, 1600, 7)]
+            copies += [c.with_elements(1) for c in copies[:2]]
+            edges = scene.forward_edges
+            doc = json.loads(text)
+            for copy in copies:
+                assert copy.forward_edges is edges
+                m1, m2 = copy.irs_grid
+                doc["params"].update(N=copy.bs_antennas, M1=m1, M2=m2)
+                fresh = load_scene(json.dumps(doc))
+                for hop_priority in (False, True):
+                    got = build_routing_graph(copy, hop_priority=hop_priority)
+                    want = build_routing_graph(fresh, hop_priority=hop_priority)
+                    assert list(got.cost) == list(want.cost)
+                    assert bits(got.weight) == bits(want.weight)
+                    assert bits(got.cost) == bits(want.cost)
+                    assert got.topo_order == want.topo_order
+                    assert got.topo_order is edges[1]
+            assert built.count(scene) == 1
+        # the two loaded scenes, then one fresh load per copy
+        assert len(built) == 2 + 2 * 8
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):

@@ -8,6 +8,7 @@ it wherever the candidate budget covers every path.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -24,7 +25,7 @@ from beamroute.graph import (
     top_routes,
     yen_k_shortest,
 )
-from beamroute.scene import Scene, load_scene_file
+from beamroute.scene import Scene, load_scene, load_scene_file
 from beamroute.solver import (
     AuditError,
     RoutingSolution,
@@ -36,7 +37,15 @@ from beamroute.solver import (
     solve_sequential,
 )
 
-from scenefab import adversarial_scene, corridor_scene, make_scene, star_scene
+from scenefab import (
+    adversarial_scene,
+    bench_scenes,
+    corridor_scene,
+    corridors_k8_document,
+    make_scene,
+    star_scene,
+)
+from sequential_reference import tree_sequential
 from test_clique import random_override_scene
 
 BETA = (0.06 / (4 * math.pi)) ** 2
@@ -397,7 +406,11 @@ def test_sequential_matches_raw_banned_loop():
     # four and five users: orders are cut and sweeps shared below depth 2
     scenes += [random_override_scene(rng, 12, int(rng.integers(4, 6))) for _ in range(5)]
     scenes += [sector_scene(rng, int(rng.integers(4, 6))) for _ in range(10)]
-    feasible = deep = 0
+    # six users: two feasible, one with a best order other than 1..6,
+    # and one whose orders all fail
+    six_rng = np.random.default_rng(38)
+    scenes += [sector_scene(six_rng, 6) for _ in range(3)]
+    feasible = deep = six = 0
     for scene in scenes:
         sol = solve_sequential(scene)
         want = raw_sequential(scene)
@@ -406,11 +419,13 @@ def test_sequential_matches_raw_banned_loop():
             continue
         feasible += 1
         deep += scene.num_users >= 4
+        six += scene.num_users == 6
         assert sol.objective == want[0]
         assert sol.routes == want[1]
         assert sol.diagnostics["best_order"] == want[2]
     assert feasible >= 10
     assert deep >= 2
+    assert six >= 2
 
 
 def count_sweeps(monkeypatch):
@@ -447,6 +462,53 @@ def test_one_sweep_per_banned_set(monkeypatch):
         solve(scene)
         assert calls == [0]
     assert shared >= 10
+
+
+def without_timing(solution: RoutingSolution) -> str:
+    """repr of a solution without its wall time and memo state count."""
+    diagnostics = {
+        k: v
+        for k, v in solution.diagnostics.items()
+        if k not in ("wall_time_s", "order_states")
+    }
+    return repr(dataclasses.replace(solution, diagnostics=diagnostics))
+
+
+def test_sequential_matches_tree_reference():
+    # the memo merges subtrees the tree walk repeats; answers, counts
+    # of feasible orders and sweeps, and the tie-break must not move.
+    # On some five-user meshes the best order is not the first feasible
+    # one, so a state's records must weigh the route powers.
+    rng = np.random.default_rng(37)
+    gen = bench_scenes()
+    scenes = [load_scene(corridors_k8_document(s)) for s in (3, 4, 5)]
+    scenes += [load_scene(gen.mesh_document(s, dict(gen.MESH, users=5))) for s in range(12)]
+    scenes += [sector_scene(rng, int(rng.integers(3, 7))) for _ in range(12)]
+    scenes += [random_override_scene(rng, 12, int(rng.integers(2, 6))) for _ in range(12)]
+    scenes += [adversarial_scene(bs_antennas=4, irs_grid=(2, 2)), easy_two_corridor()]
+    feasible = 0
+    for scene in scenes:
+        got, want = solve_sequential(scene), tree_sequential(scene)
+        assert without_timing(got) == without_timing(want)
+        feasible += got.feasible
+    assert feasible >= 16
+
+
+def test_order_states_count_memo_states():
+    # the tree walk visits 57,736 order prefixes here; the memo solves
+    # each (remaining users, upstream bans) state once
+    sol = solve_sequential(load_scene(corridors_k8_document(3)))
+    assert sol.diagnostics["order_states"] == 255
+    assert sol.diagnostics["orders_feasible"] == 20160
+    assert sol.diagnostics["sweeps"] == 45
+    # keyed on every ban, not only those upstream of the remaining
+    # users, this scene would take 58 states
+    gen = bench_scenes()
+    scene = load_scene(gen.corridors_document(18, gen.GREEDY_CORRIDORS)).with_elements(1600)
+    assert solve_sequential(scene).diagnostics["order_states"] == 48
+    # two users: the root, then each user alone after the other
+    assert solve_sequential(easy_two_corridor()).diagnostics["order_states"] == 3
+    assert solve_sequential(adversarial_scene()).diagnostics["order_states"] == 3
 
 
 def test_sequential_user_cap():
