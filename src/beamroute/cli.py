@@ -115,6 +115,11 @@ def _grid_scene(rows: int, cols: int, spacing: float, users: int) -> Scene:
             f"grid spacing beyond the LoS range {DEFAULT_LOS_THRESHOLD} m leaves "
             "the BS without a reachable surface"
         )
+    if users >= 2:
+        raise CliError(
+            "grid routes at most one user: the BS at its corner reaches only "
+            "surfaces in LoS of one another, so the first hops of any two routes conflict"
+        )
     irs_rows = [[(c + 1) * spacing, r * spacing, 0.0] for r in range(rows) for c in range(cols)]
     user_rows = [[(cols + 1) * spacing, k * spacing, 0.0] for k in range(users)]
     return Scene(np.array([[0.0, 0.0, 0.0], *irs_rows, *user_rows]), rows * cols, users)
@@ -171,7 +176,7 @@ def generate_scene(spec: str, seed: int = 0) -> Scene:
     """Validated scene from a generator spec, deterministic per seed.
 
     ``grid(rows, cols, spacing, users)`` lays surfaces on a lattice
-    with the users one column beyond it; ``random(J, K, side, min_sep)``
+    with its user, if any, one column beyond it; ``random(J, K, side, min_sep)``
     scatters J surfaces and K users over a side x side area.  Every
     physical constant keeps the ``Scene`` default, which is also the
     default of a scene document without ``params``.

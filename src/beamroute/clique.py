@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -68,9 +68,11 @@ def compatible(a: RouteMasks, b: RouteMasks) -> bool:
 class PathGraph:
     """K-partite compatibility graph over candidate routes.
 
-    Vertices are numbered globally; ``partitions[k]`` lists the vertex
-    ids of user k's candidates in candidate order.  ``order_key`` is
-    the tuple the clique search compares, each route's cost vector.
+    Vertices are numbered partition by partition: ``partitions[k]``
+    lists user k's candidate ids, consecutive and following those of
+    user k - 1, in ascending ``order_key``, the tuple the clique search
+    compares (each route's cost vector).  Construction checks that
+    numbering; ``build_path_graph`` sorts each user's routes so.
     ``adj_masks[v]`` has bit u set when u and v are adjacent; vertices
     of one partition never are.  ``routes`` is empty for graphs built
     by hand.
@@ -80,6 +82,19 @@ class PathGraph:
     order_key: tuple[tuple[float, ...], ...]
     adj_masks: tuple[int, ...]
     routes: tuple[Route, ...] = ()
+
+    def __post_init__(self):
+        keys = self.order_key
+        start = 0
+        for k, part in enumerate(self.partitions):
+            end = start + len(part)
+            if part != tuple(range(start, end)):
+                raise CliqueError(f"partition {k} is not numbered {start}..{end - 1}")
+            if list(keys[start:end]) != sorted(keys[start:end]):
+                raise CliqueError(f"partition {k} is not in key order")
+            start = end
+        if start != len(keys):
+            raise CliqueError(f"{len(keys)} keys for {start} vertices")
 
     @property
     def num_vertices(self) -> int:
@@ -107,6 +122,10 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
     order.  Routes of one user share its vertex, so they always
     conflict and no partition mask is needed.
 
+    Each user's routes are numbered in ascending ``cost_vec`` order, the
+    numbering ``PathGraph`` requires; a stable sort keeps the order of
+    equal costs, and ``top_routes`` lists are already in that order.
+
     Raises NoCandidateRoutesError naming the first user whose list is
     empty, since no joint selection can exist then.
     """
@@ -125,7 +144,7 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
                     f"route for user {route.user_index} listed under user {k}"
                 )
         partitions.append(tuple(range(len(routes), len(routes) + len(candidates[k]))))
-        routes += candidates[k]
+        routes += sorted(candidates[k], key=attrgetter("cost_vec"))
 
     n = scene.num_nodes
     own = np.zeros((len(routes), n), dtype=np.float32)
@@ -143,6 +162,24 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
     )
 
 
+def blocking_pair(graph: PathGraph) -> tuple[int, int] | None:
+    """The first partition pair ``(a, b)``, a < b, with no edge across it.
+
+    No candidate of ``a`` is compatible with any candidate of ``b``, so
+    that pair alone rules out every clique.  None when every pair has
+    an edge.
+    """
+    masks = [sum(1 << v for v in part) for part in graph.partitions]
+    for a, part in enumerate(graph.partitions):
+        reach = 0
+        for v in part:
+            reach |= graph.adj_masks[v]
+        for b in range(a + 1, len(masks)):
+            if not reach & masks[b]:
+                return a, b
+    return None
+
+
 @dataclass(frozen=True)
 class Clique:
     """One selected vertex per partition, in partition order."""
@@ -154,21 +191,32 @@ class Clique:
 class CliqueSearch:
     """Branch-and-bound K-partite clique search.
 
-    Partitions are filled in index order, each walked in ``(order_key,
-    v)`` order.  A partition's walk stops at the first key strictly
-    greater than the worst key of the best clique found, since every
-    clique through it is worse; equal keys go on, so the tie rule
-    still decides.  The final partition only tries its first
-    compatible vertex, the cheapest completion.  A branch is also
-    dropped as soon as some later partition has no vertex left that is
-    compatible with all members (forward checking).
+    Partitions are filled in index order.  The graph numbers each
+    partition in key order (see ``PathGraph``), so the set bits of a
+    partition run from its cheapest vertex up.  Each partition walks
+    the set bits of its vertices compatible with every member so far,
+    and stops at the first one that lifts the worst key strictly above
+    the best clique's, since every later one does too; equal keys go
+    on, so the tie rule still decides.  The final partition only tries
+    its first compatible vertex, the cheapest completion.
+
+    Before descending, the lowest compatible bit of each later partition
+    gives its cheapest key.  The branch is dropped when some later
+    partition has no compatible vertex left (forward checking), when
+    the worst of those keys and the members' keys is above the best
+    clique's worst key, or when it ties that key and the first key
+    components of the members and those keys, summed in member order,
+    exceed the best sum's first component.  Every completion adds, in
+    the same order, first components at least as large, and float
+    addition is monotone, so that sum bound is exact: a cut never drops
+    the best clique, rounding included.
 
     Cliques compare by (worst order_key, componentwise key sum, vertex
     tuple); the recursion carries the worst key and the sum, adding
     keys in member order.
 
     ``explored`` counts every partial or complete clique constructed,
-    ``pruned`` the branches cut by the bound or by forward checking.
+    ``pruned`` the branches cut by a bound or by forward checking.
     """
 
     def __init__(self, graph: PathGraph):
@@ -177,20 +225,22 @@ class CliqueSearch:
         self.pruned = 0
         # the best clique's (worst key, key sum, vertex tuple)
         self._best: tuple | None = None
-        self._walk = [
-            [(v, 1 << v) for v in sorted(part, key=lambda v: (graph.order_key[v], v))]
-            for part in graph.partitions
-        ]
-        self._part_masks = [sum(1 << v for v in part) for part in graph.partitions]
+        self._heads = [key[0] for key in graph.order_key]
+        masks, start = [], 0
+        for part in graph.partitions:
+            masks.append(((1 << len(part)) - 1) << start)
+            start += len(part)
+        self._part_masks = masks
+        self._later = [masks[d + 1 :] for d in range(len(masks))]
 
     def run(self) -> Clique | None:
-        g = self.graph
         self._best = None
         self.explored = 0
         self.pruned = 0
-        zero = (0.0,) * len(g.order_key[0]) if g.order_key else ()
+        keys = self.graph.order_key
+        zero = (0.0,) * len(keys[0]) if keys else ()
         # () sorts before every key, so the first member sets the worst
-        self._extend([], (1 << g.num_vertices) - 1, 0, (), zero)
+        self._extend((), (1 << len(keys)) - 1, 0, (), zero)
         if self._best is None:
             return None
         worst, _, chosen = self._best
@@ -198,37 +248,63 @@ class CliqueSearch:
 
     def _extend(
         self,
-        members: list[int],
+        members: tuple[int, ...],
         common: int,
         depth: int,
         worst: tuple[float, ...],
         total: tuple[float, ...],
     ) -> None:
-        g = self.graph
-        last = depth == len(g.partitions) - 1
-        later = self._part_masks[depth + 1 :]
-        for v, bit in self._walk[depth]:
-            if not common & bit:
-                continue
-            key = g.order_key[v]
-            if self._best is not None and key > self._best[0]:
+        keys = self.graph.order_key
+        adj = self.graph.adj_masks
+        heads = self._heads
+        later = self._later[depth]
+        # the last partition is filled here, by its cheapest compatible vertex
+        fills_last = len(later) == 1
+        free = common & self._part_masks[depth]
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            key = keys[v]
+            # like max(), keep the first of equal keys
+            top = key if key > worst else worst
+            best = self._best
+            if best is not None and top > best[0]:
                 self.pruned += 1
                 break
             self.explored += 1
-            members.append(v)
-            # like max(), keep the first of equal keys
-            top = key if key > worst else worst
             summed = tuple(map(add, total, key))
-            if last:
-                found = (top, summed, tuple(members))
-                if self._best is None or found < self._best:
-                    self._best = found
-            else:
-                rest = common & g.adj_masks[v]
-                if all(rest & part for part in later):
-                    self._extend(members, rest, depth + 1, top, summed)
-                else:
-                    self.pruned += 1
-            members.pop()
-            if last:
+            if not later:  # a single partition
+                self._offer(top, summed, (v,))
                 break
+            rest = common & adj[v]
+            worst_lb = top
+            sum_lb = summed[0]
+            for part in later:
+                cheapest = rest & part
+                if not cheapest:
+                    break
+                u = (cheapest & -cheapest).bit_length() - 1
+                k = keys[u]
+                if k > worst_lb:
+                    worst_lb = k
+                sum_lb += heads[u]
+            else:
+                if best is None or worst_lb < best[0] or (
+                    worst_lb == best[0] and sum_lb <= best[1][0]
+                ):
+                    if fills_last:
+                        self.explored += 1
+                        total_u = tuple(map(add, summed, keys[u]))
+                        self._offer(worst_lb, total_u, (*members, v, u))
+                    else:
+                        self._extend((*members, v), rest, depth + 1, top, summed)
+                    continue
+            self.pruned += 1
+
+    def _offer(
+        self, worst: tuple[float, ...], total: tuple[float, ...], members: tuple[int, ...]
+    ) -> None:
+        found = (worst, total, members)
+        if self._best is None or found < self._best:
+            self._best = found

@@ -98,9 +98,9 @@ class Scene:
     @cached_property
     def dist_matrix(self) -> np.ndarray:
         """Pairwise distances in meters, read-only and exactly symmetric."""
-        pos = self.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d = np.sqrt((diff**2).sum(axis=2))
+        dx, dy, dz = (c[:, None] - c[None, :] for c in self.positions.T)
+        # the squares add in coordinate order, like a sum over the last axis
+        d = np.sqrt(dx * dx + dy * dy + dz * dz)
         d.flags.writeable = False
         return d
 
@@ -184,7 +184,8 @@ class Scene:
     def los_matrix(self) -> np.ndarray:
         """``los_indicator`` for all pairs at once, as a read-only bool matrix."""
         if self.los_override is not None:
-            los = self.los_override.astype(bool)
+            # the validated override holds only 0 and 1
+            los = self.los_override.view(bool)
         else:
             los = self.dist_matrix <= self.los_threshold
             np.fill_diagonal(los, False)

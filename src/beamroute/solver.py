@@ -27,6 +27,7 @@ from .channel import closed_form_power
 from .clique import (
     CliqueSearch,
     NoCandidateRoutesError,
+    blocking_pair,
     build_path_graph,
     compatible,
     route_masks,
@@ -184,7 +185,10 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
 
     ``proposed`` and the two asymptotic benchmarks differ only in the
     graph they rank candidates on; reported powers always use the
-    scene's actual element count.
+    scene's actual element count.  An infeasible answer names what
+    blocks it: ``infeasible_user``, a user without candidates, or else
+    ``blocking_pair``, the first user pair with no compatible candidate
+    pair (None when only three or more users conflict together).
     """
     _require_users(scene)
     algorithm = params.algorithm
@@ -209,6 +213,9 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
     diagnostics["cliques_pruned"] = search.pruned
     if clique is None:
         diagnostics["reason"] = "no compatible route combination"
+        pair = blocking_pair(path_graph)
+        users = sorted(candidates)
+        diagnostics["blocking_pair"] = None if pair is None else (users[pair[0]], users[pair[1]])
         return _finish(scene, algorithm, diagnostics, start)
     routes = tuple(path_graph.routes[v] for v in clique.vertices)
     powers = _route_powers(scene, routes)

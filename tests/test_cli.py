@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -55,23 +56,39 @@ def scene_fields(scene: Scene) -> dict:
 # ------------------------------------------------------------ generators
 
 def test_grid_layout():
-    scene = generate_scene("grid(3,4,5,2)")
-    assert scene.num_nodes == 15
+    scene = generate_scene("grid(3,4,5,1)")
+    assert scene.num_nodes == 14
     assert scene.num_irs == 12
-    assert scene.num_users == 2
+    assert scene.num_users == 1
     for j in range(1, 13):
         x, y, z = scene.positions[j]
         assert x in (5.0, 10.0, 15.0, 20.0)
         assert y in (0.0, 5.0, 10.0)
         assert z == 0.0
-    for u in (13, 14):
-        assert scene.positions[u, 0] == 25.0
+    assert list(scene.positions[13]) == [25.0, 0.0, 0.0]
 
 
 def test_grid_is_deterministic():
-    assert scene_fields(generate_scene("grid(3,4,5,2)")) == scene_fields(
-        generate_scene("grid(3,4,5,2)", seed=99)
+    assert scene_fields(generate_scene("grid(3,4,5,1)")) == scene_fields(
+        generate_scene("grid(3,4,5,1)", seed=99)
     )
+
+
+@pytest.mark.parametrize("spacing", [3.0, 3.2, 4.5, 5.0, 6.4])
+def test_grid_rejects_two_users(spacing, capsys):
+    # the BS reaches at most the surfaces at (s, 0), (s, s) and (2s, 0),
+    # each in LoS of the others, so two users never route at once
+    scene = generate_scene(f"grid(3,4,{spacing},1)")
+    first_hops = [j for j in range(1, 13) if scene.los_indicator(0, j)]
+    assert 1 <= len(first_hops) <= 3
+    for a, b in itertools.combinations(first_hops, 2):
+        assert scene.los_indicator(a, b)
+    for users in (2, 5):
+        spec = f"grid(3,4,{spacing},{users})"
+        with pytest.raises(CliError, match="at most one user"):
+            generate_scene(spec)
+        assert main(["--generate", spec]) == 1
+        assert "at most one user" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_random_deterministic_per_seed():
@@ -138,7 +155,7 @@ def test_generator_spec_rejects_non_integral_counts(capsys):
         )
 
 
-@pytest.mark.parametrize("spec", ["grid(2,3,5,2)", "random(6,2,25,3)"])
+@pytest.mark.parametrize("spec", ["grid(2,3,5,1)", "random(6,2,25,3)"])
 def test_generated_scene_has_document_defaults(spec):
     # a generated scene takes Scene's defaults, a document without
     # params takes load_scene's; the two sets must stay the same
@@ -241,14 +258,14 @@ def test_sweep_records_errors_in_row(capsys):
     # nine users break the sequential order guard at every point
     series = sweep(
         ExperimentConfig(
-            generate="grid(1,1,5,9)", algorithm="sequential", sweep="Q", values=(1, 2)
+            generate="random(10,9,20,3)", algorithm="sequential", sweep="Q", values=(1, 2)
         )
     )
     assert len(series["points"]) == 2
     for point in series["points"]:
         assert "at most 8" in point["error"]
     # the reports print one error row per point and exit 2
-    args = ["--generate", "grid(1,1,5,9)", "--algorithm", "sequential", "--sweep", "Q",
+    args = ["--generate", "random(10,9,20,3)", "--algorithm", "sequential", "--sweep", "Q",
             "--values", "1,2"]
     error = "sequential solver supports at most 8 users, got 9"
     assert main(args) == 2
@@ -308,7 +325,8 @@ def test_main_feasible_exit_zero(capsys):
 
 
 def test_main_infeasible_exit_two(capsys):
-    code = main(["--generate", "grid(3,4,5,2)", "--algorithm", "sequential"])
+    # no surface of this scene reaches either user
+    code = main(["--generate", "random(4,2,40,3)", "--algorithm", "sequential"])
     assert code == 2
     assert "feasible    no" in capsys.readouterr().out
 
@@ -431,7 +449,7 @@ def test_main_csv_sweep(capsys):
         assert cells[2] == "1"
         assert float(cells[1]) == run["objective_db"]
     # an infeasible point without an error fills only value and feasible
-    code = main(["--generate", "grid(3,4,5,2)", "--sweep", "M", "--values", "1,2",
+    code = main(["--generate", "random(4,2,40,3)", "--sweep", "M", "--values", "1,2",
                  "--output", "csv"])
     assert code == 2
     assert capsys.readouterr().out.splitlines()[1:] == ["1,,0,,,,,", "2,,0,,,,,"]

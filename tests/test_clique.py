@@ -10,6 +10,7 @@ from beamroute.clique import (
     CliqueSearch,
     NoCandidateRoutesError,
     PathGraph,
+    blocking_pair,
     build_path_graph,
     compatible,
     route_masks,
@@ -20,38 +21,51 @@ from beamroute.graph import (
     route_from_sequence,
     top_routes,
 )
-from scenefab import adversarial_scene, chain_scene, corridor_scene, make_scene
+from beamroute.scene import load_scene
+from beamroute.solver import SolveParams, solve
+from scenefab import adversarial_scene, bench_scenes, chain_scene, corridor_scene, make_scene
 
 
 def pathgraph_from_bits(weights_by_part, adj_pairs):
     """Synthetic PathGraph: weights per partition plus an edge list.
 
-    Each pair (a, b) sets bit b of vertex a's mask and bit a of b's.
+    Vertices are listed partition by partition, in the order given;
+    each pair (a, b) of listed ids links two of them.  The graph is
+    renumbered by ``sorted_pathgraph``.
     """
-    partitions = []
-    order_key = []
-    idx = 0
-    for ws in weights_by_part:
-        ids = []
-        for w in ws:
-            ids.append(idx)
-            order_key.append((float(w),))
-            idx += 1
-        partitions.append(tuple(ids))
-    masks = [0] * len(order_key)
+    keys = [(float(w),) for ws in weights_by_part for w in ws]
+    return sorted_pathgraph(keys, [len(ws) for ws in weights_by_part], adj_pairs)
+
+
+def sorted_pathgraph(keys, sizes, adj_pairs):
+    """PathGraph over keys listed partition by partition, in any order.
+
+    ``sizes`` splits ``keys`` into consecutive partitions.  Each is
+    renumbered in key order, equal keys in listed order, as
+    ``PathGraph`` requires, and the pairs of listed ids are mapped
+    along.  Listed keys that are already sorted keep their ids.
+    """
+    order, partitions, start = [], [], 0
+    for size in sizes:
+        order += sorted(range(start, start + size), key=keys.__getitem__)
+        partitions.append(tuple(range(start, start + size)))
+        start += size
+    new_id = {old: new for new, old in enumerate(order)}
+    masks = [0] * len(keys)
     for a, b in adj_pairs:
+        a, b = new_id[a], new_id[b]
         masks[a] |= 1 << b
         masks[b] |= 1 << a
     return PathGraph(
         partitions=tuple(partitions),
-        order_key=tuple(order_key),
+        order_key=tuple(keys[v] for v in order),
         adj_masks=tuple(masks),
     )
 
 
-def oracle_min_max(graph):
-    """Exhaustive product enumeration, no recursion sharing."""
-    best = None
+def all_cliques(graph):
+    """Every full clique as (worst key, key sum, vertex tuple), by product enumeration."""
+    found = []
     for combo in itertools.product(*graph.partitions):
         ok = all(
             b in graph.adj[a] for a, b in itertools.combinations(combo, 2)
@@ -59,13 +73,49 @@ def oracle_min_max(graph):
         if not ok:
             continue
         worst = max(graph.order_key[v] for v in combo)
-        total = tuple(
-            sum(graph.order_key[v][i] for v in combo) for i in range(len(worst))
-        )
-        key = (worst, total, combo)
-        if best is None or key < best:
-            best = key
-    return best
+        # plain left-to-right addition in member order, as the search
+        # adds; the builtin sum() compensates from Python 3.12 on
+        total = [0.0] * len(worst)
+        for v in combo:
+            for i, x in enumerate(graph.order_key[v]):
+                total[i] += x
+        found.append((worst, tuple(total), combo))
+    return found
+
+
+def oracle_min_max(graph):
+    """Exhaustive product enumeration, no recursion sharing."""
+    return min(all_cliques(graph), default=None)
+
+
+# key draws for random K-partite graphs
+KEY_DRAWS = {
+    "normal": lambda rng: (float(rng.normal()),),
+    # equal keys and exactly tying sums
+    "half_units": lambda rng: (float(rng.integers(0, 6)) / 2,),
+    # hop-priority keys: hop count first, then a half-unit cost
+    "hop_priority": lambda rng: (float(rng.integers(1, 4)), float(rng.integers(0, 6)) / 2),
+    # decimals whose sums round, differently in different orders
+    "decimals": lambda rng: (float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.6, 0.7])),),
+}
+
+
+def random_kpartite(rng, draw):
+    """Random K-partite graph from keys drawn in no particular order.
+
+    ``sorted_pathgraph`` renumbers every partition whose draws come out
+    unsorted.
+    """
+    k = int(rng.integers(2, 5))
+    sizes = [int(s) for s in rng.integers(1, 6, k)]
+    owner = np.repeat(np.arange(k), sizes)
+    density = rng.uniform(0.3, 0.9)
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(owner)), 2)
+        if owner[a] != owner[b] and rng.random() < density
+    ]
+    return sorted_pathgraph([draw(rng) for _ in owner], sizes, pairs)
 
 
 def random_pathgraph(rng):
@@ -352,6 +402,38 @@ class TestBuildPathGraph:
                 expect = raw_compatible(scene, routes[va], routes[vb])
                 assert (vb in pg.adj[va]) == expect
 
+    def test_top_routes_keep_their_order(self):
+        # top_routes lists come in key order, so the graph numbers the
+        # solver's candidates as listed; reversed lists are sorted back
+        rng = np.random.default_rng(37)
+        for scene in mask_rule_scenes(rng):
+            for hop_priority in (False, True):
+                graph = build_routing_graph(scene, hop_priority=hop_priority)
+                cands = top_routes(graph, 6)
+                try:
+                    pg = build_path_graph(cands, scene)
+                except NoCandidateRoutesError:
+                    continue
+                assert pg.routes == tuple(r for k in sorted(cands) for r in cands[k])
+                # equal costs stay reversed, so compare by route
+                again = build_path_graph({k: rs[::-1] for k, rs in cands.items()}, scene)
+                was = {r.vertices: v for v, r in enumerate(pg.routes)}
+                moved = [was[r.vertices] for r in again.routes]
+                assert [pg.order_key[v] for v in moved] == list(again.order_key)
+                for a, va in enumerate(moved):
+                    for b, vb in enumerate(moved):
+                        assert again.adj_masks[a] >> b & 1 == pg.adj_masks[va] >> vb & 1
+
+    def test_numbering_is_checked(self):
+        keys = ((1.0,), (2.0,), (1.0,))
+        with pytest.raises(CliqueError, match="partition 0 is not in key order"):
+            PathGraph(((0, 1), (2,)), ((2.0,), (1.0,), (1.0,)), (0, 0, 0))
+        with pytest.raises(CliqueError, match="partition 1 is not numbered 1..1"):
+            PathGraph(((0,), (2,), (1,)), keys, (0, 0, 0))
+        with pytest.raises(CliqueError, match="3 keys for 2 vertices"):
+            PathGraph(((0,), (1,)), keys, (0, 0, 0))
+        assert PathGraph(((0, 1), (2,)), keys, (0, 0, 0)).num_vertices == 3
+
     def test_mislabeled_route_rejected(self):
         scene = self.scene()
         cands = {1: [route_from_sequence(scene, 2, [3, 4])]}
@@ -393,20 +475,56 @@ class TestBuildPathGraph:
         assert same_user >= 1500
 
 
+class TestBlockingPair:
+    def test_matches_raw_double_loop(self):
+        # infeasible proposed runs name the first user pair, in order,
+        # where no candidate of one is compatible with any of the other
+        rng = np.random.default_rng(38)
+        named = unnamed = 0
+        for _ in range(300):
+            scene = random_override_scene(rng, int(rng.integers(4, 10)), int(rng.integers(2, 5)))
+            sol = solve(scene, SolveParams(paths=4))
+            if sol.feasible or "infeasible_user" in sol.diagnostics:
+                assert "blocking_pair" not in sol.diagnostics
+                continue
+            cands = top_routes(build_routing_graph(scene), 4)
+            want = next(
+                (
+                    (a, b)
+                    for a, b in itertools.combinations(sorted(cands), 2)
+                    if not any(raw_compatible(scene, ra, rb) for ra in cands[a] for rb in cands[b])
+                ),
+                None,
+            )
+            assert sol.diagnostics["blocking_pair"] == want
+            named += want is not None
+            unnamed += want is None
+        assert named >= 20
+        assert unnamed >= 1
+
+    def test_none_when_every_pair_has_an_edge(self):
+        # a triangle of conflicts: each pair of partitions has an edge,
+        # no clique takes one vertex from each
+        pg = pathgraph_from_bits([[1.0, 2.0], [1.0], [1.0]], [(0, 2), (2, 3), (1, 3)])
+        assert CliqueSearch(pg).run() is None
+        assert blocking_pair(pg) is None
+        assert blocking_pair(pathgraph_from_bits([[1.0], [1.0], [1.0]], [(0, 1)])) == (0, 2)
+
+
 class TestMinMaxClique:
     def test_single_partition(self):
-        pg = pathgraph_from_bits([[3.0, 1.0, 2.0]], [])
+        pg = pathgraph_from_bits([[1.0, 1.0, 2.0]], [])
         c = CliqueSearch(pg).run()
-        assert c.vertices == (1,)
+        assert c.vertices == (0,)
         assert c.objective_key == (1.0,)
 
     def test_complete_bipartite(self):
         pg = pathgraph_from_bits(
-            [[3.0, 1.0], [2.0, 5.0]],
+            [[1.0, 3.0], [2.0, 5.0]],
             [(0, 2), (0, 3), (1, 2), (1, 3)],
         )
         c = CliqueSearch(pg).run()
-        assert c.vertices == (1, 2)
+        assert c.vertices == (0, 2)
         assert c.objective_key == (2.0,)
 
     def test_forced_worse_choice(self):
@@ -422,11 +540,11 @@ class TestMinMaxClique:
 
     def test_tie_breaks_on_sum_then_index(self):
         pg = pathgraph_from_bits(
-            [[5.0, 5.0], [3.0, 1.0]],
-            [(0, 2), (0, 3), (1, 2), (1, 3)],
+            [[5.0, 5.0], [1.0, 3.0]],
+            [(0, 3), (1, 2), (1, 3)],
         )
         c = CliqueSearch(pg).run()
-        assert c.vertices == (0, 3)  # same max, smaller sum
+        assert c.vertices == (1, 2)  # same max, smaller sum beats (0, 3)
         pg2 = pathgraph_from_bits(
             [[5.0, 5.0], [3.0, 3.0]],
             [(0, 2), (0, 3), (1, 2), (1, 3)],
@@ -483,9 +601,9 @@ class TestMinMaxClique:
 
     def test_bound_keeps_equal_keys(self):
         # vertex 1 ties vertex 0 on key and completes to a smaller sum
-        pg = pathgraph_from_bits([[5.0, 5.0], [3.0, 1.0]], [(0, 2), (1, 3)])
+        pg = pathgraph_from_bits([[5.0, 5.0], [1.0, 3.0]], [(0, 3), (1, 2)])
         search = CliqueSearch(pg)
-        assert search.run().vertices == (1, 3)
+        assert search.run().vertices == (1, 2)
         assert search.explored == 4
         assert search.pruned == 0
 
@@ -533,6 +651,64 @@ class TestMinMaxClique:
             tied += len(set(flat)) < len(flat)
         assert infeasible >= 30
         assert tied >= 150
+
+    @pytest.mark.parametrize("draw", sorted(KEY_DRAWS))
+    def test_oracle_agreement_on_renumbered_graphs(self, draw):
+        rng = np.random.default_rng([36, len(draw)])
+        tied = infeasible = 0
+        for _ in range(250):
+            pg = random_kpartite(rng, KEY_DRAWS[draw])
+            cliques = all_cliques(pg)
+            search = CliqueSearch(pg)
+            got = search.run()
+            if not cliques:
+                assert got is None
+                infeasible += 1
+                continue
+            worst, total, vertices = min(cliques)
+            assert got.vertices == vertices
+            assert got.objective_key == worst
+            tied += sum(c[:2] == (worst, total) for c in cliques) > 1
+        assert infeasible >= 10
+        if draw != "normal":
+            assert tied >= 10
+
+    def test_sum_bound_tolerates_rounding(self):
+        # clique (0, 2, 4) sums 0.1 + 0.4 + 0.4 to 0.9 and is found
+        # first; (1, 2, 3) sums 0.3 + 0.4 + 0.2 to 0.8999999999999999 in
+        # member order, but 0.3 + (0.4 + 0.2) rounds to 0.9000000000000001,
+        # so a bound that added the later partitions first would cut it
+        pg = pathgraph_from_bits(
+            [[0.1, 0.3], [0.4], [0.2, 0.4]],
+            [(0, 2), (1, 2), (0, 4), (1, 3), (2, 3), (2, 4)],
+        )
+        assert 0.3 + (0.4 + 0.2) > (0.1 + 0.4) + 0.4 > (0.3 + 0.4) + 0.2
+        search = CliqueSearch(pg)
+        assert search.run().vertices == (1, 2, 3) == oracle_min_max(pg)[2]
+        assert (search.explored, search.pruned) == (6, 0)
+
+    def test_sum_bound_cuts_a_tied_worst_key(self):
+        # (0, 2, 3) has worst key 5 and sum 8; vertex 1 also stays at
+        # worst key 5, but its cheapest completion (1, 2, 4) sums to 12,
+        # so its branch is cut before partition 1 is walked
+        pg = pathgraph_from_bits(
+            [[1.0, 4.0], [5.0], [2.0, 3.0]],
+            [(0, 2), (0, 3), (2, 3), (1, 2), (1, 4), (2, 4)],
+        )
+        search = CliqueSearch(pg)
+        assert search.run().vertices == (0, 2, 3) == oracle_min_max(pg)[2]
+        assert (search.explored, search.pruned) == (4, 1)
+
+    def test_corridors_search_walks_compatible_candidates_only(self):
+        # a seed-1 corridors graph of the benchmark: the walk over every
+        # vertex of each partition explored 6670 partial cliques here
+        doc = bench_scenes().corridors_document(7)
+        scene = load_scene(doc)
+        pg = build_path_graph(top_routes(build_routing_graph(scene), 10), scene)
+        search = CliqueSearch(pg)
+        clique = search.run()
+        assert clique.vertices == (0, 6, 16, 26, 35, 45, 55)
+        assert (search.explored, search.pruned) == (31, 28)
 
     def test_clique_members_pairwise_adjacent(self):
         rng = np.random.default_rng(34)

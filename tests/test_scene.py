@@ -328,6 +328,16 @@ class TestDistance:
         with pytest.raises(SceneError):
             scene.distance(1, 1)
 
+    def test_matrix_bits_match_broadcast_formula(self):
+        # the (n, n, 3) broadcast with a sum over the last axis, entry by entry
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            pos = 10.0 ** rng.uniform(-3, 4, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
+            scene = Scene(pos, n - 1, 0, min_far_field=1e-9)
+            diff = pos[:, None, :] - pos[None, :, :]
+            assert scene.dist_matrix.tobytes() == np.sqrt((diff**2).sum(axis=2)).tobytes()
+
 
 class TestLos:
     def test_threshold_rule(self):
