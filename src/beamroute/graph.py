@@ -2,16 +2,20 @@
 
 Vertices are the scene nodes.  Directed edges run BS -> surface,
 surface -> strictly-farther surface, and surface -> user, each carrying
-the weight ln(d / (M sqrt(beta))).  The edges and the vertex order are
-the scene's (``Scene.forward_edges``, shared by its copies at other
-array sizes); a graph only prices them.  Minimizing the weight sum of a
+the weight ln(d / (M sqrt(beta))).  Only that weight depends on the
+array size M, so a graph is split in two.  A ``RoutingTopology`` holds
+the edges, their lengths, the vertex order and every table the sweep
+derives from them; a scene builds it once (``Scene.topology``) and its
+copies at other array sizes share it.  A ``LosGraph`` is that topology
+priced at one M: one weight per edge.  Minimizing the weight sum of a
 BS-to-user path maximizes its end to end channel power, so candidate
 route search reduces to shortest paths on a DAG.  Every edge leads
 strictly away from the BS, so every path is loopless, and a single
-label sweep in the graph's ``topo_order`` (the BS, the surfaces
-nearest the BS first, then the users) finds every user's cheapest
-`count` paths at once (``top_routes``).  Weights can be negative; the
-sweep never relies on Dijkstra's nonnegativity assumption.
+label sweep in topological order (the BS, the surfaces nearest the BS
+first, then the users) finds every user's cheapest `count` paths at
+once (``top_routes``).  The sweep skips the surfaces with no path to
+any user (``RoutingTopology.live_order``).  Weights can be negative;
+the sweep never relies on Dijkstra's nonnegativity assumption.
 
 Edge costs are short float tuples compared lexicographically.  The
 plain graph uses 1-tuples of the scalar weight; the hop-greedy variant
@@ -31,6 +35,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .scene import IRS, Scene
 
@@ -109,33 +115,39 @@ def route_from_sequence(scene: Scene, user_index: int, irs_ids: Sequence[int]) -
 
 
 @dataclass(frozen=True, eq=False)
-class LosGraph:
-    """Immutable routing DAG, held as its edge tables.
+class RoutingTopology:
+    """The part of a routing graph that no array size changes.
 
     Vertex ids: 0 is the BS, 1..num_irs the surfaces, then the users.
-    ``weight`` holds the scalar per-edge weight and ``cost`` the tuple
-    the searches compare, over the same edges.  ``topo_order`` lists
-    every vertex once and every edge must run forward in it, so the
-    graph is acyclic.  ``succ`` and the other views derive from ``cost``.
+    ``edges`` lists the directed (i, j) pairs and ``dists`` their
+    lengths in meters, in the same order (None for a synthetic graph,
+    which has no geometry).  ``topo_order`` lists every vertex once and
+    every edge must run forward in it, so the graph is acyclic; the
+    order, the endpoints and duplicates are checked once, on
+    construction.  The tables the sweep reads derive from these on
+    first use and are then shared by every ``LosGraph`` priced on this
+    topology, at any M.
     """
 
     num_irs: int
     num_users: int
-    weight: dict[tuple[int, int], float]
-    cost: dict[tuple[int, int], tuple[float, ...]]
+    edges: tuple[tuple[int, int], ...]
     topo_order: tuple[int, ...]
+    dists: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.weight.keys() != self.cost.keys():
-            raise GraphError("weight and cost must hold the same edges")
         if sorted(self.topo_order) != list(range(self.num_vertices)):
             raise GraphError("topo_order must list every vertex exactly once")
         rank = {v: k for k, v in enumerate(self.topo_order)}
-        for i, j in self.cost:
+        seen = set()
+        for i, j in self.edges:
             if i not in rank or j not in rank:
                 raise GraphError(f"edge ({i}, {j}) has an endpoint outside 0..{len(rank) - 1}")
             if rank[i] >= rank[j]:
                 raise GraphError(f"edge ({i}, {j}) runs backward in topo_order")
+            if (i, j) in seen:
+                raise GraphError(f"duplicate edge ({i}, {j})")
+            seen.add((i, j))
 
     @property
     def num_vertices(self) -> int:
@@ -149,31 +161,48 @@ class LosGraph:
     def succ(self) -> dict[int, tuple[int, ...]]:
         """Sorted out-neighbours of every vertex that has any."""
         succ: dict[int, list[int]] = {}
-        for i, j in self.cost:
+        for i, j in self.edges:
             succ.setdefault(i, []).append(j)
         return {i: tuple(sorted(js)) for i, js in succ.items()}
 
     @cached_property
-    def pred_table(self) -> tuple[tuple[tuple[int, float, float], ...], ...]:
-        """Per vertex, the in-edges that carry labels, as (p, c0, c1).
+    def preds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, the in-edges that carry labels, as (p, edge index).
 
-        ``c0, c1`` are the edge's cost slots, ``c1`` 0.0 for 1-tuple
-        costs.  Users pass no labels on, so their out-edges are left out.
+        Users pass no labels on, so their out-edges are left out.
         """
         first_user = self.user_vertices.start
-        preds: list[list[tuple[int, float, float]]] = [[] for _ in range(self.num_vertices)]
-        for (i, j), c in self.cost.items():
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
+        for e, (i, j) in enumerate(self.edges):
             if i < first_user:
-                preds[j].append((i, c[0], c[1] if len(c) == 2 else 0.0))
+                preds[j].append((i, e))
         return tuple(map(tuple, preds))
+
+    @cached_property
+    def live_order(self) -> tuple[int, ...]:
+        """``topo_order`` without the vertices that reach no user.
+
+        A label never reaches a user from such a vertex, so the sweep
+        skips them.  The predecessors of a kept vertex reach a user
+        through it, so they are kept too.
+        """
+        live = [False] * self.num_vertices
+        for v in self.user_vertices:
+            live[v] = True
+        # every successor of v comes later in the order, so is settled first
+        for v in reversed(self.topo_order):
+            if live[v]:
+                for p, _ in self.preds[v]:
+                    live[p] = True
+        return tuple(v for v in self.topo_order if live[v])
 
     @cached_property
     def label_drops(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex v, the predecessors that no vertex after v in
-        ``topo_order`` reads, so the sweep can free their labels at v."""
+        ``live_order`` reads, so the sweep can free their labels at v."""
         last = {}
-        for v in self.topo_order:
-            for p, _, _ in self.pred_table[v]:
+        for v in self.live_order:
+            for p, _ in self.preds[v]:
                 last[p] = v
         drops: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for p, v in last.items():
@@ -183,7 +212,7 @@ class LosGraph:
     @cached_property
     def upstream_masks(self) -> tuple[int, ...]:
         """Per vertex v, the node mask of v and of every vertex with a
-        path to v along ``pred_table`` edges (so never through a user).
+        path to v along ``preds`` edges (so never through a user).
 
         ``top_routes`` derives v's labels from these vertices' ban bits
         alone, so its answer for v under ``banned`` equals its answer
@@ -192,10 +221,93 @@ class LosGraph:
         up = [0] * self.num_vertices
         for v in self.topo_order:
             mask = 1 << v
-            for p, _, _ in self.pred_table[v]:
+            for p, _ in self.preds[v]:
                 mask |= up[p]
             up[v] = mask
         return tuple(up)
+
+    @cached_property
+    def log_dists(self) -> list[float]:
+        """ln d per edge, the hop-priority cost's second slot at every M."""
+        return list(map(math.log, self.dists.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class LosGraph:
+    """Immutable routing DAG: a topology priced at one array size.
+
+    ``weights`` holds each edge's scalar weight, in ``topology.edges``
+    order.  The searches compare cost tuples: (weight,) per edge on the
+    plain graph, (-1, ln d) with ``hop_priority``.  ``pred_table`` pairs
+    the topology's predecessor lists with these costs; every other table
+    is the topology's.  The ``weight`` and ``cost`` dicts keyed by edge
+    are views built on first use.
+    """
+
+    topology: RoutingTopology
+    weights: Sequence[float]
+    hop_priority: bool = False
+
+    def __post_init__(self) -> None:
+        if len(self.weights) != len(self.topology.edges):
+            raise GraphError(
+                f"{len(self.weights)} weights for {len(self.topology.edges)} edges"
+            )
+
+    @property
+    def num_irs(self) -> int:
+        return self.topology.num_irs
+
+    @property
+    def num_users(self) -> int:
+        return self.topology.num_users
+
+    @property
+    def num_vertices(self) -> int:
+        return self.topology.num_vertices
+
+    @property
+    def user_vertices(self) -> range:
+        return self.topology.user_vertices
+
+    @property
+    def topo_order(self) -> tuple[int, ...]:
+        return self.topology.topo_order
+
+    @property
+    def succ(self) -> dict[int, tuple[int, ...]]:
+        return self.topology.succ
+
+    @property
+    def upstream_masks(self) -> tuple[int, ...]:
+        return self.topology.upstream_masks
+
+    @cached_property
+    def weight(self) -> dict[tuple[int, int], float]:
+        return dict(zip(self.topology.edges, self.weights))
+
+    @cached_property
+    def cost(self) -> dict[tuple[int, int], tuple[float, ...]]:
+        if self.hop_priority:
+            costs = [(-1.0, ln_d) for ln_d in self.topology.log_dists]
+        else:
+            costs = [(w,) for w in self.weights]
+        return dict(zip(self.topology.edges, costs))
+
+    @cached_property
+    def pred_table(self) -> tuple[tuple[tuple[int, float, float], ...], ...]:
+        """Per vertex, the in-edges that carry labels, as (p, c0, c1).
+
+        ``c0, c1`` are the edge's cost slots, ``c1`` 0.0 for 1-tuple
+        costs.
+        """
+        if self.hop_priority:
+            ln_d = self.topology.log_dists
+            return tuple(
+                [tuple([(p, -1.0, ln_d[e]) for p, e in ps]) for ps in self.topology.preds]
+            )
+        w = self.weights
+        return tuple([tuple([(p, w[e], 0.0) for p, e in ps]) for ps in self.topology.preds])
 
     @classmethod
     def from_edges(
@@ -206,13 +318,10 @@ class LosGraph:
     ) -> "LosGraph":
         """Synthetic graph from explicit weighted edges; its ``topo_order``
         is id order, so every edge must run from a lower to a higher id."""
-        weight = {}
-        for i, j, w in weighted_edges:
-            if (i, j) in weight:
-                raise GraphError(f"duplicate edge ({i}, {j})")
-            weight[i, j] = w
         order = tuple(range(1 + num_irs + num_users))
-        return cls(num_irs, num_users, weight, {e: (w,) for e, w in weight.items()}, order)
+        edges = tuple((i, j) for i, j, _ in weighted_edges)
+        topology = RoutingTopology(num_irs, num_users, edges, order)
+        return cls(topology, [w for _, _, w in weighted_edges])
 
 
 def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
@@ -221,21 +330,23 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     Edges: BS to every LoS surface, surface to every LoS surface that
     is strictly farther from the BS, surface to every LoS user.  Users
     never transmit and the BS-user link is treated as blocked, so no
-    other edges exist.  The edges and the vertex order come from
-    ``Scene.forward_edges``, which copies of the scene at other array
-    sizes share, so a graph per M only prices the edges.
+    other edges exist.  The topology is ``Scene.topology``, which
+    copies of the scene at other array sizes share, so a graph per M
+    only prices the edges: one array division and one ``math.log`` per
+    edge, the same operations as ``edge_weight``, so the same bits.
 
     ``hop_priority`` switches the search cost to (-1, ln d) per edge.
     """
-    edges, order = scene.forward_edges
-    m = scene.elements
-    beta = scene.ref_path_gain
-    weight = {}
-    cost = {}
-    for i, j, dij in edges:
-        weight[i, j] = edge_weight(dij, m, beta)
-        cost[i, j] = (-1.0, math.log(dij)) if hop_priority else (weight[i, j],)
-    return LosGraph(scene.num_irs, scene.num_users, weight, cost, order)
+    topology = scene.topology
+    weights = []
+    # like a per-edge edge_weight, an edgeless graph prices nothing
+    if topology.edges:
+        m = scene.elements
+        if m < 1:
+            raise GraphError("edge weight needs positive distance and element count")
+        scaled = topology.dists / (m * math.sqrt(scene.ref_path_gain))
+        weights = list(map(math.log, scaled.tolist()))
+    return LosGraph(topology, weights, hop_priority)
 
 
 # -- path search -------------------------------------------------------
@@ -249,16 +360,19 @@ def _check_target(graph: LosGraph, target: int) -> None:
 def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[Route]]:
     """Every user's up to `count` lowest-cost BS-to-user paths, sorted.
 
-    One pull sweep in ``LosGraph.topo_order``.  A label is the flat tuple
+    One pull sweep in ``RoutingTopology.live_order``: the topological
+    order without the vertices that reach no user, whose labels could
+    never reach one.  A label is the flat tuple
     (c0, c1, hop count, vertex sequence), where (c0, c1) holds the cost
     vector (c1 is 0.0 for 1-tuple costs), so comparing labels ranks
     paths by (cost vector, hop count, vertex sequence).  Each vertex
     gathers the labels of its predecessors extended by the in-edge
     (``LosGraph.pred_table``), sorts them once and keeps `count`; labels
-    no later vertex reads are freed (``LosGraph.label_drops``).  Every
-    predecessor comes earlier in the order, so its labels are final, and
-    every DAG path is loopless, so no deviation search is needed.
-    Labels never extend through a user, so one sweep settles every user.
+    no later vertex reads are freed (``RoutingTopology.label_drops``).
+    Every predecessor comes earlier in the order, so its labels are
+    final, and every DAG path is loopless, so no deviation search is
+    needed.  Labels never extend through a user, so one sweep settles
+    every user.
     Ties break toward fewer hops, then the lexicographically smallest
     vertex sequence.  Keeping `count` per vertex is exact unless an edge
     cost rounds two different label costs to one float; then the hop
@@ -273,13 +387,13 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     routes: dict[int, list[Route]] = {u: [] for u in range(1, graph.num_users + 1)}
     if banned & 1:
         return routes
-    wide = len(next(iter(graph.cost.values()), ())) == 2
+    wide = graph.hop_priority
     first_user = graph.user_vertices.start
     preds = graph.pred_table
-    drops = graph.label_drops
+    drops = graph.topology.label_drops
     labels: list[list[tuple[float, float, int, tuple[int, ...]]]] = [[]] * graph.num_vertices
     labels[0] = [(0.0, 0.0, 0, (0,))]
-    for v in graph.topo_order:
+    for v in graph.topology.live_order:
         if banned >> v & 1:
             continue
         here = []

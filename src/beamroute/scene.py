@@ -14,8 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .graph import RoutingTopology
 
 BS = "BS"
 IRS = "IRS"
@@ -204,16 +208,19 @@ class Scene:
         return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
     @cached_property
-    def forward_edges(self) -> tuple[tuple[tuple[int, int, float], ...], tuple[int, ...]]:
-        """The routing topology: its edges as (i, j, d_ij) and a vertex order.
+    def topology(self) -> RoutingTopology:
+        """The routing topology: its edges, their lengths and a vertex order.
 
         Edges run BS -> LoS surface, surface -> LoS surface strictly
         farther from the BS, and surface -> LoS user, in that order and
         row-major within each block.  The order is the BS, the surfaces
         nearest the BS first, then the users; every edge runs forward in
-        it.  Neither depends on the array sizes, so ``with_elements``
-        and ``with_antennas`` copies share one topology.
+        it.  None of it depends on the array sizes, so ``with_elements``
+        and ``with_antennas`` copies share one topology, and with it the
+        sweep tables it builds on first use.
         """
+        from .graph import RoutingTopology  # graph.py imports this module
+
         j_count = self.num_irs
         los = self.los_matrix
         d = self.dist_matrix
@@ -227,13 +234,18 @@ class Scene:
             (1, 1 + j_count, los[surfaces, 1 + j_count :]),
         )
         edges = []
+        dists = []
         for row0, col0, block in blocks:
             rows, cols = np.nonzero(block)
             rows, cols = rows + row0, cols + col0
-            edges += zip(rows.tolist(), cols.tolist(), d[rows, cols].tolist())
+            edges += zip(rows.tolist(), cols.tolist())
+            dists.append(d[rows, cols])
+        dists = np.concatenate(dists)
+        dists.flags.writeable = False
         # surfaces at equal BS distance share no edge, so their order is free
         near_first = sorted(range(1, 1 + j_count), key=d[0].tolist().__getitem__)
-        return tuple(edges), (0, *near_first, *range(1 + j_count, self.num_nodes))
+        order = (0, *near_first, *range(1 + j_count, self.num_nodes))
+        return RoutingTopology(self.num_irs, self.num_users, tuple(edges), order, dists)
 
     def kind(self, i: int) -> str:
         return _KINDS[(i > 0) + (i > self.num_irs)]
@@ -278,7 +290,7 @@ class Scene:
         rebuilding them.
         """
         self.los_masks  # fills los_matrix too
-        self.forward_edges
+        self.topology
         scene = copy.copy(self)
         object.__setattr__(scene, name, value)
         return scene

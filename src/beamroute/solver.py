@@ -33,6 +33,7 @@ from .clique import (
     route_masks,
 )
 from .graph import (
+    LosGraph,
     Route,
     build_routing_graph,
     enumerate_paths,
@@ -170,6 +171,11 @@ def audit_solution(scene: Scene, solution: RoutingSolution) -> None:
         raise AuditError("objective is not the worst-user power")
 
 
+def _sweep_counts(graph: LosGraph) -> dict:
+    """The routing graph's edges and the vertices one sweep visits."""
+    return {"edges": len(graph.weights), "swept_vertices": len(graph.topology.live_order)}
+
+
 # the routing graph each clique-pipeline algorithm ranks candidates on
 _PIPELINE_GRAPHS = {
     "proposed": build_routing_graph,
@@ -193,8 +199,10 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
     _require_users(scene)
     algorithm = params.algorithm
     start = time.perf_counter()
-    candidates = top_routes(_PIPELINE_GRAPHS[algorithm](scene), params.paths)
+    graph = _PIPELINE_GRAPHS[algorithm](scene)
+    candidates = top_routes(graph, params.paths)
     diagnostics = {
+        **_sweep_counts(graph),
         "candidate_counts": tuple(len(c) for c in candidates.values()),
         "compat_edges": 0,
         "cliques_explored": 0,
@@ -334,6 +342,7 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
 
     records, orders_feasible = walk((1 << k) - 1, 0)
     diagnostics = {
+        **_sweep_counts(graph),
         "orders_total": math.factorial(k),
         "orders_feasible": orders_feasible,
         "sweeps": sweeps,

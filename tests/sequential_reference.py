@@ -67,7 +67,14 @@ def tree_sequential(scene: Scene) -> RoutingSolution:
             del chosen[route.user_index]
 
     walk({}, 0)
+    # a vertex is swept when some user's labels read it: it or a user
+    # downstream of it, which is what the upstream masks record
+    reached = 0
+    for u in users:
+        reached |= upstream[u]
     diagnostics = {
+        "edges": len(graph.weight),
+        "swept_vertices": reached.bit_count(),
         "orders_total": math.factorial(k),
         "orders_feasible": orders_feasible,
         "sweeps": sweeps,

@@ -361,6 +361,29 @@ def test_main_huge_element_count_keeps_the_contract(capsys):
         assert json.loads(out)["params"]["elements"] == 1000000000000000003
 
 
+@pytest.mark.parametrize("algorithm", ["proposed", "sequential", "max-cpb", "min-pathloss"])
+def test_main_extreme_element_counts_keep_their_exit_codes(algorithm, capsys):
+    # every edge is priced at once from M sqrt(beta); at M = 1, at a
+    # prime M past a float's integer precision and at an M no float
+    # holds, each algorithm answers as pricing edge by edge did
+    huge = str(10**400)
+    for elements, code, objective_db in (
+        ("1", 0, -169.26351681830715),
+        ("1000000000000000003", 0, 550.7364831816928),
+    ):
+        argv = ["--scene", DEMO, "--algorithm", algorithm, "--elements", elements]
+        assert main([*argv, "--output", "json"]) == code
+        assert json.loads(capsys.readouterr().out)["objective_db"] == objective_db
+    assert main(["--scene", DEMO, "--algorithm", algorithm, "--elements", huge]) == 1
+    assert capsys.readouterr().out == '{"error": "int too large to convert to float"}\n'
+    argv = ["--scene", DEMO, "--algorithm", algorithm, "--sweep", "M", "--output", "csv"]
+    assert main([*argv, "--values", f"1,1000000000000000003,{huge}"]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("1,-169.26351681830715,1,")
+    assert rows[2].startswith("1000000000000000003,550.7364831816928,1,")
+    assert rows[3] == f"{huge},,,,,,,int too large to convert to float"
+
+
 def test_main_power_overflow_exit_one(tmp_path, capsys):
     # M^(2h) overflows a float on a 40-surface route at M = 100000
     path = tmp_path / "chain.json"

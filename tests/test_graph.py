@@ -13,6 +13,7 @@ from beamroute.graph import (
     GraphError,
     LosGraph,
     Route,
+    RoutingTopology,
     build_routing_graph,
     edge_weight,
     enumerate_paths,
@@ -283,56 +284,103 @@ class TestBuildRoutingGraph:
             LosGraph.from_edges(2, 1, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
 
     def test_order_must_list_every_vertex_once(self):
-        cost = {(0, 1): (1.0,), (1, 2): (1.0,)}
-        weight = {e: c[0] for e, c in cost.items()}
-        LosGraph(1, 1, weight, cost, (0, 1, 2))
+        edges = ((0, 1), (1, 2))
+        RoutingTopology(1, 1, edges, (0, 1, 2))
         for order in ((0, 1, 1, 2), (0, 1), (0, 1, 1), (0, 1, 3)):
             with pytest.raises(GraphError, match="every vertex exactly once"):
-                LosGraph(1, 1, weight, cost, order)
+                RoutingTopology(1, 1, edges, order)
 
-    def test_weight_and_cost_must_hold_the_same_edges(self):
-        cost = {(0, 1): (1.0,), (1, 2): (1.0,)}
-        for weight in ({(0, 1): 1.0, (1, 9): 1.0}, {(0, 1): 1.0}, {**cost, (0, 2): 1.0}):
-            with pytest.raises(GraphError, match="weight and cost must hold the same edges"):
-                LosGraph(1, 1, weight, cost, (0, 1, 2))
+    def test_weights_must_price_every_edge(self):
+        topology = RoutingTopology(1, 1, ((0, 1), (1, 2)), (0, 1, 2))
+        LosGraph(topology, [1.0, 1.0])
+        for weights in ([1.0], [1.0, 1.0, 1.0], []):
+            with pytest.raises(GraphError, match="weights for 2 edges"):
+                LosGraph(topology, weights)
 
     def test_size_copies_share_one_topology(self, monkeypatch):
         # the topology is built once per loaded scene, and every copy at
         # another M or N prices it exactly like a fresh load at that size
         built = []
-        topology = Scene.forward_edges.func
+        topology = Scene.topology.func
 
         def counting(scene):
             built.append(scene)
             return topology(scene)
 
         prop = functools.cached_property(counting)
-        prop.__set_name__(Scene, "forward_edges")
-        monkeypatch.setattr(Scene, "forward_edges", prop)
+        prop.__set_name__(Scene, "topology")
+        monkeypatch.setattr(Scene, "topology", prop)
         texts = [corridors_k8_document(3), bench_scenes().mesh_document(2)]
+        dead_edges = 0
         for text in texts:
             scene = load_scene(text)
             copies = [scene.with_antennas(4)]
-            copies += [scene.with_elements(m) for m in (1, 16, 100, 1600, 7)]
+            copies += [scene.with_elements(m) for m in (1, 7, 16, 1600, 10**15)]
             copies += [c.with_elements(1) for c in copies[:2]]
-            edges = scene.forward_edges
+            shared = scene.topology
+            live = set(shared.live_order)
             doc = json.loads(text)
             for copy in copies:
-                assert copy.forward_edges is edges
+                assert copy.topology is shared
                 m1, m2 = copy.irs_grid
                 doc["params"].update(N=copy.bs_antennas, M1=m1, M2=m2)
                 fresh = load_scene(json.dumps(doc))
+                assert fresh.topology is not shared
                 for hop_priority in (False, True):
                     got = build_routing_graph(copy, hop_priority=hop_priority)
                     want = build_routing_graph(fresh, hop_priority=hop_priority)
+                    assert got.topology is shared
                     assert list(got.cost) == list(want.cost)
                     assert bits(got.weight) == bits(want.weight)
                     assert bits(got.cost) == bits(want.cost)
+                    assert repr(got.pred_table) == repr(want.pred_table)
+                    assert got.upstream_masks == want.upstream_masks
                     assert got.topo_order == want.topo_order
-                    assert got.topo_order is edges[1]
+                    assert got.topology.live_order == want.topology.live_order
+                    # the views hold every edge, those of dead-end surfaces too
+                    assert len(got.weight) == len(got.cost) == len(shared.edges)
+                dead_edges += sum(i not in live or j not in live for i, j in got.weight)
             assert built.count(scene) == 1
         # the two loaded scenes, then one fresh load per copy
         assert len(built) == 2 + 2 * 8
+        assert dead_edges > 0
+
+    def test_bulk_pricing_matches_edge_weight(self):
+        # one division per edge by the same float M sqrt(beta), then
+        # math.log, so every weight has the bits of edge_weight's, up to
+        # M far beyond a float's integer precision
+        scene = load_scene(corridors_k8_document(3))
+        topology = scene.topology
+        assert len(topology.edges) >= 100
+        for m in (1, 7, 16, 1600, 10**15, 10**15 + 3, 2**53 + 1, 10**30, 3**200):
+            scaled = scene.with_elements(m)
+            want = [edge_weight(d, m, scene.ref_path_gain) for d in topology.dists.tolist()]
+            for hop_priority in (False, True):
+                got = build_routing_graph(scaled, hop_priority=hop_priority)
+                assert [w.hex() for w in got.weights] == [w.hex() for w in want]
+
+    def test_bulk_pricing_keeps_edge_weight_errors(self):
+        scene = load_scene(corridors_k8_document(3))
+        d = scene.topology.dists[0]
+        huge = scene.with_elements(10**400)
+        with pytest.raises(OverflowError) as per_edge:
+            edge_weight(d, 10**400, scene.ref_path_gain)
+        for hop_priority in (False, True):
+            with pytest.raises(OverflowError) as bulk:
+                build_routing_graph(huge, hop_priority=hop_priority)
+            assert str(bulk.value) == str(per_edge.value) == "int too large to convert to float"
+        # Scene validation keeps M >= 1; past it, the bulk path still refuses
+        for m in (0, -3):
+            broken = scene.with_elements(1)
+            object.__setattr__(broken, "irs_grid", (1, m))
+            with pytest.raises(GraphError, match="positive distance and element count"):
+                edge_weight(d, m, scene.ref_path_gain)
+            with pytest.raises(GraphError, match="positive distance and element count"):
+                build_routing_graph(broken)
+        # with no edge to price, no M is rejected, as with per-edge pricing
+        lonely = make_scene([[0, 0, 0], [50, 0, 0], [0, 50, 0]], 1, 1).with_elements(10**400)
+        assert lonely.topology.edges == ()
+        assert build_routing_graph(lonely).weight == {}
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):

@@ -1,5 +1,6 @@
 """Property tests for the routing sweep's dependence on upstream bans
-and on the graph's vertex order.
+and on the graph's vertex order, and for its skipping of the vertices
+that reach no user.
 
 ``LosGraph.upstream_masks`` claims that a user's routes depend only on
 the ban bits of vertices with a path to it.  The sequential solver keys
@@ -7,7 +8,9 @@ its memo on exactly that, so it is checked here on random graphs and
 random ban masks, against the sweep itself and against a reachability
 oracle over the raw successor map.  The sweep's answer must not depend
 on which topological order the graph carries, so it is also checked
-against the same graph rebuilt with a random one.
+against the same graph rebuilt with a random one.  Skipping dead-end
+vertices must change nothing, so the sweep is checked against the
+full-order sweep in ``sweep_reference``.
 """
 
 import numpy as np
@@ -17,7 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beamroute.graph import LosGraph, build_routing_graph, top_routes
+from beamroute.graph import LosGraph, RoutingTopology, build_routing_graph, top_routes
+from sweep_reference import full_order_top_routes
 from test_clique import random_override_scene
 
 # a few exact sums collide (0.1 + 0.2 vs 0.3), so ties and rounding show up
@@ -92,7 +96,7 @@ def test_upstream_masks_match_reachability(graph):
 def test_routes_do_not_depend_on_the_topological_order(graph, data):
     # a random linear extension of the same edges, one ready vertex at a time
     indeg = [0] * graph.num_vertices
-    for _, j in graph.cost:
+    for _, j in graph.topology.edges:
         indeg[j] += 1
     ready = [v for v in range(graph.num_vertices) if indeg[v] == 0]
     order = []
@@ -103,8 +107,65 @@ def test_routes_do_not_depend_on_the_topological_order(graph, data):
             indeg[j] -= 1
             if indeg[j] == 0:
                 ready.append(j)
-    other = LosGraph(graph.num_irs, graph.num_users, graph.weight, graph.cost, tuple(order))
+    topology = graph.topology
+    other = LosGraph(
+        RoutingTopology(
+            graph.num_irs, graph.num_users, topology.edges, tuple(order), topology.dists
+        ),
+        graph.weights,
+        graph.hop_priority,
+    )
     banned = data.draw(st.integers(0, 2**graph.num_vertices - 1))
     for count in (1, 5):
         assert repr(top_routes(other, count, banned)) == repr(top_routes(graph, count, banned))
     assert other.upstream_masks == graph.upstream_masks
+
+
+# a few logs collide after summing (ln 2 + ln 2 vs ln 4), so hop-priority
+# ties and rounding show up too
+DISTS = st.one_of(
+    st.sampled_from([1.0, 2.0, 4.0, 0.5, 3.0, 6.0]),
+    st.floats(0.01, 50.0, allow_nan=False),
+)
+
+
+@st.composite
+def dead_end_graphs(draw) -> LosGraph:
+    """Random forward DAGs where some surfaces reach no user.
+
+    Every edge out of a surface drawn as dead leads to another dead
+    surface, so no path from a dead surface reaches a user, while
+    labels still flow into it.  Costs are plain weights or, with
+    hop priority, (-1, ln d) from drawn edge lengths.
+    """
+    num_irs = draw(st.integers(1, 8))
+    num_users = draw(st.integers(1, 4))
+    n = 1 + num_irs + num_users
+    dead = draw(st.sets(st.integers(1, num_irs), min_size=1))
+    pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if i not in dead or j in dead
+    ]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))))
+    dists = np.array([draw(DISTS) for _ in edges], dtype=float)
+    order = tuple(range(n))
+    topology = RoutingTopology(num_irs, num_users, edges, order, dists)
+    assert dead.isdisjoint(topology.live_order)
+    weights = [draw(WEIGHTS) for _ in edges]
+    return LosGraph(topology, weights, draw(st.booleans()))
+
+
+def exact(routes: dict) -> list:
+    """Routes in order, every cost float as its exact hex form."""
+    return [
+        (u, [(r.user_index, r.vertices, tuple(c.hex() for c in r.cost_vec)) for r in rs])
+        for u, rs in routes.items()
+    ]
+
+
+@given(st.one_of(dead_end_graphs(), GRAPHS), st.data())
+def test_live_sweep_matches_full_order_sweep(graph, data):
+    banned = data.draw(st.integers(0, 2**graph.num_vertices - 1))
+    for mask in (0, banned):
+        for count in (1, 3, 50):
+            got = top_routes(graph, count, mask)
+            assert exact(got) == exact(full_order_top_routes(graph, count, mask))

@@ -3,7 +3,7 @@ channel model."""
 
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -464,6 +464,20 @@ class TestDerivedScenes:
         scene.with_elements(9)
         assert scene.elements == 400
 
+    @staticmethod
+    def assert_same_value(got, want):
+        """Equal values, read-only arrays of one dtype, and dataclasses
+        (the routing topology) field by field."""
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and not got.flags.writeable
+            assert np.array_equal(got, want)
+        elif is_dataclass(want):
+            assert type(got) is type(want)
+            for f in fields(want):
+                TestDerivedScenes.assert_same_value(getattr(got, f.name), getattr(want, f.name))
+        else:
+            assert got == want
+
     def test_with_elements_matches_fresh_scene(self):
         positions = [[0, 0, 0], [5, 0, 0], [10, 0, 0], [5, 6, 0], [15, 0, 0], [15, 6, 0]]
         cached = [n for n, v in vars(Scene).items() if isinstance(v, cached_property)]
@@ -479,12 +493,7 @@ class TestDerivedScenes:
                     if f.name != "irs_grid":
                         assert getattr(scaled, f.name) is getattr(scene, f.name)
                 for name in cached:
-                    got, want = getattr(scaled, name), getattr(fresh, name)
-                    if isinstance(want, np.ndarray):
-                        assert got.dtype == want.dtype and not got.flags.writeable
-                        assert np.array_equal(got, want)
-                    else:
-                        assert got == want
+                    self.assert_same_value(getattr(scaled, name), getattr(fresh, name))
             assert {f.name: getattr(scene, f.name) for f in fields(Scene)} == before
             assert scene.elements == 400
 
@@ -505,12 +514,7 @@ class TestDerivedScenes:
                 for name in cached:
                     # shared, not recomputed
                     assert getattr(scaled, name) is getattr(scene, name)
-                    got, want = getattr(scaled, name), getattr(fresh, name)
-                    if isinstance(want, np.ndarray):
-                        assert got.dtype == want.dtype and not got.flags.writeable
-                        assert np.array_equal(got, want)
-                    else:
-                        assert got == want
+                    self.assert_same_value(getattr(scaled, name), getattr(fresh, name))
             assert {f.name: getattr(scene, f.name) for f in fields(Scene)} == before
         for bad in (0, -3):
             with pytest.raises(SceneError, match="positive"):

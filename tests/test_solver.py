@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from beamroute import solver
+from beamroute.cli import ExperimentConfig, run_experiment
 from beamroute.channel import closed_form_power
 from beamroute.graph import (
     build_routing_graph,
@@ -509,6 +510,41 @@ def test_order_states_count_memo_states():
     # two users: the root, then each user alone after the other
     assert solve_sequential(easy_two_corridor()).diagnostics["order_states"] == 3
     assert solve_sequential(adversarial_scene()).diagnostics["order_states"] == 3
+
+
+def test_stage_counts_repeat_exactly():
+    # edges and swept vertices are counts of the routing topology: the
+    # same for every algorithm, every solve and a fresh load, and equal
+    # to a count straight from the per-pair LoS rule
+    gen = bench_scenes()
+    cases = [
+        (corridors_k8_document(3), 169, 62),
+        (gen.mesh_document(2), 451, 85),
+        (gen.corridors_document(18, gen.GREEDY_CORRIDORS), 100, 35),
+    ]
+    for text, edges, swept in cases:
+        scene = load_scene(text)
+        surfaces = range(1, 1 + scene.num_irs)
+        users = range(1 + scene.num_irs, scene.num_nodes)
+        succ = {0: [j for j in surfaces if scene.los_indicator(0, j)]}
+        for i in surfaces:
+            farther = [j for j in surfaces if scene.distance(0, j) > scene.distance(0, i)]
+            succ[i] = [j for j in (*farther, *users) if scene.los_indicator(i, j)]
+        # a vertex is swept when it is a user or has a path to one
+        live = set(users)
+        for i in sorted(surfaces, key=lambda v: -scene.distance(0, v)) + [0]:
+            if live.intersection(succ[i]):
+                live.add(i)
+        assert (sum(map(len, succ.values())), len(live)) == (edges, swept)
+        algorithms = ["proposed", "min_pathloss", "max_cpb"]
+        algorithms += ["sequential"] * (scene.num_users <= solver.MAX_SEQUENTIAL_USERS)
+        for again in (scene, scene, load_scene(text), scene.with_elements(7)):
+            for algorithm in algorithms:
+                diagnostics = solve(again, SolveParams(algorithm=algorithm)).diagnostics
+                assert (diagnostics["edges"], diagnostics["swept_vertices"]) == (edges, swept)
+    # they stay out of CLI reports, so report bytes do not follow them
+    record = run_experiment(ExperimentConfig(scene_path=DEMO))
+    assert not {"edges", "swept_vertices"} & set(record)
 
 
 def test_sequential_user_cap():
