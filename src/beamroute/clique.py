@@ -84,6 +84,8 @@ class PathGraph:
     routes: tuple[Route, ...] = ()
 
     def __post_init__(self):
+        if not self.partitions:
+            raise CliqueError("a path graph needs at least one partition")
         keys = self.order_key
         start = 0
         for k, part in enumerate(self.partitions):

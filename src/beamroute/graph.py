@@ -7,15 +7,15 @@ array size M, so a graph is split in two.  A ``RoutingTopology`` holds
 the edges, their lengths, the vertex order and every table the sweep
 derives from them; a scene builds it once (``Scene.topology``) and its
 copies at other array sizes share it.  A ``LosGraph`` is that topology
-priced at one M: one weight per edge.  Minimizing the weight sum of a
-BS-to-user path maximizes its end to end channel power, so candidate
-route search reduces to shortest paths on a DAG.  Every edge leads
-strictly away from the BS, so every path is loopless, and a single
-label sweep in topological order (the BS, the surfaces nearest the BS
-first, then the users) finds every user's cheapest `count` paths at
-once (``top_routes``).  The sweep skips the surfaces with no path to
-any user (``RoutingTopology.live_order``).  Weights can be negative;
-the sweep never relies on Dijkstra's nonnegativity assumption.
+priced at one M: one weight per edge, and nothing else.  Minimizing the
+weight sum of a BS-to-user path maximizes its end to end channel power,
+so candidate route search reduces to shortest paths on a DAG.  Every
+edge leads strictly away from the BS, so every path is loopless, and a
+single label sweep in topological order (the BS, the surfaces nearest
+the BS first, then the users) finds every user's cheapest `count` paths
+at once (``top_routes``).  The sweep skips the surfaces with no path to
+any user (``RoutingTopology.live_order``).  Weights can be negative; the
+sweep never relies on Dijkstra's nonnegativity assumption.
 
 Edge costs are short float tuples compared lexicographically.  The
 plain graph uses 1-tuples of the scalar weight; the hop-greedy variant
@@ -23,8 +23,9 @@ uses (-1, ln d) so longer paths win before distance breaks ties, which
 realizes the large-M limit without evaluating any large power.  Paths
 are ranked by (cost vector, hop count, vertex sequence).  The sweep
 keeps a cost vector as two flat float slots of its label, the second
-0.0 for 1-tuples, and sums both hop by hop from the BS, so equal paths
-carry bit-identical floats.  A ``Route`` is what the search decides:
+0.0 for 1-tuples, and sums both hop by hop from the BS, reading each
+edge's two slots from two per-edge lists, so equal paths carry
+bit-identical floats.  A ``Route`` is what the search decides:
 its vertex path and that cost vector; hop lengths and powers come from
 the scene.
 """
@@ -197,19 +198,6 @@ class RoutingTopology:
         return tuple(v for v in self.topo_order if live[v])
 
     @cached_property
-    def label_drops(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex v, the predecessors that no vertex after v in
-        ``live_order`` reads, so the sweep can free their labels at v."""
-        last = {}
-        for v in self.live_order:
-            for p, _ in self.preds[v]:
-                last[p] = v
-        drops: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for p, v in last.items():
-            drops[v].append(p)
-        return tuple(map(tuple, drops))
-
-    @cached_property
     def upstream_masks(self) -> tuple[int, ...]:
         """Per vertex v, the node mask of v and of every vertex with a
         path to v along ``preds`` edges (so never through a user).
@@ -238,10 +226,11 @@ class LosGraph:
 
     ``weights`` holds each edge's scalar weight, in ``topology.edges``
     order.  The searches compare cost tuples: (weight,) per edge on the
-    plain graph, (-1, ln d) with ``hop_priority``.  ``pred_table`` pairs
-    the topology's predecessor lists with these costs; every other table
-    is the topology's.  The ``weight`` and ``cost`` dicts keyed by edge
-    are views built on first use.
+    plain graph, (-1, ln d) with ``hop_priority``, which needs the
+    topology's edge lengths.  Every table the sweep reads is the
+    topology's, so pricing a topology at another M builds nothing else.
+    The ``weight`` and ``cost`` dicts keyed by edge are views built on
+    first use.
     """
 
     topology: RoutingTopology
@@ -253,34 +242,8 @@ class LosGraph:
             raise GraphError(
                 f"{len(self.weights)} weights for {len(self.topology.edges)} edges"
             )
-
-    @property
-    def num_irs(self) -> int:
-        return self.topology.num_irs
-
-    @property
-    def num_users(self) -> int:
-        return self.topology.num_users
-
-    @property
-    def num_vertices(self) -> int:
-        return self.topology.num_vertices
-
-    @property
-    def user_vertices(self) -> range:
-        return self.topology.user_vertices
-
-    @property
-    def topo_order(self) -> tuple[int, ...]:
-        return self.topology.topo_order
-
-    @property
-    def succ(self) -> dict[int, tuple[int, ...]]:
-        return self.topology.succ
-
-    @property
-    def upstream_masks(self) -> tuple[int, ...]:
-        return self.topology.upstream_masks
+        if self.hop_priority and self.topology.dists is None:
+            raise GraphError("hop priority needs the topology's edge lengths")
 
     @cached_property
     def weight(self) -> dict[tuple[int, int], float]:
@@ -293,21 +256,6 @@ class LosGraph:
         else:
             costs = [(w,) for w in self.weights]
         return dict(zip(self.topology.edges, costs))
-
-    @cached_property
-    def pred_table(self) -> tuple[tuple[tuple[int, float, float], ...], ...]:
-        """Per vertex, the in-edges that carry labels, as (p, c0, c1).
-
-        ``c0, c1`` are the edge's cost slots, ``c1`` 0.0 for 1-tuple
-        costs.
-        """
-        if self.hop_priority:
-            ln_d = self.topology.log_dists
-            return tuple(
-                [tuple([(p, -1.0, ln_d[e]) for p, e in ps]) for ps in self.topology.preds]
-            )
-        w = self.weights
-        return tuple([tuple([(p, w[e], 0.0) for p, e in ps]) for ps in self.topology.preds])
 
     @classmethod
     def from_edges(
@@ -353,7 +301,7 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
 
 
 def _check_target(graph: LosGraph, target: int) -> None:
-    if target not in graph.user_vertices:
+    if target not in graph.topology.user_vertices:
         raise GraphError(f"target {target} is not a user vertex")
 
 
@@ -367,12 +315,13 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     vector (c1 is 0.0 for 1-tuple costs), so comparing labels ranks
     paths by (cost vector, hop count, vertex sequence).  Each vertex
     gathers the labels of its predecessors extended by the in-edge
-    (``LosGraph.pred_table``), sorts them once and keeps `count`; labels
-    no later vertex reads are freed (``RoutingTopology.label_drops``).
-    Every predecessor comes earlier in the order, so its labels are
-    final, and every DAG path is loopless, so no deviation search is
-    needed.  Labels never extend through a user, so one sweep settles
-    every user.
+    (``RoutingTopology.preds``), sorts them once and keeps `count`.  An
+    in-edge's two cost slots come from two per-edge lists: the weights
+    and zeros on the plain graph, -1.0 and ``RoutingTopology.log_dists``
+    with hop priority.  Every predecessor comes earlier in the order,
+    so its labels are final, and every DAG path is loopless, so no
+    deviation search is needed.  Labels never extend through a user, so
+    one sweep settles every user.
     Ties break toward fewer hops, then the lexicographically smallest
     vertex sequence.  Keeping `count` per vertex is exact unless an edge
     cost rounds two different label costs to one float; then the hop
@@ -384,28 +333,29 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     """
     if count < 1:
         raise GraphError("path count must be positive")
-    routes: dict[int, list[Route]] = {u: [] for u in range(1, graph.num_users + 1)}
+    topology = graph.topology
+    routes: dict[int, list[Route]] = {u: [] for u in range(1, topology.num_users + 1)}
     if banned & 1:
         return routes
     wide = graph.hop_priority
-    first_user = graph.user_vertices.start
-    preds = graph.pred_table
-    drops = graph.topology.label_drops
-    labels: list[list[tuple[float, float, int, tuple[int, ...]]]] = [[]] * graph.num_vertices
+    if wide:
+        c0s, c1s = [-1.0] * len(topology.edges), topology.log_dists
+    else:
+        c0s, c1s = graph.weights, [0.0] * len(topology.edges)
+    first_user = topology.user_vertices.start
+    preds = topology.preds
+    labels: list[list[tuple[float, float, int, tuple[int, ...]]]] = [[]] * topology.num_vertices
     labels[0] = [(0.0, 0.0, 0, (0,))]
-    for v in graph.topology.live_order:
+    for v in topology.live_order:
         if banned >> v & 1:
             continue
         here = []
-        for p, c0, c1 in preds[v]:
+        for p, e in preds[v]:
+            c0, c1 = c0s[e], c1s[e]
             for a0, a1, hops, path in labels[p]:
                 here.append((a0 + c0, a1 + c1, hops, path))
         if not here:
             continue
-        # free what no later vertex reads, or every label lives to the end
-        # (a banned last reader leaves them in place, costing memory only)
-        for p in drops[v]:
-            labels[p] = []
         # gathered labels still carry their predecessor's hop count and
         # path; one more hop and a final v on every path keep their
         # order, so only the `count` survivors are extended
@@ -414,7 +364,7 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
         if v < first_user:
             labels[v] = here
         else:
-            user = v - graph.num_irs
+            user = v - topology.num_irs
             routes[user] = [
                 Route(user, path, (c0, c1) if wide else (c0,)) for c0, c1, _, path in here
             ]
@@ -428,7 +378,7 @@ def yen_k_shortest(graph: LosGraph, target: int, count: int) -> list[Route]:
     search the sweep replaced, for API compatibility.
     """
     _check_target(graph, target)
-    return top_routes(graph, count)[target - graph.num_irs]
+    return top_routes(graph, count)[target - graph.topology.num_irs]
 
 
 def enumerate_paths(graph: LosGraph, target: int) -> list[tuple[int, ...]]:
@@ -436,13 +386,14 @@ def enumerate_paths(graph: LosGraph, target: int) -> list[tuple[int, ...]]:
     _check_target(graph, target)
     out: list[tuple[int, ...]] = []
     stack = [0]
+    succ, users = graph.topology.succ, graph.topology.user_vertices
 
     def walk(v: int) -> None:
         if v == target:
             out.append(tuple(stack))
             return
-        for j in graph.succ.get(v, ()):
-            if j in graph.user_vertices and j != target:
+        for j in succ.get(v, ()):
+            if j in users and j != target:
                 continue
             stack.append(j)
             walk(j)

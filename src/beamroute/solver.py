@@ -173,7 +173,8 @@ def audit_solution(scene: Scene, solution: RoutingSolution) -> None:
 
 def _sweep_counts(graph: LosGraph) -> dict:
     """The routing graph's edges and the vertices one sweep visits."""
-    return {"edges": len(graph.weights), "swept_vertices": len(graph.topology.live_order)}
+    topology = graph.topology
+    return {"edges": len(topology.edges), "swept_vertices": len(topology.live_order)}
 
 
 # the routing graph each clique-pipeline algorithm ranks candidates on
@@ -254,7 +255,7 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     best one is kept.
 
     The orders are searched as states: the set R of users still to
-    route and the bans upstream of them (``LosGraph.upstream_masks``),
+    route and the bans upstream of them (``RoutingTopology.upstream_masks``),
     which fix every route and ban below, so each state is solved once
     (``diagnostics["order_states"]`` counts them) and a user left
     without a route fails every order below it at once.  A state's
@@ -276,7 +277,7 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     start = time.perf_counter()
     graph = build_routing_graph(scene)
     users = range(1, k + 1)
-    upstream = {u: graph.upstream_masks[graph.num_irs + u] for u in users}
+    upstream = {u: graph.topology.upstream_masks[scene.num_irs + u] for u in users}
     # users set bit u - 1 of a state's mask; reach[R] is R's upstream union
     reach = [0] * (1 << k)
     for state in range(1, 1 << k):

@@ -27,7 +27,7 @@ def tree_sequential(scene: Scene) -> RoutingSolution:
     k = scene.num_users
     graph = build_routing_graph(scene)
     users = range(1, k + 1)
-    upstream = {u: graph.upstream_masks[graph.num_irs + u] for u in users}
+    upstream = {u: graph.topology.upstream_masks[scene.num_irs + u] for u in users}
     # (user, banned bits upstream of it) -> its shortest route avoiding them
     shortest: dict[tuple[int, int], list[Route]] = {}
     power_of: dict[tuple[int, ...], float] = {}

@@ -17,25 +17,26 @@ def full_order_top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[
     """Every user's up to `count` cheapest routes, from a sweep of every vertex."""
     if count < 1:
         raise GraphError("path count must be positive")
-    routes: dict[int, list[Route]] = {u: [] for u in range(1, graph.num_users + 1)}
+    topology = graph.topology
+    routes: dict[int, list[Route]] = {u: [] for u in range(1, topology.num_users + 1)}
     if banned & 1:
         return routes
     wide = len(next(iter(graph.cost.values()), ())) == 2
-    first_user = graph.user_vertices.start
-    preds: list[list[tuple[int, float, float]]] = [[] for _ in range(graph.num_vertices)]
+    first_user = topology.user_vertices.start
+    preds: list[list[tuple[int, float, float]]] = [[] for _ in range(topology.num_vertices)]
     for (i, j), c in graph.cost.items():
         if i < first_user:
             preds[j].append((i, c[0], c[1] if len(c) == 2 else 0.0))
     last = {}
-    for v in graph.topo_order:
+    for v in topology.topo_order:
         for p, _, _ in preds[v]:
             last[p] = v
-    drops: list[list[int]] = [[] for _ in range(graph.num_vertices)]
+    drops: list[list[int]] = [[] for _ in range(topology.num_vertices)]
     for p, v in last.items():
         drops[v].append(p)
-    labels: list[list[tuple[float, float, int, tuple[int, ...]]]] = [[]] * graph.num_vertices
+    labels: list[list[tuple[float, float, int, tuple[int, ...]]]] = [[]] * topology.num_vertices
     labels[0] = [(0.0, 0.0, 0, (0,))]
-    for v in graph.topo_order:
+    for v in topology.topo_order:
         if banned >> v & 1:
             continue
         here = []
@@ -51,7 +52,7 @@ def full_order_top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[
         if v < first_user:
             labels[v] = here
         else:
-            user = v - graph.num_irs
+            user = v - topology.num_irs
             routes[user] = [
                 Route(user, path, (c0, c1) if wide else (c0,)) for c0, c1, _, path in here
             ]

@@ -169,8 +169,9 @@ def test_04_candidate_search_is_exact():
     ok = True
     for _ in range(100):
         graph = random_losgraph(rng)
-        target = graph.num_irs + 1
-        paths = oracle_paths(graph.succ, 0, target, set(graph.user_vertices))
+        topology = graph.topology
+        target = topology.num_irs + 1
+        paths = oracle_paths(topology.succ, 0, target, set(topology.user_vertices))
         want = sorted(oracle_cost(graph.weight, p) for p in paths)[:5]
         got = [r.cost_vec[0] for r in yen_k_shortest(graph, target, 5)]
         if got != want:

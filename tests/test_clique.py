@@ -434,6 +434,11 @@ class TestBuildPathGraph:
             PathGraph(((0,), (1,)), keys, (0, 0, 0))
         assert PathGraph(((0, 1), (2,)), keys, (0, 0, 0)).num_vertices == 3
 
+    def test_zero_partitions_rejected(self):
+        # like build_path_graph({}), which has no user to route either
+        with pytest.raises(CliqueError, match="at least one partition"):
+            PathGraph((), (), ())
+
     def test_mislabeled_route_rejected(self):
         scene = self.scene()
         cands = {1: [route_from_sequence(scene, 2, [3, 4])]}

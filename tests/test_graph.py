@@ -88,6 +88,18 @@ def bits(values):
     return [(k, exact(v)) for k, v in values.items()]
 
 
+def cost_lists(graph):
+    """The two per-edge cost slots `top_routes` reads, as it builds them."""
+    n = len(graph.topology.edges)
+    if graph.hop_priority:
+        return [-1.0] * n, graph.topology.log_dists
+    return graph.weights, [0.0] * n
+
+
+def hex_lists(lists):
+    return [[x.hex() for x in values] for values in lists]
+
+
 def oracle_cost(weight, path):
     c = 0.0
     for a, b in zip(path[:-1], path[1:]):
@@ -134,23 +146,24 @@ def reference_top_routes(graph, count, banned=0):
     """
     if count < 1:
         raise GraphError("path count must be positive")
-    routes = {u: [] for u in range(1, graph.num_users + 1)}
-    first_hops = graph.succ.get(0, ())
+    topology = graph.topology
+    routes = {u: [] for u in range(1, topology.num_users + 1)}
+    first_hops = topology.succ.get(0, ())
     if not first_hops or banned & 1:
         return routes
-    first_user = graph.user_vertices.start
+    first_user = topology.user_vertices.start
     zero = (0.0,) * len(graph.cost[0, first_hops[0]])
     labels = {0: [(zero, 0, (0,))]}
-    for v in graph.topo_order:
+    for v in topology.topo_order:
         here = labels.pop(v, None)
         if here is None:
             continue
         if v >= first_user:
-            routes[v - graph.num_irs] = [
-                Route(v - graph.num_irs, path, cost) for cost, _, path in here
+            routes[v - topology.num_irs] = [
+                Route(v - topology.num_irs, path, cost) for cost, _, path in here
             ]
             continue
-        for j in graph.succ.get(v, ()):
+        for j in topology.succ.get(v, ()):
             if banned >> j & 1:
                 continue
             c = graph.cost[v, j]
@@ -251,7 +264,7 @@ class TestBuildRoutingGraph:
         for scene in [self.scene(), *mask_rule_scenes(rng)]:
             for hop_priority in (False, True):
                 g = build_routing_graph(scene, hop_priority=hop_priority)
-                order, j = g.topo_order, scene.num_irs
+                order, j = g.topology.topo_order, scene.num_irs
                 assert order[0] == 0
                 assert sorted(order[1 : 1 + j]) == list(range(1, 1 + j))
                 d_bs = [scene.distance(0, v) for v in order[1 : 1 + j]]
@@ -269,7 +282,7 @@ class TestBuildRoutingGraph:
                 scaled = scene if elements is None else scene.with_elements(elements)
                 g = build_routing_graph(scaled, hop_priority=hop_priority)
                 succ, weight, cost = oracle_routing_graph(scene, elements, hop_priority)
-                assert g.succ == succ
+                assert g.topology.succ == succ
                 assert bits(g.weight) == bits(weight)
                 assert bits(g.cost) == bits(cost)
                 edges += len(weight)
@@ -297,6 +310,16 @@ class TestBuildRoutingGraph:
             with pytest.raises(GraphError, match="weights for 2 edges"):
                 LosGraph(topology, weights)
 
+    def test_hop_priority_needs_edge_lengths(self):
+        # hop priority costs are (-1, ln d), so a topology without
+        # lengths is refused when priced, not at its first search
+        edges, order = ((0, 1), (1, 2)), (0, 1, 2)
+        with pytest.raises(GraphError, match="edge lengths"):
+            LosGraph(RoutingTopology(1, 1, edges, order), [0.5, 0.5], hop_priority=True)
+        measured = RoutingTopology(1, 1, edges, order, np.array([2.0, 3.0]))
+        (route,) = top_routes(LosGraph(measured, [0.5, 0.5], hop_priority=True), 1)[1]
+        assert route.cost_vec == (-2.0, math.log(2.0) + math.log(3.0))
+
     def test_size_copies_share_one_topology(self, monkeypatch):
         # the topology is built once per loaded scene, and every copy at
         # another M or N prices it exactly like a fresh load at that size
@@ -320,6 +343,7 @@ class TestBuildRoutingGraph:
             shared = scene.topology
             live = set(shared.live_order)
             doc = json.loads(text)
+            base = build_routing_graph(scene)
             for copy in copies:
                 assert copy.topology is shared
                 m1, m2 = copy.irs_grid
@@ -333,9 +357,10 @@ class TestBuildRoutingGraph:
                     assert list(got.cost) == list(want.cost)
                     assert bits(got.weight) == bits(want.weight)
                     assert bits(got.cost) == bits(want.cost)
-                    assert repr(got.pred_table) == repr(want.pred_table)
-                    assert got.upstream_masks == want.upstream_masks
-                    assert got.topo_order == want.topo_order
+                    assert hex_lists(cost_lists(got)) == hex_lists(cost_lists(want))
+                    assert got.topology.preds is base.topology.preds
+                    assert got.topology.upstream_masks == want.topology.upstream_masks
+                    assert got.topology.topo_order == want.topology.topo_order
                     assert got.topology.live_order == want.topology.live_order
                     # the views hold every edge, those of dead-end surfaces too
                     assert len(got.weight) == len(got.cost) == len(shared.edges)
@@ -469,18 +494,18 @@ class TestDagShortestPath:
         for _ in range(60):
             g = random_losgraph(rng, num_users=int(rng.integers(1, 4)))
             got = top_routes(g, 1)
-            assert sorted(got) == list(range(1, g.num_users + 1))
-            users = set(g.user_vertices)
-            for target in g.user_vertices:
-                paths = oracle_paths(g.succ, 0, target, users)
-                routes = got[target - g.num_irs]
+            assert sorted(got) == list(range(1, g.topology.num_users + 1))
+            users = set(g.topology.user_vertices)
+            for target in g.topology.user_vertices:
+                paths = oracle_paths(g.topology.succ, 0, target, users)
+                routes = got[target - g.topology.num_irs]
                 if not paths:
                     assert routes == []
                     continue
                 best = min((oracle_cost(g.weight, p), len(p) - 1, p) for p in paths)
                 (r,) = routes
                 assert r.vertices == best[2]
-                assert r.user_index == target - g.num_irs
+                assert r.user_index == target - g.topology.num_irs
                 assert r.cost_vec == (best[0],)  # identical accumulation order, bit equal
                 checked += 1
         assert checked >= 60
@@ -497,7 +522,7 @@ class TestYen:
             several = top_routes(g, 6)
             for u in single:
                 assert single[u] == several[u][:1]
-                assert yen_k_shortest(g, g.num_irs + u, 6) == several[u]
+                assert yen_k_shortest(g, g.topology.num_irs + u, 6) == several[u]
 
     def test_exhausts_small_graph(self):
         g = LosGraph.from_edges(
@@ -515,10 +540,10 @@ class TestYen:
             ],
         )
         routes = top_routes(g, 50)[1]
-        users = set(g.user_vertices)
+        users = set(g.topology.user_vertices)
         expect = sorted(
             (oracle_cost(g.weight, p), len(p) - 1, p)
-            for p in oracle_paths(g.succ, 0, 4, users)
+            for p in oracle_paths(g.topology.succ, 0, 4, users)
         )
         assert [r.vertices for r in routes] == [e[2] for e in expect]
 
@@ -545,7 +570,9 @@ class TestYen:
         # half-unit weights sum exactly, so hop and vertex ties are common
         graphs += [
             LosGraph.from_edges(
-                g.num_irs, g.num_users, [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()]
+                g.topology.num_irs,
+                g.topology.num_users,
+                [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()],
             )
             for g in graphs[:20]
         ]
@@ -562,24 +589,24 @@ class TestYen:
             masks = [0, 1]
             for _ in range(3):
                 masks.append(sum(
-                    1 << v for v in range(g.num_vertices) if rng.random() < 0.15
+                    1 << v for v in range(g.topology.num_vertices) if rng.random() < 0.15
                 ))
-            masks.append(masks[-1] | 1 << int(rng.choice(g.user_vertices)))
+            masks.append(masks[-1] | 1 << int(rng.choice(g.topology.user_vertices)))
             for mask in masks:
                 ban = ban_set(mask)
                 want = {
-                    target - g.num_irs: sorted(
+                    target - g.topology.num_irs: sorted(
                         (
-                            Route(target - g.num_irs, p, oracle_cost_vec(g.cost, p))
+                            Route(target - g.topology.num_irs, p, oracle_cost_vec(g.cost, p))
                             for p in enumerate_paths(g, target)
                             if ban.isdisjoint(p)
                         ),
                         key=route_key,
                     )
-                    for target in g.user_vertices
+                    for target in g.topology.user_vertices
                 }
                 bs_banned += 0 in ban
-                banned_users += len(ban & set(g.user_vertices))
+                banned_users += len(ban & set(g.topology.user_vertices))
                 most = max(len(w) for w in want.values())
                 for count in (5, most + 2):
                     got = top_routes(g, count, mask)
@@ -605,10 +632,11 @@ class TestPullSweepMatchesPushReference:
 
     @staticmethod
     def masks(rng, g):
-        users = list(g.user_vertices)
+        users = list(g.topology.user_vertices)
         masks = [0, 1]
         for _ in range(3):
-            masks.append(sum(1 << v for v in range(g.num_vertices) if rng.random() < 0.15))
+            n = g.topology.num_vertices
+            masks.append(sum(1 << v for v in range(n) if rng.random() < 0.15))
         masks.append(masks[-1] | 1 << int(rng.choice(users)))
         masks.append(masks[-1] | 1)
         return masks
@@ -622,7 +650,9 @@ class TestPullSweepMatchesPushReference:
         # half-unit weights sum exactly, so cost ties are common
         graphs += [
             LosGraph.from_edges(
-                g.num_irs, g.num_users, [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()]
+                g.topology.num_irs,
+                g.topology.num_users,
+                [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()],
             )
             for g in graphs[:20]
         ]
@@ -631,10 +661,10 @@ class TestPullSweepMatchesPushReference:
         graphs += [build_routing_graph(s) for s in scenes[:6]]
         checked = bs_banned = users_banned = 0
         for g in graphs:
-            paths = max(len(enumerate_paths(g, t)) for t in g.user_vertices)
+            paths = max(len(enumerate_paths(g, t)) for t in g.topology.user_vertices)
             for mask in self.masks(rng, g):
                 bs_banned += mask & 1
-                users_banned += any(mask >> t & 1 for t in g.user_vertices)
+                users_banned += any(mask >> t & 1 for t in g.topology.user_vertices)
                 for count in (1, 5, 50, paths + 3):
                     got = top_routes(g, count, mask)
                     assert repr(got) == repr(reference_top_routes(g, count, mask))
@@ -664,10 +694,10 @@ class TestEnumeratePaths:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_losgraph(rng, num_users=2)
-            for target in g.user_vertices:
-                users = set(g.user_vertices)
+            for target in g.topology.user_vertices:
+                users = set(g.topology.user_vertices)
                 got = enumerate_paths(g, target)
-                want = sorted(oracle_paths(g.succ, 0, target, users))
+                want = sorted(oracle_paths(g.topology.succ, 0, target, users))
                 assert sorted(got) == want
 
 
@@ -728,9 +758,9 @@ class TestRouteConstruction:
         for base in mask_rule_scenes(rng):
             for scene in (base, base.with_elements(1)):
                 g = build_routing_graph(scene)
-                for target in g.user_vertices:
+                for target in g.topology.user_vertices:
                     for p in enumerate_paths(g, target):
-                        r = route_from_sequence(scene, target - g.num_irs, p[1:-1])
+                        r = route_from_sequence(scene, target - g.topology.num_irs, p[1:-1])
                         assert r.vertices == p
                         assert bits({p: r.cost_vec}) == bits({p: oracle_cost_vec(g.cost, p)})
                         checked += 1

@@ -2,7 +2,7 @@
 and on the graph's vertex order, and for its skipping of the vertices
 that reach no user.
 
-``LosGraph.upstream_masks`` claims that a user's routes depend only on
+``RoutingTopology.upstream_masks`` claims that a user's routes depend only on
 the ban bits of vertices with a path to it.  The sequential solver keys
 its memo on exactly that, so it is checked here on random graphs and
 random ban masks, against the sweep itself and against a reachability
@@ -59,18 +59,18 @@ GRAPHS = st.one_of(edge_graphs(), scene_graphs())
 
 @given(GRAPHS, st.data())
 def test_routes_depend_only_on_upstream_bans(graph, data):
-    banned = data.draw(st.integers(0, 2**graph.num_vertices - 1))
+    banned = data.draw(st.integers(0, 2**graph.topology.num_vertices - 1))
     for count in (1, 5):
         full = top_routes(graph, count, banned)
         for u in full:
-            up = graph.upstream_masks[graph.num_irs + u]
+            up = graph.topology.upstream_masks[graph.topology.num_irs + u]
             masked = top_routes(graph, count, banned & up)
             assert repr(masked[u]) == repr(full[u])
 
 
 def reaches(graph: LosGraph, source: int, target: int) -> bool:
     """A path from source to target along ``succ`` through no user."""
-    users = graph.user_vertices
+    users = graph.topology.user_vertices
     stack, seen = [source], {source}
     while stack:
         v = stack.pop()
@@ -78,7 +78,7 @@ def reaches(graph: LosGraph, source: int, target: int) -> bool:
             return True
         if v in users:
             continue
-        for j in graph.succ.get(v, ()):
+        for j in graph.topology.succ.get(v, ()):
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -87,38 +87,39 @@ def reaches(graph: LosGraph, source: int, target: int) -> bool:
 
 @given(GRAPHS)
 def test_upstream_masks_match_reachability(graph):
-    for v in range(graph.num_vertices):
-        want = sum(1 << w for w in range(graph.num_vertices) if w == v or reaches(graph, w, v))
-        assert graph.upstream_masks[v] == want
+    n = graph.topology.num_vertices
+    for v in range(n):
+        want = sum(1 << w for w in range(n) if w == v or reaches(graph, w, v))
+        assert graph.topology.upstream_masks[v] == want
 
 
 @given(GRAPHS, st.data())
 def test_routes_do_not_depend_on_the_topological_order(graph, data):
     # a random linear extension of the same edges, one ready vertex at a time
-    indeg = [0] * graph.num_vertices
-    for _, j in graph.topology.edges:
+    topology = graph.topology
+    indeg = [0] * topology.num_vertices
+    for _, j in topology.edges:
         indeg[j] += 1
-    ready = [v for v in range(graph.num_vertices) if indeg[v] == 0]
+    ready = [v for v in range(topology.num_vertices) if indeg[v] == 0]
     order = []
     while ready:
         v = ready.pop(data.draw(st.integers(0, len(ready) - 1)))
         order.append(v)
-        for j in graph.succ.get(v, ()):
+        for j in topology.succ.get(v, ()):
             indeg[j] -= 1
             if indeg[j] == 0:
                 ready.append(j)
-    topology = graph.topology
     other = LosGraph(
         RoutingTopology(
-            graph.num_irs, graph.num_users, topology.edges, tuple(order), topology.dists
+            topology.num_irs, topology.num_users, topology.edges, tuple(order), topology.dists
         ),
         graph.weights,
         graph.hop_priority,
     )
-    banned = data.draw(st.integers(0, 2**graph.num_vertices - 1))
+    banned = data.draw(st.integers(0, 2**topology.num_vertices - 1))
     for count in (1, 5):
         assert repr(top_routes(other, count, banned)) == repr(top_routes(graph, count, banned))
-    assert other.upstream_masks == graph.upstream_masks
+    assert other.topology.upstream_masks == graph.topology.upstream_masks
 
 
 # a few logs collide after summing (ln 2 + ln 2 vs ln 4), so hop-priority
@@ -164,7 +165,7 @@ def exact(routes: dict) -> list:
 
 @given(st.one_of(dead_end_graphs(), GRAPHS), st.data())
 def test_live_sweep_matches_full_order_sweep(graph, data):
-    banned = data.draw(st.integers(0, 2**graph.num_vertices - 1))
+    banned = data.draw(st.integers(0, 2**graph.topology.num_vertices - 1))
     for mask in (0, banned):
         for count in (1, 3, 50):
             got = top_routes(graph, count, mask)
