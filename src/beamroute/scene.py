@@ -2,9 +2,8 @@
 
 A scene holds one base station (vertex 0), J reflecting surfaces
 (vertices 1..J) and K users (vertices J+1..J+K), together with the
-physical constants of a scene document.  Routing and the closed-form
-power read N, M, beta and the LoS rule; the grid shape, spacings and
-wavelength are only validated, for the matrix-product channel model.
+the constants that routing and the closed-form power read: N, M, beta
+and the LoS rule.
 """
 
 from __future__ import annotations
@@ -30,36 +29,22 @@ _KINDS = (BS, IRS, USER)
 _PARAM_KEYS = ("N", "M1", "M2", "dA", "dI", "lambda", "beta", "los_threshold", "d0")
 
 # Carrier defaults: 5 GHz, half-wavelength spacings, isotropic reference
-# gain at 1 m, 6.4 m LoS range, 3 m far-field limit.
+# gain at 1 m, 6.4 m LoS range, 3 m far-field limit, 20 x 20 surfaces.
 DEFAULT_WAVELENGTH = 0.06
 DEFAULT_LOS_THRESHOLD = 6.4
 DEFAULT_MIN_FAR_FIELD = 3.0
 DEFAULT_BS_ANTENNAS = 20
-DEFAULT_IRS_GRID = (20, 20)
-
-# Divisors tried below isqrt(M) when splitting M into a grid; past this
-# many steps the split falls back to 1 x M, so any M splits quickly.
-GRID_SPLIT_STEPS = 2**16
+DEFAULT_IRS_SIDE = 20
 
 
 class SceneError(ValueError):
     """Raised for malformed or physically inconsistent scene documents."""
 
 
-def _is_count(value) -> bool:
-    """True for a non-bool int of at least 1."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def _check_count(name: str, value) -> None:
-    if not _is_count(value):
+    """Raise unless value is a non-bool int of at least 1."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
         raise SceneError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_grid(grid: tuple[int, int]) -> None:
-    m1, m2 = grid
-    if not (_is_count(m1) and _is_count(m2)):
-        raise SceneError(f"irs_grid must be positive integers, got {grid!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,10 +61,7 @@ class Scene:
     num_irs: int
     num_users: int
     bs_antennas: int = DEFAULT_BS_ANTENNAS
-    irs_grid: tuple[int, int] = DEFAULT_IRS_GRID
-    antenna_spacing: float = DEFAULT_WAVELENGTH / 2
-    element_spacing: float = DEFAULT_WAVELENGTH / 2
-    wavelength: float = DEFAULT_WAVELENGTH
+    elements: int = DEFAULT_IRS_SIDE**2
     ref_path_gain: float = (DEFAULT_WAVELENGTH / (4 * math.pi)) ** 2
     los_threshold: float = DEFAULT_LOS_THRESHOLD
     min_far_field: float = DEFAULT_MIN_FAR_FIELD
@@ -93,11 +75,6 @@ class Scene:
     @property
     def num_nodes(self) -> int:
         return len(self.positions)
-
-    @property
-    def elements(self) -> int:
-        """Total reflecting elements per surface, M1 * M2."""
-        return self.irs_grid[0] * self.irs_grid[1]
 
     @cached_property
     def dist_matrix(self) -> np.ndarray:
@@ -128,10 +105,9 @@ class Scene:
         object.__setattr__(self, "positions", pos)
 
         _check_count("bs_antennas", self.bs_antennas)
-        _check_grid(self.irs_grid)
-        for name in ("antenna_spacing", "element_spacing", "wavelength", "min_far_field"):
-            if not getattr(self, name) > 0:
-                raise SceneError(f"{name} must be positive")
+        _check_count("elements", self.elements)
+        if not self.min_far_field > 0:
+            raise SceneError("min_far_field must be positive")
         if not self.los_threshold >= 0:
             raise SceneError("los_threshold must be nonnegative")
         if not 0.0 < self.ref_path_gain < 1.0:
@@ -259,19 +235,13 @@ class Scene:
     # -- derived scenes ------------------------------------------------
 
     def with_elements(self, elements: int) -> "Scene":
-        """Copy of the scene with a different per-surface element count.
+        """Copy of the scene with a different per-surface element count M.
 
-        The grid is refactored as the most balanced M1 x M2 split of
-        the requested total whose M1 lies within ``GRID_SPLIT_STEPS`` of
-        isqrt(M), else as 1 x M.  The copy shares the validated layout
-        and its cached geometry, none of which depends on the element
-        count.
+        The copy shares the validated layout and its cached geometry,
+        none of which depends on the element count.
         """
         _check_count("irs_grid element count", elements)
-        top = math.isqrt(elements)
-        tried = range(top, max(top - GRID_SPLIT_STEPS, 0), -1)
-        m1 = next((c for c in tried if elements % c == 0), 1)
-        return self._copy_with("irs_grid", (m1, elements // m1))
+        return self._copy_with("elements", elements)
 
     def with_antennas(self, antennas: int) -> "Scene":
         """Copy of the scene with a different BS antenna count.
@@ -316,7 +286,10 @@ def load_scene(text: str) -> Scene:
 
     The document carries ``params`` (all optional, defaults above),
     ``nodes`` with ids, kinds and 3-D positions, and an optional
-    symmetric ``los_override`` 0/1 matrix.
+    symmetric ``los_override`` 0/1 matrix.  The grid ``M1`` x ``M2``
+    is kept as its product M.  The closed form reads neither the
+    spacings ``dA`` and ``dI`` nor the wavelength ``lambda``: they are
+    checked but not kept, and ``lambda`` sets the default ``beta``.
     """
     try:
         doc = json.loads(text)
@@ -380,18 +353,24 @@ def load_scene(text: str) -> Scene:
     if kinds != [BS] + [IRS] * num_irs + [USER] * num_users:
         raise SceneError("nodes must be ordered BS, IRS..., User...")
 
+    grid = (int(params.get("M1", DEFAULT_IRS_SIDE)), int(params.get("M2", DEFAULT_IRS_SIDE)))
+    if min(grid) < 1:
+        raise SceneError(f"irs_grid must be positive integers, got {grid!r}")
+    spacings = (
+        ("antenna_spacing", float(params.get("dA", wavelength / 2))),
+        ("element_spacing", float(params.get("dI", wavelength / 2))),
+        ("wavelength", wavelength),
+    )
+    for name, value in spacings:
+        if not value > 0:
+            raise SceneError(f"{name} must be positive")
+
     return Scene(
         positions=np.array([entries[i][1] for i in ids], dtype=float),
         num_irs=num_irs,
         num_users=num_users,
         bs_antennas=int(params.get("N", DEFAULT_BS_ANTENNAS)),
-        irs_grid=(
-            int(params.get("M1", DEFAULT_IRS_GRID[0])),
-            int(params.get("M2", DEFAULT_IRS_GRID[1])),
-        ),
-        antenna_spacing=float(params.get("dA", wavelength / 2)),
-        element_spacing=float(params.get("dI", wavelength / 2)),
-        wavelength=wavelength,
+        elements=grid[0] * grid[1],
         ref_path_gain=beta,
         los_threshold=float(params.get("los_threshold", DEFAULT_LOS_THRESHOLD)),
         min_far_field=float(params.get("d0", DEFAULT_MIN_FAR_FIELD)),

@@ -8,14 +8,15 @@ end channel power of a route collapses to
 ``beamroute.channel.closed_form_power``.  This module evaluates the
 same power by direct matrix products, from array responses and link
 geometry alone, so the tests can check the closed form against it.
-It reads the scene's array sizes and spacings (``irs_grid``,
-``antenna_spacing``, ``element_spacing``, ``wavelength``), which the
-routing library itself never needs.
+Besides the scene it reads an ``ArrayGeometry``: the surfaces' M1 x M2
+grid, the spacings and the wavelength, which the closed form and so the
+scene never need.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,22 @@ TWO_PI = 2 * math.pi
 
 class ChannelError(ValueError):
     """Raised for links or routes the channel model does not define."""
+
+
+@dataclass(frozen=True)
+class ArrayGeometry:
+    """Array layout of the matrix-product model.
+
+    ``grid`` is each surface's M1 x M2 element grid; every surface
+    response checks that it holds the scene's M elements.  The BS
+    antenna and surface element spacings default to half the default
+    wavelength.
+    """
+
+    grid: tuple[int, int]
+    wavelength: float = 0.06
+    antenna_spacing: float = 0.03
+    element_spacing: float = 0.03
 
 
 # -- link geometry -----------------------------------------------------
@@ -112,26 +129,30 @@ def ura_response(
 # -- per-link building blocks ------------------------------------------
 
 
-def _bs_departure(scene: Scene, j: int) -> np.ndarray:
-    return ula_response(scene.bs_antennas, scene.antenna_spacing, scene.wavelength, bs_aod(scene, j))
+def _bs_departure(scene: Scene, arrays: ArrayGeometry, j: int) -> np.ndarray:
+    return ula_response(
+        scene.bs_antennas, arrays.antenna_spacing, arrays.wavelength, bs_aod(scene, j)
+    )
 
 
-def _irs_response(scene: Scene, j: int, i: int) -> np.ndarray:
+def _irs_response(scene: Scene, arrays: ArrayGeometry, j: int, i: int) -> np.ndarray:
     """Response of surface j toward node i, for waves arriving from or leaving to it."""
-    m1, m2 = scene.irs_grid
-    return ura_response(m1, m2, scene.element_spacing, scene.wavelength, *direction(scene, j, i))
+    m1, m2 = arrays.grid
+    if m1 * m2 != scene.elements:
+        raise ChannelError(f"grid {arrays.grid} does not hold the scene's {scene.elements} elements")
+    return ura_response(m1, m2, arrays.element_spacing, arrays.wavelength, *direction(scene, j, i))
 
 
-def _amplitude(scene: Scene, i: int, j: int) -> complex:
+def _amplitude(scene: Scene, arrays: ArrayGeometry, i: int, j: int) -> complex:
     d = scene.distance(i, j)
     return (
         math.sqrt(scene.ref_path_gain)
         / d
-        * np.exp(-1j * TWO_PI * d / scene.wavelength)
+        * np.exp(-1j * TWO_PI * d / arrays.wavelength)
     )
 
 
-def link_channel(scene: Scene, i: int, j: int) -> np.ndarray:
+def link_channel(scene: Scene, arrays: ArrayGeometry, i: int, j: int) -> np.ndarray:
     """LoS channel matrix of the link i -> j.
 
     Shapes: BS->IRS is (M, N), IRS->IRS is (M, M), IRS->user is (1, M).
@@ -140,17 +161,17 @@ def link_channel(scene: Scene, i: int, j: int) -> np.ndarray:
     if not scene.los_indicator(i, j):
         raise ChannelError(f"no LoS between nodes {i} and {j}")
     ki, kj = scene.kind(i), scene.kind(j)
-    amp = _amplitude(scene, i, j)
+    amp = _amplitude(scene, arrays, i, j)
     if ki == BS and kj == IRS:
-        tx = _bs_departure(scene, j)
-        rx = _irs_response(scene, j, i)
+        tx = _bs_departure(scene, arrays, j)
+        rx = _irs_response(scene, arrays, j, i)
         return amp * np.outer(rx, tx.conj())
     if ki == IRS and kj == IRS:
-        tx = _irs_response(scene, i, j)
-        rx = _irs_response(scene, j, i)
+        tx = _irs_response(scene, arrays, i, j)
+        rx = _irs_response(scene, arrays, j, i)
         return amp * np.outer(rx, tx.conj())
     if ki == IRS and kj == USER:
-        tx = _irs_response(scene, i, j)
+        tx = _irs_response(scene, arrays, i, j)
         return amp * tx.conj()[None, :]
     raise ChannelError(f"unsupported link kind {ki} -> {kj}")
 
@@ -158,7 +179,7 @@ def link_channel(scene: Scene, i: int, j: int) -> np.ndarray:
 # -- route-level beamforming -------------------------------------------
 
 
-def _alignment_pairs(scene: Scene, route: Route):
+def _alignment_pairs(scene: Scene, arrays: ArrayGeometry, route: Route):
     """Incoming and outgoing unit responses at each surface of a route.
 
     For the first surface the incoming side faces the base station, for
@@ -168,12 +189,18 @@ def _alignment_pairs(scene: Scene, route: Route):
     validate_route(scene, route)
     seq = route.vertices
     return [
-        (seq[n], _irs_response(scene, seq[n], seq[n - 1]), _irs_response(scene, seq[n], seq[n + 1]))
+        (
+            seq[n],
+            _irs_response(scene, arrays, seq[n], seq[n - 1]),
+            _irs_response(scene, arrays, seq[n], seq[n + 1]),
+        )
         for n in range(1, route.hops + 1)
     ]
 
 
-def optimal_phase_shifts(scene: Scene, route: Route) -> dict[int, np.ndarray]:
+def optimal_phase_shifts(
+    scene: Scene, arrays: ArrayGeometry, route: Route
+) -> dict[int, np.ndarray]:
     """Per-element phases aligning each surface's reflection to the next hop.
 
     Returns a map from surface id to a phase vector in [0, 2 pi).  Each
@@ -181,24 +208,26 @@ def optimal_phase_shifts(scene: Scene, route: Route) -> dict[int, np.ndarray]:
     response angle, which makes all per-surface gains add coherently.
     """
     shifts = {}
-    for irs_id, inc, out in _alignment_pairs(scene, route):
+    for irs_id, inc, out in _alignment_pairs(scene, arrays, route):
         shifts[irs_id] = np.mod(np.angle(out) - np.angle(inc), TWO_PI)
     return shifts
 
 
-def hop_gains(scene: Scene, route: Route, shifts: dict[int, np.ndarray]) -> np.ndarray:
+def hop_gains(
+    scene: Scene, arrays: ArrayGeometry, route: Route, shifts: dict[int, np.ndarray]
+) -> np.ndarray:
     """Scalar reflection gain at each surface under the given phases.
 
     With optimal phases every entry has magnitude M.
     """
     out_list = []
-    for irs_id, inc, out in _alignment_pairs(scene, route):
+    for irs_id, inc, out in _alignment_pairs(scene, arrays, route):
         theta = shifts[irs_id]
         out_list.append(np.sum(out.conj() * np.exp(1j * theta) * inc))
     return np.array(out_list)
 
 
-def mrt_precoder(scene: Scene, route: Route) -> np.ndarray:
+def mrt_precoder(scene: Scene, arrays: ArrayGeometry, route: Route) -> np.ndarray:
     """Maximum ratio transmission vector toward the route's first surface.
 
     Carries the phase 2 pi D / lambda compensating the total route
@@ -206,14 +235,15 @@ def mrt_precoder(scene: Scene, route: Route) -> np.ndarray:
     """
     validate_route(scene, route)
     seq = route.vertices
-    steer = _bs_departure(scene, seq[1])
+    steer = _bs_departure(scene, arrays, seq[1])
     length = sum(scene.distance(a, b) for a, b in zip(seq[:-1], seq[1:]))
-    phi = TWO_PI * length / scene.wavelength
+    phi = TWO_PI * length / arrays.wavelength
     return np.exp(1j * phi) * steer / np.linalg.norm(steer)
 
 
 def end_to_end_channel(
     scene: Scene,
+    arrays: ArrayGeometry,
     route: Route,
     shifts: dict[int, np.ndarray],
     precoder: np.ndarray,
@@ -230,7 +260,7 @@ def end_to_end_channel(
         raise ChannelError(
             f"precoder must have shape ({scene.bs_antennas},), got {precoder.shape}"
         )
-    v = link_channel(scene, 0, seq[1]) @ precoder
+    v = link_channel(scene, arrays, 0, seq[1]) @ precoder
     for n in range(1, route.hops + 1):
         irs_id = seq[n]
         if irs_id not in shifts:
@@ -241,11 +271,13 @@ def end_to_end_channel(
                 f"phase vector for surface {irs_id} must have shape ({scene.elements},)"
             )
         v = np.exp(1j * theta) * v
-        v = link_channel(scene, irs_id, seq[n + 1]) @ v
+        v = link_channel(scene, arrays, irs_id, seq[n + 1]) @ v
     return complex(v[0])
 
 
-def favorable_propagation_metric(scene: Scene, irs_ids: list[int]) -> np.ndarray:
+def favorable_propagation_metric(
+    scene: Scene, arrays: ArrayGeometry, irs_ids: list[int]
+) -> np.ndarray:
     """Normalized pairwise correlation of BS steering vectors.
 
     Entry (i, j) is |a_i^H a_j|^2 / N^2 for the departure responses
@@ -258,7 +290,7 @@ def favorable_propagation_metric(scene: Scene, irs_ids: list[int]) -> np.ndarray
             raise ChannelError(f"node {j} is not a reflecting surface")
         if not scene.los_indicator(0, j):
             raise ChannelError(f"surface {j} has no LoS to the BS")
-    a = np.stack([_bs_departure(scene, j) for j in irs_ids], axis=1)
+    a = np.stack([_bs_departure(scene, arrays, j) for j in irs_ids], axis=1)
     gram = a.conj().T @ a
     metric = np.abs(gram) ** 2 / scene.bs_antennas**2
     np.fill_diagonal(metric, 1.0)

@@ -28,7 +28,7 @@ def full_los(n: int) -> np.ndarray:
     return m
 
 
-def chain_scene(rng, hops, irs_grid=(2, 2), antennas=4, step_lo=3.0, step_hi=8.0, **kw) -> Scene:
+def chain_scene(rng, hops, elements=4, antennas=4, step_lo=3.0, step_hi=8.0, **kw) -> Scene:
     """Random single-user chain: BS, `hops` IRSs, one user.
 
     Consecutive nodes are placed a random step apart along a wandering
@@ -60,7 +60,7 @@ def chain_scene(rng, hops, irs_grid=(2, 2), antennas=4, step_lo=3.0, step_hi=8.0
                 break
         if ok:
             return make_scene(
-                pos, hops, 1, los_override=full_los(n), irs_grid=irs_grid,
+                pos, hops, 1, los_override=full_los(n), elements=elements,
                 bs_antennas=antennas, **kw,
             )
     raise RuntimeError("chain placement failed")

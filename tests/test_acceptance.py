@@ -31,6 +31,7 @@ from beamroute.solver import (
 )
 
 from channel_model import (
+    ArrayGeometry,
     bs_aod,
     end_to_end_channel,
     favorable_propagation_metric,
@@ -81,7 +82,7 @@ def lattice_scene(rng, num_irs: int, num_users: int) -> Scene:
             if rng.random() < p:
                 los[a, b] = los[b, a] = 1
     return make_scene(
-        pts, num_irs, num_users, los_override=los, bs_antennas=4, irs_grid=(2, 2)
+        pts, num_irs, num_users, los_override=los, bs_antennas=4, elements=4
     )
 
 
@@ -100,16 +101,17 @@ def test_01_direct_channel_matches_closed_form():
     worst = 0.0
     for _ in range(200):
         hops = int(rng.integers(1, 6))
+        arrays = ArrayGeometry(grids[int(rng.integers(0, 3))])
         scene = chain_scene(
             rng,
             hops,
-            irs_grid=grids[int(rng.integers(0, 3))],
+            elements=math.prod(arrays.grid),
             antennas=int(rng.choice([1, 4, 16])),
         )
         route = route_from_sequence(scene, 1, list(range(1, hops + 1)))
-        shifts = optimal_phase_shifts(scene, route)
-        w = mrt_precoder(scene, route)
-        direct = abs(end_to_end_channel(scene, route, shifts, w)) ** 2
+        shifts = optimal_phase_shifts(scene, arrays, route)
+        w = mrt_precoder(scene, arrays, route)
+        direct = abs(end_to_end_channel(scene, arrays, route, shifts, w)) ** 2
         closed = closed_form_power(scene, route)
         worst = max(worst, abs(direct - closed) / closed)
     elapsed = time.perf_counter() - start
@@ -299,7 +301,7 @@ def test_08_joint_selection_dominates_greedy():
             if not prop.feasible or prop.objective < greedy.objective * (1 - 1e-12):
                 ok = False
                 break
-    trap = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
+    trap = adversarial_scene(bs_antennas=4, elements=4)
     trap_prop = solve(trap)
     trap_greedy = solve_sequential(trap)
     ok = (
@@ -339,7 +341,7 @@ def test_09_all_solutions_pass_the_audit():
             num_irs = len(pts) - 1 - num_users
             if num_irs < 1:
                 continue
-            scene = make_scene(pts, num_irs, num_users, bs_antennas=4, irs_grid=(2, 2))
+            scene = make_scene(pts, num_irs, num_users, bs_antennas=4, elements=4)
         else:
             scene = lattice_scene(rng, int(rng.integers(3, 7)), int(rng.integers(1, 3)))
         for algorithm in ("proposed", "sequential", "min_pathloss", "max_cpb", "brute_force"):
@@ -371,7 +373,7 @@ def test_10_first_hop_beams_decorrelate():
     distinct = all(
         abs(a - b) > 1e-6 for a, b in itertools.combinations(aods, 2)
     )
-    metric = favorable_propagation_metric(scene, ids)
+    metric = favorable_propagation_metric(scene, ArrayGeometry((20, 20)), ids)
     diag_exact = all(metric[i, i] == 1.0 for i in range(5))
     off = [metric[i, j] for i in range(5) for j in range(5) if i != j]
     ok = distinct and diag_exact and max(off) < 0.1

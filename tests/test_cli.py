@@ -350,7 +350,7 @@ def _chain_document(surfaces: int) -> str:
 
 def test_main_huge_element_count_keeps_the_contract(capsys):
     # a prime M far beyond any real surface still gives a report or one
-    # JSON error line, without a long search for its grid split
+    # JSON error line
     code = main(["--scene", DEMO, "--elements", "1000000000000000003", "--output", "json"])
     assert code in (0, 1, 2)
     out = capsys.readouterr().out
@@ -513,6 +513,9 @@ GOLDEN_RUNS = [
         for name in ("proposed", "sequential", "min-pathloss", "max-cpb", "brute-force")
     ),
     ("demo_sweep_M.csv", ["--sweep", "M", "--values", "100,200,400,800", "--output", "csv"]),
+    # a prime M far past a float's integer precision, set by Scene.with_elements
+    ("demo_elements_1000000000000000003.json",
+     ["--elements", "1000000000000000003", "--output", "json"]),
     ("demo_sweep_Q.csv", ["--sweep", "Q", "--values", "1..20", "--output", "csv"]),
     ("demo_proposed.txt", []),
     ("demo_sweep_M.txt", ["--sweep", "M", "--values", "100,200,400,800"]),
@@ -527,6 +530,30 @@ def test_report_bytes_match_golden(tmp_path, golden, args):
     assert main(["--scene", DEMO, *args, "--out", str(out)]) == 0
     with open(os.path.join(GOLDEN, golden), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_rejected_element_count_matches_golden(capsys):
+    # the one-line record of Scene.with_elements' count check
+    assert main(["--scene", DEMO, "--elements", "0"]) == 1
+    with open(os.path.join(GOLDEN, "demo_elements_0.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_reports_depend_on_the_element_count_alone(tmp_path, capsys):
+    # the closed form reads M, not how a document splits it into M1 x M2
+    with open(DEMO) as fh:
+        doc = json.load(fh)
+    reports = []
+    for m1, m2 in ((4, 8), (32, 1)):
+        doc["params"] = {"M1": m1, "M2": m2}
+        path = tmp_path / f"demo_{m1}x{m2}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--scene", str(path), "--output", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert main(["--scene", DEMO, "--elements", "32", "--output", "json"]) == 0
+    reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["params"]["elements"] == 32
 
 
 def test_timing_adds_one_trailing_line(tmp_path, capsys):

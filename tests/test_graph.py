@@ -346,8 +346,7 @@ class TestBuildRoutingGraph:
             base = build_routing_graph(scene)
             for copy in copies:
                 assert copy.topology is shared
-                m1, m2 = copy.irs_grid
-                doc["params"].update(N=copy.bs_antennas, M1=m1, M2=m2)
+                doc["params"].update(N=copy.bs_antennas, M1=copy.elements, M2=1)
                 fresh = load_scene(json.dumps(doc))
                 assert fresh.topology is not shared
                 for hop_priority in (False, True):
@@ -397,7 +396,7 @@ class TestBuildRoutingGraph:
         # Scene validation keeps M >= 1; past it, the bulk path still refuses
         for m in (0, -3):
             broken = scene.with_elements(1)
-            object.__setattr__(broken, "irs_grid", (1, m))
+            object.__setattr__(broken, "elements", m)
             with pytest.raises(GraphError, match="positive distance and element count"):
                 edge_weight(d, m, scene.ref_path_gain)
             with pytest.raises(GraphError, match="positive distance and element count"):
@@ -772,10 +771,10 @@ class TestCostPowerDuality:
         # power of a route equals (N / M^2) e^(-2 cost), checked on
         # random chains across surface sizes and antenna counts
         rng = np.random.default_rng(99)
-        for grid, antennas in [((2, 2), 4), ((4, 4), 8), ((3, 5), 1)]:
+        for elements, antennas in [(4, 4), (16, 8), (15, 1)]:
             for _ in range(10):
                 hops = int(rng.integers(1, 5))
-                scene = chain_scene(rng, hops, irs_grid=grid, antennas=antennas)
+                scene = chain_scene(rng, hops, elements=elements, antennas=antennas)
                 route = route_from_sequence(scene, 1, list(range(1, hops + 1)))
                 power = closed_form_power(scene, route)
                 n, m = scene.bs_antennas, scene.elements

@@ -91,9 +91,22 @@ DOCUMENT_ERRORS = [
     ("beta", json.dumps({"params": {"beta": 1.5}, "nodes": [BS0]}),
      "invalid path gain: ref_path_gain must lie in (0, 1), got 1.5"),
     ("dA", json.dumps({"params": {"dA": 0}, "nodes": [BS0]}), "antenna_spacing must be positive"),
+    ("dI", json.dumps({"params": {"dI": -0.5}, "nodes": [BS0]}), "element_spacing must be positive"),
+    # the spacings default to lambda / 2, so dA fails before lambda itself
+    ("lambda", json.dumps({"params": {"lambda": -1}, "nodes": [BS0]}),
+     "antenna_spacing must be positive"),
+    ("lambda-only", json.dumps({"params": {"lambda": 0, "dA": 1, "dI": 1}, "nodes": [BS0]}),
+     "wavelength must be positive"),
     ("N", json.dumps({"params": {"N": 0}, "nodes": [BS0]}),
      "bs_antennas must be a positive integer, got 0"),
     ("M1", json.dumps({"params": {"M1": 0}, "nodes": [BS0]}),
+     "irs_grid must be positive integers, got (0, 20)"),
+    ("M1-negative-zero", json.dumps({"params": {"M1": -0.0}, "nodes": [BS0]}),
+     "irs_grid must be positive integers, got (0, 20)"),
+    ("M2", json.dumps({"params": {"M2": -3}, "nodes": [BS0]}),
+     "irs_grid must be positive integers, got (20, -3)"),
+    # the grid and the spacings are checked on load, before the scene's own fields
+    ("order-grid-before-antennas", json.dumps({"params": {"N": 0, "M1": 0}, "nodes": [BS0]}),
      "irs_grid must be positive integers, got (0, 20)"),
     ("threshold", json.dumps({"params": {"los_threshold": -1}, "nodes": [BS0]}),
      "los_threshold must be nonnegative"),
@@ -177,7 +190,6 @@ class TestLoadScene:
         scene = load_scene(small_doc())
         assert scene.bs_antennas == 20
         assert scene.elements == 400
-        assert scene.wavelength == 0.06
         assert scene.ref_path_gain == pytest.approx(BETA_5GHZ, rel=1e-12)
         assert scene.los_threshold == DEFAULT_LOS_THRESHOLD
         assert scene.min_far_field == 3.0
@@ -198,7 +210,7 @@ class TestLoadScene:
                 load_scene(small_doc(**{key: value}))
         scene = load_scene(small_doc(N=20.0, M1=4.0, M2=8.0))
         assert type(scene.bs_antennas) is int and scene.bs_antennas == 20
-        assert scene.irs_grid == (4, 8)
+        assert type(scene.elements) is int and scene.elements == 32
 
     def test_malformed_json(self):
         with pytest.raises(SceneError, match="malformed"):
@@ -431,19 +443,6 @@ class TestLinkGeometry:
 
 
 class TestDerivedScenes:
-    def test_with_elements_balanced_split(self):
-        scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
-        s2 = scene.with_elements(200)
-        assert s2.irs_grid == (10, 20)
-        assert s2.elements == 200
-        s3 = scene.with_elements(64)
-        assert s3.irs_grid == (8, 8)
-        s4 = scene.with_elements(13)
-        assert s4.irs_grid == (1, 13)
-        # 10**18 + 3 is prime: trial division down from its square root
-        # would take 10**9 steps, the bounded search falls back to 1 x M
-        assert scene.with_elements(10**18 + 3).irs_grid == (1, 10**18 + 3)
-
     def test_with_antennas(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         assert scene.with_antennas(7).bs_antennas == 7
@@ -487,10 +486,10 @@ class TestDerivedScenes:
             before = {f.name: getattr(scene, f.name) for f in fields(Scene)}
             for m in (1, 13, 200):
                 scaled = scene.with_elements(m)
-                fresh = replace(scene, irs_grid=scaled.irs_grid)
+                fresh = replace(scene, elements=m)
                 assert scaled.elements == fresh.elements == m
                 for f in fields(Scene):
-                    if f.name != "irs_grid":
+                    if f.name != "elements":
                         assert getattr(scaled, f.name) is getattr(scene, f.name)
                 for name in cached:
                     self.assert_same_value(getattr(scaled, name), getattr(fresh, name))
@@ -535,13 +534,13 @@ class TestDerivedScenes:
                 scene.with_elements(bad)
             with pytest.raises(SceneError, match="bs_antennas must be a positive integer"):
                 scene.with_antennas(bad)
-        assert scene.with_elements(1).irs_grid == (1, 1)
+        assert scene.with_elements(1).elements == 1
         assert scene.with_antennas(1).bs_antennas == 1
 
-    def test_bool_grid_rejected(self):
-        for grid in ((True, 2), (2, False)):
-            with pytest.raises(SceneError, match="irs_grid must be positive integers"):
-                make_scene([[0, 0, 0], [5, 0, 0]], 1, 0, irs_grid=grid)
+    def test_bool_element_count_rejected(self):
+        for bad in (True, False):
+            with pytest.raises(SceneError, match="elements must be a positive integer"):
+                make_scene([[0, 0, 0], [5, 0, 0]], 1, 0, elements=bad)
 
 
 class TestImmutability:
@@ -553,4 +552,4 @@ class TestImmutability:
     def test_frozen_dataclass(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         with pytest.raises(AttributeError):
-            scene.wavelength = 0.1
+            scene.elements = 16

@@ -152,7 +152,7 @@ def random_scene(rng) -> Scene:
             if rng.random() < p:
                 los[a, b] = los[b, a] = 1
     return make_scene(
-        pts, num_irs, 2, los_override=los, bs_antennas=4, irs_grid=(2, 2)
+        pts, num_irs, 2, los_override=los, bs_antennas=4, elements=4
     )
 
 
@@ -192,7 +192,7 @@ def easy_two_corridor() -> Scene:
         (4.0, 8.0, 0.0), (9.0, 8.0, 0.0),
         (14.0, 0.0, 0.0), (14.0, 8.0, 0.0),
     ]
-    return make_scene(positions, 4, 2, bs_antennas=4, irs_grid=(2, 2))
+    return make_scene(positions, 4, 2, bs_antennas=4, elements=4)
 
 
 # ------------------------------------------------------- proposed solver
@@ -230,7 +230,7 @@ def test_proposed_diagnostics():
 def test_clique_diagnostics_count_edges_and_cuts():
     # only one candidate pair coexists; user 1's cheaper route leaves
     # user 2 nothing, so forward checking cuts that branch
-    scene = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
+    scene = adversarial_scene(bs_antennas=4, elements=4)
     for sol in (
         solve(scene),
         solve(scene, SolveParams(algorithm="min_pathloss")),
@@ -334,7 +334,7 @@ def test_benchmark_follows_params_algorithm():
 # ----------------------------------------------------- sequential solver
 
 def test_sequential_fails_where_joint_succeeds():
-    scene = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
+    scene = adversarial_scene(bs_antennas=4, elements=4)
     joint = solve(scene)
     greedy = solve_sequential(scene)
     assert joint.feasible
@@ -401,7 +401,7 @@ def raw_sequential(scene: Scene, queried: set | None = None):
 
 def test_sequential_matches_raw_banned_loop():
     rng = np.random.default_rng(29)
-    scenes = [adversarial_scene(bs_antennas=4, irs_grid=(2, 2)), easy_two_corridor()]
+    scenes = [adversarial_scene(bs_antennas=4, elements=4), easy_two_corridor()]
     scenes += [random_scene(rng) for _ in range(40)]
     scenes += [random_override_scene(rng, 12, 3) for _ in range(20)]
     # four and five users: orders are cut and sweeps shared below depth 2
@@ -444,7 +444,7 @@ def count_sweeps(monkeypatch):
 def test_one_sweep_per_banned_set(monkeypatch):
     rng = np.random.default_rng(31)
     calls = count_sweeps(monkeypatch)
-    scenes = [adversarial_scene(bs_antennas=4, irs_grid=(2, 2)), easy_two_corridor()]
+    scenes = [adversarial_scene(bs_antennas=4, elements=4), easy_two_corridor()]
     scenes += [random_override_scene(rng, 12, 3) for _ in range(20)]
     shared = 0
     for scene in scenes:
@@ -486,7 +486,7 @@ def test_sequential_matches_tree_reference():
     scenes += [load_scene(gen.mesh_document(s, dict(gen.MESH, users=5))) for s in range(12)]
     scenes += [sector_scene(rng, int(rng.integers(3, 7))) for _ in range(12)]
     scenes += [random_override_scene(rng, 12, int(rng.integers(2, 6))) for _ in range(12)]
-    scenes += [adversarial_scene(bs_antennas=4, irs_grid=(2, 2)), easy_two_corridor()]
+    scenes += [adversarial_scene(bs_antennas=4, elements=4), easy_two_corridor()]
     feasible = 0
     for scene in scenes:
         got, want = solve_sequential(scene), tree_sequential(scene)
@@ -550,7 +550,7 @@ def test_stage_counts_repeat_exactly():
 def test_sequential_user_cap():
     positions = [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]]
     positions += [[4.0 * (i + 2), 0.0, 0.0] for i in range(9)]
-    scene = make_scene(positions, 1, 9, bs_antennas=4, irs_grid=(2, 2))
+    scene = make_scene(positions, 1, 9, bs_antennas=4, elements=4)
     with pytest.raises(SolverError, match="at most 8"):
         solve_sequential(scene)
 
@@ -594,7 +594,7 @@ def test_bruteforce_cap(monkeypatch):
 
 def test_isolated_user_is_infeasible():
     positions = [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [40.0, 0.0, 0.0]]
-    scene = make_scene(positions, 1, 1, bs_antennas=4, irs_grid=(2, 2))
+    scene = make_scene(positions, 1, 1, bs_antennas=4, elements=4)
     for sol in (solve(scene), solve_sequential(scene), solve_bruteforce(scene)):
         assert not sol.feasible
         assert sol.routes == ()
@@ -605,7 +605,7 @@ def test_isolated_user_is_infeasible():
 
 
 def test_no_compatible_combination():
-    base = adversarial_scene(bs_antennas=4, irs_grid=(2, 2))
+    base = adversarial_scene(bs_antennas=4, elements=4)
     override = np.array(base.los_override, copy=True)
     override[2, 4] = override[4, 2] = 1
     scene = Scene(
@@ -613,7 +613,7 @@ def test_no_compatible_combination():
         base.num_irs,
         base.num_users,
         bs_antennas=4,
-        irs_grid=(2, 2),
+        elements=4,
         los_override=override,
     )
     sol = solve(scene)
@@ -659,7 +659,7 @@ def test_audit_rejects_cross_los_routes():
             (4.0, 8.0, 0.0), (9.0, 5.0, 0.0),
             (14.0, 0.0, 0.0), (14.0, 8.0, 0.0),
         ],
-        4, 2, bs_antennas=4, irs_grid=(2, 2),
+        4, 2, bs_antennas=4, elements=4,
     )
     r1 = route_from_sequence(near, 1, [1, 2])
     r2 = route_from_sequence(near, 2, [3, 4])
