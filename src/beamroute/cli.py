@@ -44,8 +44,8 @@ class ExperimentConfig:
     """Everything one invocation depends on.
 
     Exactly one of ``scene_path`` and ``generate`` must be set.
-    ``paths`` and sweep values must be positive, sweep values strictly
-    increasing and at most ``MAX_SWEEP_VALUES``, and ``seed`` non-negative.
+    ``paths`` and sweep values must be positive ints, sweep values strictly
+    increasing and at most ``MAX_SWEEP_VALUES``, and ``seed`` a non-negative int.
     """
 
     scene_path: str | None = None
@@ -64,6 +64,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.scene_path is None) == (self.generate is None):
             raise CliError("exactly one of scene path and generator spec required")
+        ints = [("paths", self.paths), ("seed", self.seed)]
+        for name, value in ints + [("sweep value", v) for v in self.values]:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CliError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1:
             raise CliError("paths must be positive")
         if self.seed < 0:

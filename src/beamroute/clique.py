@@ -15,8 +15,6 @@ from functools import cached_property
 from operator import add, attrgetter
 from typing import NamedTuple
 
-import numpy as np
-
 from .graph import Route
 from .scene import Scene
 
@@ -97,32 +95,33 @@ class PathGraph:
             start = end
         if start != len(keys):
             raise CliqueError(f"{len(keys)} keys for {start} vertices")
+        if len(self.adj_masks) != start:
+            raise CliqueError(f"{len(self.adj_masks)} adjacency masks for {start} vertices")
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.order_key)
+    @cached_property
+    def part_masks(self) -> tuple[int, ...]:
+        """Per partition, the bits of its vertices, one run of set bits."""
+        return tuple(((1 << len(p)) - 1) << p[0] if p else 0 for p in self.partitions)
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        """``adj_masks`` as neighbour sets."""
-        n = self.num_vertices
-        width = (n + 7) // 8
-        packed = b"".join(m.to_bytes(width, "little") for m in self.adj_masks)
-        rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-        bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in bits)
+        """``adj_masks`` as neighbour sets: bit i is digit i from the right."""
+        return tuple(
+            frozenset(i for i, bit in enumerate(f"{mask:b}"[::-1]) if bit == "1")
+            for mask in self.adj_masks
+        )
 
 
 def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGraph:
     """Assemble the compatibility graph from per-user candidate lists.
 
-    ``compatible`` for every pair at once: with ``own`` the candidates
-    x nodes 0/1 matrix of each route's vertices after the BS, route a
-    conflicts with route b when ``(own @ closed @ own.T)[a, b] > 0``,
-    ``closed`` being the LoS matrix plus its diagonal.  The entries are
-    small integers, so float32 holds them exactly in any summation
-    order.  Routes of one user share its vertex, so they always
-    conflict and no partition mask is needed.
+    ``compatible`` for every pair at once, over bitsets of route ids:
+    each node gets the set of routes through it (its vertices after the
+    BS), then the union of those sets over its closed LoS neighbourhood
+    (``Scene.los_masks``), the routes it conflicts with.  A route
+    conflicts with the union of that over its own vertices after the
+    BS, and is adjacent to every other route.  Routes of one user share
+    its vertex, so they always conflict and no partition mask is needed.
 
     Each user's routes are numbered in ascending ``cost_vec`` order, the
     numbering ``PathGraph`` requires; a stable sort keeps the order of
@@ -149,17 +148,33 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
         routes += sorted(candidates[k], key=attrgetter("cost_vec"))
 
     n = scene.num_nodes
-    own = np.zeros((len(routes), n), dtype=np.float32)
-    owned = [route.vertices[1:] for route in routes]
-    own[[r for r, vs in enumerate(owned) for _ in vs], [v for vs in owned for v in vs]] = 1
-    closed = (scene.los_matrix | np.eye(n, dtype=bool)).astype(np.float32)
-    conflict = (own @ closed) @ own.T > 0
-    rows = np.packbits(~conflict, axis=1, bitorder="little")
+    through = [0] * n
+    for r, route in enumerate(routes):
+        for v in route.vertices[1:]:
+            through[v] |= 1 << r
+    # a node on no route neither conflicts nor is read
+    used = sum(1 << v for v in range(n) if through[v])
+    near = [0] * n
+    for v, mask in enumerate(scene.los_masks):
+        if through[v]:
+            seen, hit = mask & used, 0
+            while seen:
+                low = seen & -seen
+                hit |= through[low.bit_length() - 1]
+                seen ^= low
+            near[v] = hit
+    everyone = (1 << len(routes)) - 1
+    adj_masks = []
+    for route in routes:
+        conflict = 0
+        for v in route.vertices[1:]:
+            conflict |= near[v]
+        adj_masks.append(everyone ^ conflict)
 
     return PathGraph(
         partitions=tuple(partitions),
         order_key=tuple(r.cost_vec for r in routes),
-        adj_masks=tuple(int.from_bytes(row.tobytes(), "little") for row in rows),
+        adj_masks=tuple(adj_masks),
         routes=tuple(routes),
     )
 
@@ -171,7 +186,7 @@ def blocking_pair(graph: PathGraph) -> tuple[int, int] | None:
     that pair alone rules out every clique.  None when every pair has
     an edge.
     """
-    masks = [sum(1 << v for v in part) for part in graph.partitions]
+    masks = graph.part_masks
     for a, part in enumerate(graph.partitions):
         reach = 0
         for v in part:
@@ -228,12 +243,7 @@ class CliqueSearch:
         # the best clique's (worst key, key sum, vertex tuple)
         self._best: tuple | None = None
         self._heads = [key[0] for key in graph.order_key]
-        masks, start = [], 0
-        for part in graph.partitions:
-            masks.append(((1 << len(part)) - 1) << start)
-            start += len(part)
-        self._part_masks = masks
-        self._later = [masks[d + 1 :] for d in range(len(masks))]
+        self._later = [graph.part_masks[d + 1 :] for d in range(len(graph.partitions))]
 
     def run(self) -> Clique | None:
         self._best = None
@@ -260,9 +270,7 @@ class CliqueSearch:
         adj = self.graph.adj_masks
         heads = self._heads
         later = self._later[depth]
-        # the last partition is filled here, by its cheapest compatible vertex
-        fills_last = len(later) == 1
-        free = common & self._part_masks[depth]
+        free = common & self.graph.part_masks[depth]
         while free:
             low = free & -free
             free ^= low
@@ -276,8 +284,10 @@ class CliqueSearch:
                 break
             self.explored += 1
             summed = tuple(map(add, total, key))
-            if not later:  # a single partition
-                self._offer(top, summed, (v,))
+            if not later:  # the cheapest completion; later ones cost more
+                found = (top, summed, (*members, v))
+                if best is None or found < best:
+                    self._best = found
                 break
             rest = common & adj[v]
             worst_lb = top
@@ -295,18 +305,6 @@ class CliqueSearch:
                 if best is None or worst_lb < best[0] or (
                     worst_lb == best[0] and sum_lb <= best[1][0]
                 ):
-                    if fills_last:
-                        self.explored += 1
-                        total_u = tuple(map(add, summed, keys[u]))
-                        self._offer(worst_lb, total_u, (*members, v, u))
-                    else:
-                        self._extend((*members, v), rest, depth + 1, top, summed)
+                    self._extend((*members, v), rest, depth + 1, top, summed)
                     continue
             self.pruned += 1
-
-    def _offer(
-        self, worst: tuple[float, ...], total: tuple[float, ...], members: tuple[int, ...]
-    ) -> None:
-        found = (worst, total, members)
-        if self._best is None or found < self._best:
-            self._best = found

@@ -37,8 +37,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .scene import IRS, Scene
 
 
@@ -134,7 +132,7 @@ class RoutingTopology:
     num_users: int
     edges: tuple[tuple[int, int], ...]
     topo_order: tuple[int, ...]
-    dists: np.ndarray | None = None
+    dists: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if sorted(self.topo_order) != list(range(self.num_vertices)):
@@ -217,7 +215,7 @@ class RoutingTopology:
     @cached_property
     def log_dists(self) -> list[float]:
         """ln d per edge, the hop-priority cost's second slot at every M."""
-        return list(map(math.log, self.dists.tolist()))
+        return list(map(math.log, self.dists))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +278,8 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     never transmit and the BS-user link is treated as blocked, so no
     other edges exist.  The topology is ``Scene.topology``, which
     copies of the scene at other array sizes share, so a graph per M
-    only prices the edges: one array division and one ``math.log`` per
-    edge, the same operations as ``edge_weight``, so the same bits.
+    only prices the edges: one division and one ``math.log`` per edge,
+    the same operations as ``edge_weight``, so the same bits.
 
     ``hop_priority`` switches the search cost to (-1, ln d) per edge.
     """
@@ -292,8 +290,8 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
         m = scene.elements
         if m < 1:
             raise GraphError("edge weight needs positive distance and element count")
-        scaled = topology.dists / (m * math.sqrt(scene.ref_path_gain))
-        weights = list(map(math.log, scaled.tolist()))
+        scale = m * math.sqrt(scene.ref_path_gain)
+        weights = [math.log(d / scale) for d in topology.dists]
     return LosGraph(topology, weights, hop_priority)
 
 

@@ -2,8 +2,8 @@
 
 A scene holds one base station (vertex 0), J reflecting surfaces
 (vertices 1..J) and K users (vertices J+1..J+K), together with the
-the constants that routing and the closed-form power read: N, M, beta
-and the LoS rule.
+constants that routing and the closed-form power read: N, M, beta and
+the LoS rule.
 """
 
 from __future__ import annotations
@@ -209,19 +209,16 @@ class Scene:
             (1, 1, los[surfaces, surfaces] & (d_bs[None, :] > d_bs[:, None])),
             (1, 1 + j_count, los[surfaces, 1 + j_count :]),
         )
-        edges = []
-        dists = []
+        edges, dists = [], []
         for row0, col0, block in blocks:
             rows, cols = np.nonzero(block)
             rows, cols = rows + row0, cols + col0
             edges += zip(rows.tolist(), cols.tolist())
-            dists.append(d[rows, cols])
-        dists = np.concatenate(dists)
-        dists.flags.writeable = False
+            dists += d[rows, cols].tolist()
         # surfaces at equal BS distance share no edge, so their order is free
         near_first = sorted(range(1, 1 + j_count), key=d[0].tolist().__getitem__)
         order = (0, *near_first, *range(1 + j_count, self.num_nodes))
-        return RoutingTopology(self.num_irs, self.num_users, tuple(edges), order, dists)
+        return RoutingTopology(self.num_irs, self.num_users, tuple(edges), order, tuple(dists))
 
     def kind(self, i: int) -> str:
         return _KINDS[(i > 0) + (i > self.num_irs)]

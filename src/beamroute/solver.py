@@ -74,6 +74,8 @@ class SolveParams:
     algorithm: str = "proposed"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.paths, int) or isinstance(self.paths, bool):
+            raise SolverError(f"paths must be an integer, got {self.paths!r}")
         if self.paths < 1:
             raise SolverError("paths must be positive")
         if self.algorithm not in ALGORITHMS:

@@ -301,6 +301,14 @@ def test_config_validation(capsys):
         ExperimentConfig(scene_path=DEMO, paths=0)
     with pytest.raises(CliError, match="seed must be non-negative"):
         ExperimentConfig(generate="random(5,2,20,4)", seed=-1)
+    # library callers can pass any value; each must be an int, never a bool
+    for value in (2.5, "3", False):
+        with pytest.raises(CliError, match="paths must be an integer"):
+            ExperimentConfig(scene_path=DEMO, paths=value)
+        with pytest.raises(CliError, match="seed must be an integer"):
+            ExperimentConfig(generate="random(5,2,20,4)", seed=value)
+        with pytest.raises(CliError, match="sweep value must be an integer"):
+            ExperimentConfig(scene_path=DEMO, sweep="Q", values=(1, value))
     # a sweep must not report a bad budget as one failed row per point
     assert main(["--scene", DEMO, "--sweep", "M", "--values", "1,2", "--paths", "0"]) == 1
     assert capsys.readouterr().out == '{"error": "paths must be positive"}\n'

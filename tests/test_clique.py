@@ -432,7 +432,10 @@ class TestBuildPathGraph:
             PathGraph(((0,), (2,), (1,)), keys, (0, 0, 0))
         with pytest.raises(CliqueError, match="3 keys for 2 vertices"):
             PathGraph(((0,), (1,)), keys, (0, 0, 0))
-        assert PathGraph(((0, 1), (2,)), keys, (0, 0, 0)).num_vertices == 3
+        # one adjacency mask per vertex, or the search would index past them
+        with pytest.raises(CliqueError, match="1 adjacency masks for 3 vertices"):
+            PathGraph(((0,), (1,), (2,)), ((1.0,), (2.0,), (3.0,)), (0b110,))
+        assert PathGraph(((0, 1), (2,)), keys, (0, 0, 0)).part_masks == (0b011, 0b100)
 
     def test_zero_partitions_rejected(self):
         # like build_path_graph({}), which has no user to route either

@@ -316,7 +316,7 @@ class TestBuildRoutingGraph:
         edges, order = ((0, 1), (1, 2)), (0, 1, 2)
         with pytest.raises(GraphError, match="edge lengths"):
             LosGraph(RoutingTopology(1, 1, edges, order), [0.5, 0.5], hop_priority=True)
-        measured = RoutingTopology(1, 1, edges, order, np.array([2.0, 3.0]))
+        measured = RoutingTopology(1, 1, edges, order, (2.0, 3.0))
         (route,) = top_routes(LosGraph(measured, [0.5, 0.5], hop_priority=True), 1)[1]
         assert route.cost_vec == (-2.0, math.log(2.0) + math.log(3.0))
 
@@ -378,7 +378,7 @@ class TestBuildRoutingGraph:
         assert len(topology.edges) >= 100
         for m in (1, 7, 16, 1600, 10**15, 10**15 + 3, 2**53 + 1, 10**30, 3**200):
             scaled = scene.with_elements(m)
-            want = [edge_weight(d, m, scene.ref_path_gain) for d in topology.dists.tolist()]
+            want = [edge_weight(d, m, scene.ref_path_gain) for d in topology.dists]
             for hop_priority in (False, True):
                 got = build_routing_graph(scaled, hop_priority=hop_priority)
                 assert [w.hex() for w in got.weights] == [w.hex() for w in want]

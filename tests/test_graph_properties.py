@@ -147,7 +147,7 @@ def dead_end_graphs(draw) -> LosGraph:
         (i, j) for i in range(n) for j in range(i + 1, n) if i not in dead or j in dead
     ]
     edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))))
-    dists = np.array([draw(DISTS) for _ in edges], dtype=float)
+    dists = tuple(draw(DISTS) for _ in edges)
     order = tuple(range(n))
     topology = RoutingTopology(num_irs, num_users, edges, order, dists)
     assert dead.isdisjoint(topology.live_order)

@@ -54,3 +54,20 @@ def test_every_package_definition_is_used():
         if isinstance(node, DEFINITIONS) and not users[node.name] - {(path, node.name)}
     ]
     assert unused == []
+
+
+def test_numpy_stays_in_the_scene_and_the_generators():
+    # routing and route selection read plain ints and floats; numpy is
+    # for the scene's geometry and the CLI's random scene generator
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"scene.py", "cli.py"}

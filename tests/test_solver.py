@@ -728,8 +728,12 @@ def test_all_solvers_agree_on_easy_scene():
 def test_params_validation():
     with pytest.raises(SolverError, match="unknown algorithm"):
         SolveParams(algorithm="magic")
-    with pytest.raises(SolverError, match="paths"):
+    with pytest.raises(SolverError, match="paths must be positive"):
         SolveParams(paths=0)
+    # a budget that is not an int is refused here, not deep in the search
+    for paths in (2.5, "3", True, None):
+        with pytest.raises(SolverError, match="paths must be an integer"):
+            SolveParams(paths=paths)
 
 
 def test_no_users_rejected():
