@@ -126,7 +126,7 @@ def _grid_scene(rows: int, cols: int, spacing: float, users: int) -> Scene:
         )
     irs_rows = [[(c + 1) * spacing, r * spacing, 0.0] for r in range(rows) for c in range(cols)]
     user_rows = [[(cols + 1) * spacing, k * spacing, 0.0] for k in range(users)]
-    return Scene(np.array([[0.0, 0.0, 0.0], *irs_rows, *user_rows]), rows * cols, users)
+    return Scene([[0.0, 0.0, 0.0], *irs_rows, *user_rows], rows * cols, users)
 
 
 def _random_scene(
@@ -170,7 +170,7 @@ def _random_scene(
             else:
                 break  # this node found no place: restart the layout
         else:
-            return Scene(np.array(pts), num_irs, num_users)
+            return Scene(pts, num_irs, num_users)
     raise CliError(
         f"random placement unsatisfiable after {attempts} attempts (seed {seed})"
     )

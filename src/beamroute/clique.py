@@ -202,7 +202,6 @@ class Clique:
     """One selected vertex per partition, in partition order."""
 
     vertices: tuple[int, ...]
-    objective_key: tuple[float, ...]
 
 
 class CliqueSearch:
@@ -255,8 +254,7 @@ class CliqueSearch:
         self._extend((), (1 << len(keys)) - 1, 0, (), zero)
         if self._best is None:
             return None
-        worst, _, chosen = self._best
-        return Clique(vertices=chosen, objective_key=worst)
+        return Clique(vertices=self._best[2])
 
     def _extend(
         self,

@@ -227,8 +227,7 @@ class LosGraph:
     plain graph, (-1, ln d) with ``hop_priority``, which needs the
     topology's edge lengths.  Every table the sweep reads is the
     topology's, so pricing a topology at another M builds nothing else.
-    The ``weight`` and ``cost`` dicts keyed by edge are views built on
-    first use.
+    The ``weight`` dict keyed by edge is a view built on first use.
     """
 
     topology: RoutingTopology
@@ -246,28 +245,6 @@ class LosGraph:
     @cached_property
     def weight(self) -> dict[tuple[int, int], float]:
         return dict(zip(self.topology.edges, self.weights))
-
-    @cached_property
-    def cost(self) -> dict[tuple[int, int], tuple[float, ...]]:
-        if self.hop_priority:
-            costs = [(-1.0, ln_d) for ln_d in self.topology.log_dists]
-        else:
-            costs = [(w,) for w in self.weights]
-        return dict(zip(self.topology.edges, costs))
-
-    @classmethod
-    def from_edges(
-        cls,
-        num_irs: int,
-        num_users: int,
-        weighted_edges: list[tuple[int, int, float]],
-    ) -> "LosGraph":
-        """Synthetic graph from explicit weighted edges; its ``topo_order``
-        is id order, so every edge must run from a lower to a higher id."""
-        order = tuple(range(1 + num_irs + num_users))
-        edges = tuple((i, j) for i, j, _ in weighted_edges)
-        topology = RoutingTopology(num_irs, num_users, edges, order)
-        return cls(topology, [w for _, _, w in weighted_edges])
 
 
 def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:

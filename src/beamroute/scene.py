@@ -3,7 +3,10 @@
 A scene holds one base station (vertex 0), J reflecting surfaces
 (vertices 1..J) and K users (vertices J+1..J+K), together with the
 constants that routing and the closed-form power read: N, M, beta and
-the LoS rule.
+the LoS rule.  LoS has one form, an int bitmask per node
+(``Scene.los_masks``), built on construction from the override matrix
+or from the distance rule.  Distances are plain floats, computed from
+the positions when asked for.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .graph import RoutingTopology
@@ -36,6 +39,10 @@ DEFAULT_MIN_FAR_FIELD = 3.0
 DEFAULT_BS_ANTENNAS = 20
 DEFAULT_IRS_SIDE = 20
 
+# The far-field sweep's least radius: the square of a smaller coordinate
+# gap could underflow, and the computed distance fall below the gap.
+_SWEEP_FLOOR = 1e-150
+
 
 class SceneError(ValueError):
     """Raised for malformed or physically inconsistent scene documents."""
@@ -47,17 +54,68 @@ def _check_count(name: str, value) -> None:
         raise SceneError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _distance(p: tuple[float, ...], q: tuple[float, ...]) -> float:
+    # the squares add in coordinate order, so both directions give one float
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _override_masks(override, n: int) -> tuple[int, ...]:
+    """Closed LoS neighbourhoods from an n x n symmetric 0/1 matrix.
+
+    Row i becomes an int whose bit j is entry (i, j); then bit i is set.
+    An entry may be 0 or 1 as an int, a bool or a float.
+    """
+    try:
+        rows = [tuple(row) for row in override]
+    except TypeError:
+        raise SceneError("los_override must be a rectangular matrix") from None
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise SceneError("los_override must be a rectangular matrix")
+    shape = (len(rows), *widths)
+    if shape != (n, n):
+        raise SceneError(f"los_override must be {n}x{n}, got {shape}")
+    try:
+        # ASCII '0' and '1', most significant (last) column first
+        masks = [int(bytes(map({0: 48, 1: 49}.__getitem__, reversed(row))), 2) for row in rows]
+    except (KeyError, TypeError):
+        raise SceneError("los_override entries must be 0 or 1") from None
+    if list(zip(*rows)) != rows:
+        raise SceneError("los_override must be symmetric")
+    if any(mask >> i & 1 for i, mask in enumerate(masks)):
+        raise SceneError("los_override diagonal must be zero")
+    return tuple(mask | 1 << i for i, mask in enumerate(masks))
+
+
 @dataclass(frozen=True, eq=False)
 class Scene:
     """Immutable node layout plus physical constants.
 
-    Row i of ``positions`` is node i: the BS at row 0, surfaces at rows
-    1..num_irs, then the users.  The validated copy is read-only.
-    ``ref_path_gain`` is the channel power gain at 1 m reference
-    distance and must lie strictly inside (0, 1).
+    ``positions`` holds node i's (x, y, z) at index i: the BS first,
+    surfaces 1..num_irs, then the users.  Any sequence of 3-vectors,
+    an ndarray included, is accepted and kept as a tuple of float
+    3-tuples.  ``ref_path_gain`` is the channel power gain at 1 m
+    reference distance and must lie strictly inside (0, 1).
+
+    ``los_override``, a symmetric 0/1 matrix with a zero diagonal, sets
+    the LoS pairs; without it, nodes at most ``los_threshold`` apart
+    have LoS.  Either way the result is kept only as ``los_masks``, so
+    ``dataclasses.replace`` cannot carry an override over; copy with
+    ``with_elements`` or ``with_antennas``.
     """
 
-    positions: np.ndarray
+    positions: Sequence[Sequence[float]]
     num_irs: int
     num_users: int
     bs_antennas: int = DEFAULT_BS_ANTENNAS
@@ -65,10 +123,73 @@ class Scene:
     ref_path_gain: float = (DEFAULT_WAVELENGTH / (4 * math.pi)) ** 2
     los_threshold: float = DEFAULT_LOS_THRESHOLD
     min_far_field: float = DEFAULT_MIN_FAR_FIELD
-    los_override: np.ndarray | None = field(default=None)
+    los_override: InitVar[Sequence[Sequence[int]] | None] = None
+    # Closed LoS neighbourhood of every node as an int bitmask: bit j of
+    # entry i is set when j == i or nodes i and j have LoS.
+    los_masks: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._validate()
+    def __post_init__(self, los_override) -> None:
+        counts = (self.num_irs, self.num_users)
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts):
+            raise SceneError(f"num_irs and num_users must be nonnegative integers, got {counts}")
+        n = 1 + sum(counts)
+        pos = tuple(tuple(map(float, p)) for p in self.positions)
+        # (rows, width), an array's shape, for a rectangular input
+        shape = (len(pos), *{len(p) for p in pos})
+        if shape != (n, 3):
+            raise SceneError(
+                f"positions must be {n}x3 for one BS, {counts[0]} surfaces "
+                f"and {counts[1]} users, got shape {shape}"
+            )
+        for i, p in enumerate(pos):
+            if not all(map(math.isfinite, p)):
+                raise SceneError(f"node {i} has invalid position {list(p)}")
+        object.__setattr__(self, "positions", pos)
+
+        _check_count("bs_antennas", self.bs_antennas)
+        _check_count("elements", self.elements)
+        d0, reach = self.min_far_field, self.los_threshold
+        if not d0 > 0:
+            raise SceneError("min_far_field must be positive")
+        if not reach >= 0:
+            raise SceneError("los_threshold must be nonnegative")
+        if not 0.0 < self.ref_path_gain < 1.0:
+            raise SceneError(
+                f"invalid path gain: ref_path_gain must lie in (0, 1), got {self.ref_path_gain}"
+            )
+
+        # One sweep over the nodes in x order finds the pairs closer than
+        # d0 and, without an override, those within the LoS range.  It
+        # stops a node's walk at the first x gap above the radius and
+        # skips a pair whose y gap is above it: such a pair is farther
+        # apart than the radius, since sqrt(dx*dx) rounds back to |dx|
+        # and the other squares only add.
+        radius = max(d0, reach if los_override is None else 0.0, _SWEEP_FLOOR)
+        masks = [1 << i for i in range(n)]
+        close = []
+        by_x = sorted((*p, i) for i, p in enumerate(pos))
+        for a, (x, y, _, i) in enumerate(by_x):
+            for xk, yk, _, k in islice(by_x, a + 1, None):
+                if xk - x > radius:
+                    break
+                if abs(yk - y) > radius:
+                    continue
+                d = _distance(pos[i], pos[k])
+                if d < d0:
+                    close.append((min(i, k), max(i, k), d))
+                if d <= reach:
+                    masks[i] |= 1 << k
+                    masks[k] |= 1 << i
+        if close:
+            # the first pair i < k in row-major order
+            i, k, d = min(close)
+            raise SceneError(
+                f"far-field violation: nodes {i} and {k} are "
+                f"{d:.3f} m apart, below d0 = {d0} m"
+            )
+        if los_override is not None:
+            masks = _override_masks(los_override, n)
+        object.__setattr__(self, "los_masks", tuple(masks))
 
     # -- derived counts ------------------------------------------------
 
@@ -76,112 +197,23 @@ class Scene:
     def num_nodes(self) -> int:
         return len(self.positions)
 
-    @cached_property
-    def dist_matrix(self) -> np.ndarray:
-        """Pairwise distances in meters, read-only and exactly symmetric."""
-        dx, dy, dz = (c[:, None] - c[None, :] for c in self.positions.T)
-        # the squares add in coordinate order, like a sum over the last axis
-        d = np.sqrt(dx * dx + dy * dy + dz * dz)
-        d.flags.writeable = False
-        return d
-
-    # -- validation ----------------------------------------------------
-
-    def _validate(self) -> None:
-        counts = (self.num_irs, self.num_users)
-        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts):
-            raise SceneError(f"num_irs and num_users must be nonnegative integers, got {counts}")
-        n = 1 + sum(counts)
-        pos = np.array(self.positions, dtype=float)
-        if pos.shape != (n, 3):
-            raise SceneError(
-                f"positions must be {n}x3 for one BS, {counts[0]} surfaces "
-                f"and {counts[1]} users, got shape {pos.shape}"
-            )
-        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
-        if bad.size:
-            raise SceneError(f"node {bad[0]} has invalid position {pos[bad[0]]!r}")
-        pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-
-        _check_count("bs_antennas", self.bs_antennas)
-        _check_count("elements", self.elements)
-        if not self.min_far_field > 0:
-            raise SceneError("min_far_field must be positive")
-        if not self.los_threshold >= 0:
-            raise SceneError("los_threshold must be nonnegative")
-        if not 0.0 < self.ref_path_gain < 1.0:
-            raise SceneError(
-                f"invalid path gain: ref_path_gain must lie in (0, 1), got {self.ref_path_gain}"
-            )
-
-        d = self.dist_matrix
-        # argwhere walks row-major, so this is the first pair i < k in that order
-        close = np.argwhere(np.triu(d < self.min_far_field, 1))
-        if close.size:
-            i, k = (int(x) for x in close[0])
-            raise SceneError(
-                f"far-field violation: nodes {i} and {k} are "
-                f"{d[i, k]:.3f} m apart, below d0 = {self.min_far_field} m"
-            )
-
-        if self.los_override is not None:
-            m = np.asarray(self.los_override)
-            if m.shape != (n, n):
-                raise SceneError(f"los_override must be {n}x{n}, got {m.shape}")
-            if not np.isin(m, (0, 1)).all():
-                raise SceneError("los_override entries must be 0 or 1")
-            if (m != m.T).any():
-                raise SceneError("los_override must be symmetric")
-            if np.diag(m).any():
-                raise SceneError("los_override diagonal must be zero")
-            m = m.astype(np.int8)
-            m.flags.writeable = False
-            object.__setattr__(self, "los_override", m)
-
     # -- queries -------------------------------------------------------
 
     def distance(self, i: int, j: int) -> float:
-        """Euclidean distance between nodes i and j, in meters."""
+        """Euclidean distance between nodes i and j, in meters.
+
+        The same float for (i, j) and (j, i), bit for bit.
+        """
         if i == j:
             raise SceneError(f"distance undefined for identical nodes ({i})")
-        return float(self.dist_matrix[i, j])
+        return _distance(self.positions[i], self.positions[j])
 
     def los_indicator(self, i: int, j: int) -> bool:
         """True when nodes i and j have an unblocked line of sight.
 
-        Uses the override matrix when one was supplied, otherwise the
-        distance rule d <= los_threshold.  Symmetric, false on the
-        diagonal.
+        A bit of ``los_masks``: symmetric, false on the diagonal.
         """
-        if i == j:
-            return False
-        if self.los_override is not None:
-            return bool(self.los_override[i, j])
-        return bool(self.dist_matrix[i, j] <= self.los_threshold)
-
-    @cached_property
-    def los_matrix(self) -> np.ndarray:
-        """``los_indicator`` for all pairs at once, as a read-only bool matrix."""
-        if self.los_override is not None:
-            # the validated override holds only 0 and 1
-            los = self.los_override.view(bool)
-        else:
-            los = self.dist_matrix <= self.los_threshold
-            np.fill_diagonal(los, False)
-        los.flags.writeable = False
-        return los
-
-    @cached_property
-    def los_masks(self) -> tuple[int, ...]:
-        """Closed LoS neighbourhood of every node as an int bitmask.
-
-        Bit j of entry i is set when j == i or ``los_indicator(i, j)``
-        holds.
-        """
-        los = self.los_matrix | np.eye(self.num_nodes, dtype=bool)
-        rows = np.packbits(los, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        return i != j and self.los_masks[i] >> j & 1 == 1
 
     @cached_property
     def topology(self) -> RoutingTopology:
@@ -189,7 +221,8 @@ class Scene:
 
         Edges run BS -> LoS surface, surface -> LoS surface strictly
         farther from the BS, and surface -> LoS user, in that order and
-        row-major within each block.  The order is the BS, the surfaces
+        row-major within each block: each row walks the set bits of its
+        node's ``los_masks`` entry.  The order is the BS, the surfaces
         nearest the BS first, then the users; every edge runs forward in
         it.  None of it depends on the array sizes, so ``with_elements``
         and ``with_antennas`` copies share one topology, and with it the
@@ -197,27 +230,26 @@ class Scene:
         """
         from .graph import RoutingTopology  # graph.py imports this module
 
-        j_count = self.num_irs
-        los = self.los_matrix
-        d = self.dist_matrix
-        surfaces = slice(1, 1 + j_count)
-        d_bs = d[0, surfaces]
-        # (first row id, first column id, LoS block), edges in row-major order
-        blocks = (
-            (0, 1, los[:1, surfaces]),
-            # only edges leading strictly away from the BS keep the graph acyclic
-            (1, 1, los[surfaces, surfaces] & (d_bs[None, :] > d_bs[:, None])),
-            (1, 1 + j_count, los[surfaces, 1 + j_count :]),
-        )
-        edges, dists = [], []
-        for row0, col0, block in blocks:
-            rows, cols = np.nonzero(block)
-            rows, cols = rows + row0, cols + col0
-            edges += zip(rows.tolist(), cols.tolist())
-            dists += d[rows, cols].tolist()
+        pos, masks = self.positions, self.los_masks
+        first_user = 1 + self.num_irs
+        surfaces = range(1, first_user)
+        d_bs = [_distance(pos[0], p) for p in pos[:first_user]]
         # surfaces at equal BS distance share no edge, so their order is free
-        near_first = sorted(range(1, 1 + j_count), key=d[0].tolist().__getitem__)
-        order = (0, *near_first, *range(1 + j_count, self.num_nodes))
+        near_first = sorted(surfaces, key=d_bs.__getitem__)
+        # Per surface, the bits of the surfaces after it in that order:
+        # the strictly farther ones, whose edges alone keep the graph
+        # acyclic, and any at equal distance.
+        later = [0] * first_user
+        rest = 0
+        for v in reversed(near_first):
+            later[v] = rest
+            rest |= 1 << v
+        every_surface = rest
+        edges = [(0, j) for j in _bits(masks[0] & every_surface)]
+        edges += [(i, j) for i in surfaces for j in _bits(masks[i] & later[i]) if d_bs[j] > d_bs[i]]
+        edges += [(i, j) for i in surfaces for j in _bits(masks[i] >> first_user << first_user)]
+        dists = [_distance(pos[i], pos[j]) for i, j in edges]
+        order = (0, *near_first, *range(first_user, self.num_nodes))
         return RoutingTopology(self.num_irs, self.num_users, tuple(edges), order, tuple(dists))
 
     def kind(self, i: int) -> str:
@@ -234,17 +266,18 @@ class Scene:
     def with_elements(self, elements: int) -> "Scene":
         """Copy of the scene with a different per-surface element count M.
 
-        The copy shares the validated layout and its cached geometry,
-        none of which depends on the element count.
+        The copy shares the validated layout, the LoS masks and the
+        routing topology, none of which depends on the element count.
         """
-        _check_count("irs_grid element count", elements)
+        _check_count("elements", elements)
         return self._copy_with("elements", elements)
 
     def with_antennas(self, antennas: int) -> "Scene":
         """Copy of the scene with a different BS antenna count.
 
-        Like ``with_elements``, the copy shares the validated layout and
-        its cached geometry, none of which depends on the antenna count.
+        Like ``with_elements``, the copy shares the validated layout, the
+        LoS masks and the routing topology, none of which depends on the
+        antenna count.
         """
         _check_count("bs_antennas", antennas)
         return self._copy_with("bs_antennas", antennas)
@@ -252,11 +285,9 @@ class Scene:
     def _copy_with(self, name: str, value) -> "Scene":
         """Shallow copy with one size field replaced.
 
-        The LoS caches and the routing topology are filled first, so the
-        copy and every later copy share them with this scene instead of
-        rebuilding them.
+        The routing topology is built first, so the copy and every later
+        copy share it with this scene instead of rebuilding it.
         """
-        self.los_masks  # fills los_matrix too
         self.topology
         scene = copy.copy(self)
         object.__setattr__(scene, name, value)
@@ -329,13 +360,6 @@ def load_scene(text: str) -> Scene:
             raise SceneError(f"node {nid} position entries must be numbers, got {pos!r}")
         entries[nid] = (kind, pos)
 
-    override = doc.get("los_override")
-    if override is not None:
-        try:
-            override = np.asarray(override)
-        except ValueError:  # ragged rows
-            raise SceneError("los_override must be a rectangular matrix") from None
-
     ids = sorted(entries)
     if ids != list(range(len(ids))):
         raise SceneError(f"node ids must be consecutive from 0, got {ids}")
@@ -363,7 +387,7 @@ def load_scene(text: str) -> Scene:
             raise SceneError(f"{name} must be positive")
 
     return Scene(
-        positions=np.array([entries[i][1] for i in ids], dtype=float),
+        positions=[[math.nan if x is None else x for x in entries[i][1]] for i in ids],
         num_irs=num_irs,
         num_users=num_users,
         bs_antennas=int(params.get("N", DEFAULT_BS_ANTENNAS)),
@@ -371,7 +395,7 @@ def load_scene(text: str) -> Scene:
         ref_path_gain=beta,
         los_threshold=float(params.get("los_threshold", DEFAULT_LOS_THRESHOLD)),
         min_far_field=float(params.get("d0", DEFAULT_MIN_FAR_FIELD)),
-        los_override=override,
+        los_override=doc.get("los_override"),
     )
 
 

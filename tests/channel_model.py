@@ -74,7 +74,7 @@ def direction(scene: Scene, i: int, j: int) -> tuple[float, float]:
     cosine), azimuth in the x-y plane via atan2(dy, dx).  The arrival
     angles of the link i -> j are ``direction(scene, j, i)``.
     """
-    return _angles(scene.positions[j] - scene.positions[i])
+    return _angles(np.subtract(scene.positions[j], scene.positions[i]))
 
 
 def bs_aod(scene: Scene, j: int) -> float:

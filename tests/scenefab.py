@@ -1,4 +1,4 @@
-"""Scene builders shared across test modules."""
+"""Scene and graph builders shared across test modules."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from beamroute.graph import LosGraph, RoutingTopology
 from beamroute.scene import Scene
 
 BENCH_SCENES = Path(__file__).resolve().parent.parent / "perfbench" / "scenes.py"
@@ -20,6 +21,33 @@ def make_scene(positions, num_irs, num_users, los_override=None, **kw) -> Scene:
         los_override = np.asarray(los_override)
     positions = np.array(positions, dtype=float)
     return Scene(positions, num_irs, num_users, los_override=los_override, **kw)
+
+
+def los_rows(scene: Scene) -> list[list[int]]:
+    """The scene's LoS as a 0/1 matrix of plain ints, an override it loads from."""
+    n = scene.num_nodes
+    return [[int(scene.los_indicator(i, j)) for j in range(n)] for i in range(n)]
+
+
+def from_edges(
+    num_irs: int, num_users: int, weighted_edges: list[tuple[int, int, float]]
+) -> LosGraph:
+    """Synthetic graph from explicit weighted edges; its ``topo_order``
+    is id order, so every edge must run from a lower to a higher id."""
+    order = tuple(range(1 + num_irs + num_users))
+    edges = tuple((i, j) for i, j, _ in weighted_edges)
+    topology = RoutingTopology(num_irs, num_users, edges, order)
+    return LosGraph(topology, [w for _, _, w in weighted_edges])
+
+
+def edge_costs(graph: LosGraph) -> dict[tuple[int, int], tuple[float, ...]]:
+    """The cost tuple the searches compare, per edge: (weight,), or
+    (-1, ln d) with hop priority."""
+    if graph.hop_priority:
+        costs = [(-1.0, ln_d) for ln_d in graph.topology.log_dists]
+    else:
+        costs = [(w,) for w in graph.weights]
+    return dict(zip(graph.topology.edges, costs))
 
 
 def full_los(n: int) -> np.ndarray:

@@ -11,6 +11,7 @@ the same routes, in the same order, with bit-identical ``cost_vec``.
 from __future__ import annotations
 
 from beamroute.graph import GraphError, LosGraph, Route
+from scenefab import edge_costs
 
 
 def full_order_top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[Route]]:
@@ -21,10 +22,11 @@ def full_order_top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[
     routes: dict[int, list[Route]] = {u: [] for u in range(1, topology.num_users + 1)}
     if banned & 1:
         return routes
-    wide = len(next(iter(graph.cost.values()), ())) == 2
+    costs = edge_costs(graph)
+    wide = len(next(iter(costs.values()), ())) == 2
     first_user = topology.user_vertices.start
     preds: list[list[tuple[int, float, float]]] = [[] for _ in range(topology.num_vertices)]
-    for (i, j), c in graph.cost.items():
+    for (i, j), c in costs.items():
         if i < first_user:
             preds[j].append((i, c[0], c[1] if len(c) == 2 else 0.0))
     last = {}

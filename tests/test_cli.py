@@ -42,15 +42,15 @@ def scene_document(nodes: list[dict], los_override: list[list[int]] | None = Non
 def scene_nodes(scene: Scene) -> list[dict]:
     """Node entries of a scene document holding the scene's layout."""
     return [
-        {"id": i, "kind": scene.kind(i), "pos": p.tolist()}
+        {"id": i, "kind": scene.kind(i), "pos": list(p)}
         for i, p in enumerate(scene.positions)
     ]
 
 
 def scene_fields(scene: Scene) -> dict:
-    """Every field of a scene, with the positions as raw bytes."""
+    """Every field of a scene, with the position floats in hex."""
     values = {f.name: getattr(scene, f.name) for f in fields(Scene)}
-    return values | {"positions": (scene.positions.shape, scene.positions.tobytes())}
+    return values | {"positions": [[x.hex() for x in p] for p in scene.positions]}
 
 
 # ------------------------------------------------------------ generators
@@ -229,10 +229,10 @@ def test_sweep_q_monotone_on_demo():
 
 def test_sweep_m_hop_counts_non_decreasing(tmp_path):
     # a chain-plus-shortcut layout where bigger surfaces favor more hops
-    from scenefab import corridor_scene
+    from scenefab import corridor_scene, los_rows
 
     scene = corridor_scene()
-    doc = scene_document(scene_nodes(scene), los_override=scene.los_override.tolist())
+    doc = scene_document(scene_nodes(scene), los_override=los_rows(scene))
     path = tmp_path / "corridor.json"
     path.write_text(doc)
     series = sweep(

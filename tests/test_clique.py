@@ -21,9 +21,14 @@ from beamroute.graph import (
     route_from_sequence,
     top_routes,
 )
-from beamroute.scene import load_scene
+from beamroute.scene import Scene, SceneError, load_scene
 from beamroute.solver import SolveParams, solve
 from scenefab import adversarial_scene, bench_scenes, chain_scene, corridor_scene, make_scene
+
+
+def worst_key(graph, clique):
+    """A clique's largest ``order_key``, the min-max objective."""
+    return max(graph.order_key[v] for v in clique.vertices)
 
 
 def pathgraph_from_bits(weights_by_part, adj_pairs):
@@ -197,26 +202,45 @@ def all_routes(scene, cap=60):
 
 
 class TestRouteMasks:
-    def test_los_matrix_matches_indicator(self):
+    def test_los_masks_follow_the_raw_rule(self):
+        # bit j of mask i is override entry (i, j), given as ints, floats,
+        # bools or an array, or else d(i, j) <= los_threshold from the
+        # numpy broadcast; bit i is always set, and los_indicator gives
+        # the raw rule off the diagonal and False on it
         rng = np.random.default_rng(40)
-        for scene in mask_rule_scenes(rng):
-            los = scene.los_matrix
-            n = scene.num_nodes
-            assert los.shape == (n, n) and los.dtype == bool
-            assert not los.flags.writeable
-            for i in range(n):
-                for j in range(n):
-                    assert los[i, j] == scene.los_indicator(i, j)
+        for _ in range(16):
+            base = random_override_scene(rng, int(rng.integers(4, 10)), int(rng.integers(2, 4)))
+            pos = np.array(base.positions)
+            n = len(pos)
+            diff = pos[:, None, :] - pos[None, :, :]
+            threshold = float(rng.uniform(5.0, 11.0))
+            near = np.sqrt((diff**2).sum(axis=2)) <= threshold
+            los = np.triu(rng.random((n, n)) < 0.3, 1)
+            los = los | los.T
+            scenes = [
+                (near, make_scene(pos, base.num_irs, base.num_users, los_threshold=threshold))
+            ]
+            for rows in (los.astype(int), los.astype(int).tolist(),
+                         los.astype(float).tolist(), los.tolist()):
+                scene = Scene(base.positions, base.num_irs, base.num_users, los_override=rows)
+                scenes.append((los, scene))
+            for raw, scene in scenes:
+                assert scene.los_masks == tuple(
+                    sum(1 << j for j in range(n) if i == j or raw[i, j]) for i in range(n)
+                )
+                for i in range(n):
+                    for j in range(n):
+                        assert scene.los_indicator(i, j) is (i != j and bool(raw[i, j]))
 
-    def test_los_masks_match_indicator(self):
-        rng = np.random.default_rng(41)
-        for scene in mask_rule_scenes(rng):
-            n = scene.num_nodes
-            for i in range(n):
-                row = scene.los_masks[i]
-                assert row >> n == 0
-                for j in range(n):
-                    assert bool(row >> j & 1) == (i == j or scene.los_indicator(i, j))
+    def test_override_entries_must_be_zero_or_one(self):
+        positions = [[0, 0, 0], [5, 0, 0], [10, 0, 0]]
+        for bad in (0.5, 2, -1, "1", None, [1], float("nan")):
+            rows = [[0, 1, 0], [1, 0, bad], [0, bad, 0]]
+            with pytest.raises(SceneError, match="^los_override entries must be 0 or 1$"):
+                Scene(positions, 2, 0, los_override=rows)
+        for bad in (5, [0, 1, 0], [[0, 1], [1, 0, 0], [0, 0, 0]]):
+            with pytest.raises(SceneError, match="^los_override must be a rectangular matrix$"):
+                Scene(positions, 2, 0, los_override=bad)
 
     def test_rule_matches_raw_loop(self):
         rng = np.random.default_rng(42)
@@ -524,7 +548,7 @@ class TestMinMaxClique:
         pg = pathgraph_from_bits([[1.0, 1.0, 2.0]], [])
         c = CliqueSearch(pg).run()
         assert c.vertices == (0,)
-        assert c.objective_key == (1.0,)
+        assert worst_key(pg, c) == (1.0,)
 
     def test_complete_bipartite(self):
         pg = pathgraph_from_bits(
@@ -533,14 +557,14 @@ class TestMinMaxClique:
         )
         c = CliqueSearch(pg).run()
         assert c.vertices == (0, 2)
-        assert c.objective_key == (2.0,)
+        assert worst_key(pg, c) == (2.0,)
 
     def test_forced_worse_choice(self):
         # the cheap candidates are incompatible, only the dear pair works
         pg = pathgraph_from_bits([[1.0, 9.0], [1.0, 8.0]], [(1, 3)])
         c = CliqueSearch(pg).run()
         assert c.vertices == (1, 3)
-        assert c.objective_key == (9.0,)
+        assert worst_key(pg, c) == (9.0,)
 
     def test_infeasible(self):
         pg = pathgraph_from_bits([[1.0], [1.0]], [])
@@ -571,7 +595,7 @@ class TestMinMaxClique:
                 assert got is None
                 continue
             assert got.vertices == want[2]
-            assert got.objective_key == want[0]
+            assert worst_key(pg, got) == want[0]
             hits += 1
         assert hits >= 40
 
@@ -585,7 +609,7 @@ class TestMinMaxClique:
             if want is None:
                 assert got is None
                 continue
-            assert got.objective_key == want[0]
+            assert worst_key(pg, got) == want[0]
             assert got.vertices == want[2]
 
     def test_pruning_reduces_exploration(self):
@@ -654,7 +678,7 @@ class TestMinMaxClique:
                 infeasible += 1
                 continue
             assert got.vertices == want[2]
-            assert got.objective_key == want[0]
+            assert worst_key(pg, got) == want[0]
             flat = [w for ws in weights for w in ws]
             tied += len(set(flat)) < len(flat)
         assert infeasible >= 30
@@ -675,7 +699,7 @@ class TestMinMaxClique:
                 continue
             worst, total, vertices = min(cliques)
             assert got.vertices == vertices
-            assert got.objective_key == worst
+            assert worst_key(pg, got) == worst
             tied += sum(c[:2] == (worst, total) for c in cliques) > 1
         assert infeasible >= 10
         if draw != "normal":

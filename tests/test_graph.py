@@ -29,6 +29,8 @@ from scenefab import (
     chain_scene,
     corridor_scene,
     corridors_k8_document,
+    edge_costs,
+    from_edges,
     full_los,
     make_scene,
 )
@@ -133,7 +135,7 @@ def random_losgraph(rng, num_irs=None, num_users=1, negative=True):
                 edges.append((a, j + k, float(rng.uniform(lo, 2.5))))
     if not edges:
         edges = [(0, 1, 1.0), (1, j + 1, 1.0)]
-    return LosGraph.from_edges(j, num_users, edges)
+    return from_edges(j, num_users, edges)
 
 
 def reference_top_routes(graph, count, banned=0):
@@ -152,7 +154,8 @@ def reference_top_routes(graph, count, banned=0):
     if not first_hops or banned & 1:
         return routes
     first_user = topology.user_vertices.start
-    zero = (0.0,) * len(graph.cost[0, first_hops[0]])
+    costs = edge_costs(graph)
+    zero = (0.0,) * len(costs[0, first_hops[0]])
     labels = {0: [(zero, 0, (0,))]}
     for v in topology.topo_order:
         here = labels.pop(v, None)
@@ -166,7 +169,7 @@ def reference_top_routes(graph, count, banned=0):
         for j in topology.succ.get(v, ()):
             if banned >> j & 1:
                 continue
-            c = graph.cost[v, j]
+            c = costs[v, j]
             bucket = labels.setdefault(j, [])
             bucket += [
                 (tuple(map(add, cost, c)), hops + 1, path + (j,))
@@ -255,7 +258,7 @@ class TestBuildRoutingGraph:
     def test_hop_priority_costs(self):
         scene = self.scene()
         g = build_routing_graph(scene, hop_priority=True)
-        for (i, j), c in g.cost.items():
+        for (i, j), c in edge_costs(g).items():
             assert c == (-1.0, math.log(scene.distance(i, j)))
 
     def test_topo_order_valid(self):
@@ -284,7 +287,7 @@ class TestBuildRoutingGraph:
                 succ, weight, cost = oracle_routing_graph(scene, elements, hop_priority)
                 assert g.topology.succ == succ
                 assert bits(g.weight) == bits(weight)
-                assert bits(g.cost) == bits(cost)
+                assert bits(edge_costs(g)) == bits(cost)
                 edges += len(weight)
         assert edges >= 500
 
@@ -292,9 +295,9 @@ class TestBuildRoutingGraph:
         # from_edges orders vertices by id, so (2, 1) runs backward,
         # whether it closes a cycle or not
         with pytest.raises(GraphError, match=r"edge \(2, 1\) runs backward"):
-            LosGraph.from_edges(2, 1, [(1, 2, 1.0), (2, 1, 1.0), (0, 1, 1.0)])
+            from_edges(2, 1, [(1, 2, 1.0), (2, 1, 1.0), (0, 1, 1.0)])
         with pytest.raises(GraphError, match=r"edge \(2, 1\) runs backward"):
-            LosGraph.from_edges(2, 1, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
+            from_edges(2, 1, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
 
     def test_order_must_list_every_vertex_once(self):
         edges = ((0, 1), (1, 2))
@@ -353,16 +356,16 @@ class TestBuildRoutingGraph:
                     got = build_routing_graph(copy, hop_priority=hop_priority)
                     want = build_routing_graph(fresh, hop_priority=hop_priority)
                     assert got.topology is shared
-                    assert list(got.cost) == list(want.cost)
+                    assert list(edge_costs(got)) == list(edge_costs(want))
                     assert bits(got.weight) == bits(want.weight)
-                    assert bits(got.cost) == bits(want.cost)
+                    assert bits(edge_costs(got)) == bits(edge_costs(want))
                     assert hex_lists(cost_lists(got)) == hex_lists(cost_lists(want))
                     assert got.topology.preds is base.topology.preds
                     assert got.topology.upstream_masks == want.topology.upstream_masks
                     assert got.topology.topo_order == want.topology.topo_order
                     assert got.topology.live_order == want.topology.live_order
                     # the views hold every edge, those of dead-end surfaces too
-                    assert len(got.weight) == len(got.cost) == len(shared.edges)
+                    assert len(got.weight) == len(edge_costs(got)) == len(shared.edges)
                 dead_edges += sum(i not in live or j not in live for i, j in got.weight)
             assert built.count(scene) == 1
         # the two loaded scenes, then one fresh load per copy
@@ -408,13 +411,13 @@ class TestBuildRoutingGraph:
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
-            LosGraph.from_edges(1, 1, [(0, 1, 1.0), (0, 1, 2.0)])
+            from_edges(1, 1, [(0, 1, 1.0), (0, 1, 2.0)])
 
     def test_endpoint_out_of_range_rejected(self):
         # one surface and one user are vertices 0..2
         for i, j in ((1, 7), (-1, 1), (0, 3)):
             with pytest.raises(GraphError, match=rf"edge \({i}, {j}\) has an endpoint outside 0\.\.2"):
-                LosGraph.from_edges(1, 1, [(0, 1, 1.0), (i, j, 1.0)])
+                from_edges(1, 1, [(0, 1, 1.0), (i, j, 1.0)])
 
 
 def ban_set(mask):
@@ -429,7 +432,7 @@ class TestDagShortestPath:
     """The cheapest route per user: `top_routes` with count 1."""
 
     def test_single_chain(self):
-        g = LosGraph.from_edges(2, 1, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
+        g = from_edges(2, 1, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
         (r,) = top_routes(g, 1)[1]
         assert r.vertices == (0, 1, 2, 3)
         assert r.cost_vec == (1.75,)
@@ -437,7 +440,7 @@ class TestDagShortestPath:
 
     def test_negative_edge_changes_winner(self):
         # the longer path wins only because of the negative edge
-        g = LosGraph.from_edges(
+        g = from_edges(
             3, 1, [(0, 1, 1.0), (1, 4, 1.0), (0, 2, 1.5), (2, 3, -2.0), (3, 4, 1.0)]
         )
         (r,) = top_routes(g, 1)[1]
@@ -445,36 +448,36 @@ class TestDagShortestPath:
         assert r.cost_vec == (0.5,)
 
     def test_tie_prefers_fewer_hops(self):
-        g = LosGraph.from_edges(
+        g = from_edges(
             3, 1, [(0, 1, 1.0), (1, 4, 1.0), (0, 2, 0.5), (2, 3, 0.5), (3, 4, 1.0)]
         )
         assert top_routes(g, 1)[1][0].vertices == (0, 1, 4)
 
     def test_tie_prefers_lexicographic(self):
-        g = LosGraph.from_edges(
+        g = from_edges(
             3, 1, [(0, 1, 1.0), (1, 4, 1.0), (0, 3, 1.0), (3, 4, 1.0)]
         )
         assert top_routes(g, 1)[1][0].vertices == (0, 1, 4)
 
     def test_unreachable(self):
-        g = LosGraph.from_edges(2, 2, [(0, 1, 1.0), (1, 4, 1.0)])
+        g = from_edges(2, 2, [(0, 1, 1.0), (1, 4, 1.0)])
         assert [r.vertices for r in top_routes(g, 1)[2]] == [(0, 1, 4)]
         assert top_routes(g, 1)[1] == []
 
     def test_banned_vertex(self):
-        g = LosGraph.from_edges(2, 1, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 5.0)])
+        g = from_edges(2, 1, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 5.0), (2, 3, 5.0)])
         assert top_routes(g, 1, banned=1 << 1)[1][0].vertices == (0, 2, 3)
         assert top_routes(g, 1, banned=1 << 3) == {1: []}
         assert top_routes(g, 1, banned=1) == {1: []}
 
     def test_no_edges(self):
-        g = LosGraph.from_edges(2, 2, [])
+        g = from_edges(2, 2, [])
         for banned in (0, 1, 0b110):
             assert top_routes(g, 3, banned) == {1: [], 2: []}
 
     def test_labels_never_pass_through_a_user(self):
         # vertex 3 is user 1; its out-edge must not carry user 2's labels
-        g = LosGraph.from_edges(
+        g = from_edges(
             2, 2, [(0, 1, 1.0), (1, 3, 1.0), (3, 4, -5.0), (1, 2, 1.0), (2, 4, 1.0)]
         )
         got = top_routes(g, 5)
@@ -482,7 +485,7 @@ class TestDagShortestPath:
         assert [r.vertices for r in got[1]] == [(0, 1, 3)]
 
     def test_target_must_be_user(self):
-        g = LosGraph.from_edges(2, 1, [(0, 1, 1.0), (1, 3, 1.0)])
+        g = from_edges(2, 1, [(0, 1, 1.0), (1, 3, 1.0)])
         with pytest.raises(GraphError, match="user"):
             yen_k_shortest(g, 1, 1)
 
@@ -524,7 +527,7 @@ class TestYen:
                 assert yen_k_shortest(g, g.topology.num_irs + u, 6) == several[u]
 
     def test_exhausts_small_graph(self):
-        g = LosGraph.from_edges(
+        g = from_edges(
             3,
             1,
             [
@@ -568,7 +571,7 @@ class TestYen:
         graphs = [random_losgraph(rng, num_users=int(rng.integers(1, 4))) for _ in range(40)]
         # half-unit weights sum exactly, so hop and vertex ties are common
         graphs += [
-            LosGraph.from_edges(
+            from_edges(
                 g.topology.num_irs,
                 g.topology.num_users,
                 [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()],
@@ -585,6 +588,7 @@ class TestYen:
         ]
         banned_users = bs_banned = 0
         for g in graphs:
+            costs = edge_costs(g)
             masks = [0, 1]
             for _ in range(3):
                 masks.append(sum(
@@ -596,7 +600,7 @@ class TestYen:
                 want = {
                     target - g.topology.num_irs: sorted(
                         (
-                            Route(target - g.topology.num_irs, p, oracle_cost_vec(g.cost, p))
+                            Route(target - g.topology.num_irs, p, oracle_cost_vec(costs, p))
                             for p in enumerate_paths(g, target)
                             if ban.isdisjoint(p)
                         ),
@@ -612,13 +616,13 @@ class TestYen:
                     assert got == {u: w[:count] for u, w in want.items()}
                     for routes in got.values():
                         assert [r.cost_vec for r in routes] == [
-                            oracle_cost_vec(g.cost, r.vertices) for r in routes
+                            oracle_cost_vec(costs, r.vertices) for r in routes
                         ]
         assert bs_banned >= len(graphs)
         assert banned_users >= len(graphs)
 
     def test_count_validation(self):
-        g = LosGraph.from_edges(1, 1, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = from_edges(1, 1, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(GraphError):
             top_routes(g, 0)
         with pytest.raises(GraphError):
@@ -648,7 +652,7 @@ class TestPullSweepMatchesPushReference:
         ]
         # half-unit weights sum exactly, so cost ties are common
         graphs += [
-            LosGraph.from_edges(
+            from_edges(
                 g.topology.num_irs,
                 g.topology.num_users,
                 [(i, j, round(2 * w) / 2) for (i, j), w in g.weight.items()],
@@ -675,7 +679,7 @@ class TestPullSweepMatchesPushReference:
         # two paths reach vertex 2 at different costs, 1.0 and the next
         # float up; the 512.0 edge rounds both sums to 513.0, so at the
         # user the hop count decides and the order of vertex 2 flips
-        g = LosGraph.from_edges(
+        g = from_edges(
             2, 1, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, math.nextafter(1.0, 2.0)), (2, 3, 512.0)]
         )
         both = top_routes(g, 2)[1]
@@ -757,11 +761,12 @@ class TestRouteConstruction:
         for base in mask_rule_scenes(rng):
             for scene in (base, base.with_elements(1)):
                 g = build_routing_graph(scene)
+                costs = edge_costs(g)
                 for target in g.topology.user_vertices:
                     for p in enumerate_paths(g, target):
                         r = route_from_sequence(scene, target - g.topology.num_irs, p[1:-1])
                         assert r.vertices == p
-                        assert bits({p: r.cost_vec}) == bits({p: oracle_cost_vec(g.cost, p)})
+                        assert bits({p: r.cost_vec}) == bits({p: oracle_cost_vec(costs, p)})
                         checked += 1
         assert checked >= 200
 

@@ -21,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from beamroute.graph import LosGraph, RoutingTopology, build_routing_graph, top_routes
+from scenefab import from_edges
 from sweep_reference import full_order_top_routes
 from test_clique import random_override_scene
 
@@ -44,7 +45,7 @@ def edge_graphs(draw) -> LosGraph:
     n = 1 + num_irs + num_users
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return LosGraph.from_edges(num_irs, num_users, [(i, j, draw(WEIGHTS)) for i, j in picked])
+    return from_edges(num_irs, num_users, [(i, j, draw(WEIGHTS)) for i, j in picked])
 
 
 @st.composite

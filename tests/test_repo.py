@@ -56,9 +56,9 @@ def test_every_package_definition_is_used():
     assert unused == []
 
 
-def test_numpy_stays_in_the_scene_and_the_generators():
-    # routing and route selection read plain ints and floats; numpy is
-    # for the scene's geometry and the CLI's random scene generator
+def test_numpy_stays_in_the_generators():
+    # the scene, routing and route selection read plain ints and floats;
+    # numpy is for the CLI's random scene generator alone
     importers = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -70,4 +70,4 @@ def test_numpy_stays_in_the_scene_and_the_generators():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.name)
-    assert importers == {"scene.py", "cli.py"}
+    assert importers == {"cli.py"}

@@ -3,7 +3,7 @@ channel model."""
 
 import json
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,9 +83,9 @@ DOCUMENT_ERRORS = [
     ("kind-order", nodes_doc(BS0, node(1, "User", [5, 0, 0]), node(2, "IRS", [10, 0, 0])),
      "nodes must be ordered BS, IRS..., User..."),
     ("pos-inf", nodes_doc(BS0, node(1, "IRS", [5, 0, math.inf])),
-     "node 1 has invalid position array([ 5.,  0., inf])"),
+     "node 1 has invalid position [5.0, 0.0, inf]"),
     ("pos-null", nodes_doc(BS0, node(1, "IRS", [None, 0, 0])),
-     "node 1 has invalid position array([nan,  0.,  0.])"),
+     "node 1 has invalid position [nan, 0.0, 0.0]"),
     ("far-field", nodes_doc(BS0, node(1, "IRS", [2, 0, 0])),
      "far-field violation: nodes 0 and 1 are 2.000 m apart, below d0 = 3.0 m"),
     ("beta", json.dumps({"params": {"beta": 1.5}, "nodes": [BS0]}),
@@ -128,10 +128,10 @@ DOCUMENT_ERRORS = [
      "nodes must be ordered BS, IRS..., User..."),
     ("order-lowest-bad-position",
      nodes_doc(BS0, IRS1, node(3, "IRS", [15, 0, None]), node(2, "IRS", [10, math.nan, 0])),
-     "node 2 has invalid position array([10., nan,  0.])"),
+     "node 2 has invalid position [10.0, nan, 0.0]"),
     ("order-position-before-far-field",
      nodes_doc(BS0, node(1, "IRS", [1, 0, 0]), node(2, "IRS", [10, 0, None])),
-     "node 2 has invalid position array([10.,  0., nan])"),
+     "node 2 has invalid position [10.0, 0.0, nan]"),
 ]
 
 
@@ -276,12 +276,13 @@ class TestLoadScene:
         assert scene.user_vertex(1) == 2
 
     def test_direct_construction_copies_positions(self):
+        # an ndarray or nested lists of any numbers become float 3-tuples
         positions = np.array([[0.0, 0, 0], [5, 0, 0]])
-        scene = Scene(positions, 1, 0)
+        for given in (positions, positions.tolist(), [[0, 0, 0], (5, 0, 0)]):
+            scene = Scene(given, 1, 0)
+            assert scene.positions == ((0.0, 0.0, 0.0), (5.0, 0.0, 0.0))
+            assert {type(x) for p in scene.positions for x in p} == {float}
         assert positions.flags.writeable
-        assert scene.positions is not positions
-        assert np.array_equal(scene.positions, positions)
-        assert scene.positions.dtype == float and not scene.positions.flags.writeable
 
     def test_invalid_path_gain(self):
         with pytest.raises(SceneError, match="invalid path gain"):
@@ -341,14 +342,67 @@ class TestDistance:
             scene.distance(1, 1)
 
     def test_matrix_bits_match_broadcast_formula(self):
-        # the (n, n, 3) broadcast with a sum over the last axis, entry by entry
+        # the (n, n, 3) broadcast with a sum over the last axis, pair by pair
         rng = np.random.default_rng(8)
         for _ in range(60):
             n = int(rng.integers(2, 40))
             pos = 10.0 ** rng.uniform(-3, 4, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
             scene = Scene(pos, n - 1, 0, min_far_field=1e-9)
             diff = pos[:, None, :] - pos[None, :, :]
-            assert scene.dist_matrix.tobytes() == np.sqrt((diff**2).sum(axis=2)).tobytes()
+            want = np.sqrt((diff**2).sum(axis=2))
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        assert scene.distance(i, j).hex() == float(want[i, j]).hex()
+
+    def test_far_field_sweep_matches_brute_force(self):
+        # the scene's x-sorted sweep against every pair of the broadcast:
+        # x coordinates shared and x gaps of exactly d0 (a d0 / 2
+        # lattice), several violating pairs, coordinates near 1e200 whose
+        # squares overflow, and a d0 so small that squares underflow
+        rng = np.random.default_rng(10)
+        seen = {"several": 0, "gap_d0": 0, "overflow": 0, "passed": 0}
+        for trial in range(400):
+            n = int(rng.integers(2, 12))
+            d0 = 3e-200 if trial % 4 == 3 else 3.0
+            pos = rng.integers(-8, 9, (n, 3)) * (d0 / 2)
+            if trial % 4 == 1:
+                # a small plane lattice of step d0: pairs exactly d0 (and
+                # LoS range) apart along x or y, and no other violation
+                pos = rng.integers(-3, 4, (n, 3)) * d0
+                pos[:, 2] = 0.0
+            if trial % 4 == 2:
+                huge = rng.random((n, 3)) < 0.3
+                pos[huge] = rng.choice([-1.0, 1.0, 1.5], huge.sum()) * 1e200
+            reach = float(rng.choice([0.0, d0, 2.5 * d0]))
+            diff = pos[:, None, :] - pos[None, :, :]
+            with np.errstate(over="ignore", under="ignore"):
+                d = np.sqrt((diff**2).sum(axis=2))
+            seen["overflow"] += bool(np.isinf(d).any())
+            gaps = np.abs(diff[:, :, 0])
+            seen["gap_d0"] += bool((gaps == d0).any())
+            close = np.argwhere(np.triu(d < d0, 1))
+            seen["several"] += len(close) > 1
+            for override in (None, full_los(n)):
+                args = (pos, n - 1, 0)
+                kw = dict(min_far_field=d0, los_threshold=reach, los_override=override)
+                if len(close):
+                    i, k = close[0]
+                    message = (
+                        f"far-field violation: nodes {i} and {k} are "
+                        f"{d[i, k]:.3f} m apart, below d0 = {d0} m"
+                    )
+                    with pytest.raises(SceneError) as exc:
+                        Scene(*args, **kw)
+                    assert str(exc.value) == message
+                    continue
+                scene = Scene(*args, **kw)
+                los = full_los(n) if override is not None else d <= reach
+                assert scene.los_masks == tuple(
+                    sum(1 << j for j in range(n) if j == i or los[i, j]) for i in range(n)
+                )
+                seen["passed"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestLos:
@@ -454,8 +508,8 @@ class TestDerivedScenes:
         for override in (None, full_los(4)):
             scene = make_scene(positions, 2, 1, los_override=override)
             for rescaled in (scene.with_elements(9), scene.with_antennas(7)):
-                assert rescaled.los_matrix is scene.los_matrix
                 assert rescaled.los_masks is scene.los_masks
+                assert rescaled.topology is scene.topology
             assert scene.with_elements(9).with_antennas(7).los_masks is scene.los_masks
 
     def test_original_unchanged(self):
@@ -465,12 +519,9 @@ class TestDerivedScenes:
 
     @staticmethod
     def assert_same_value(got, want):
-        """Equal values, read-only arrays of one dtype, and dataclasses
-        (the routing topology) field by field."""
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and not got.flags.writeable
-            assert np.array_equal(got, want)
-        elif is_dataclass(want):
+        """Equal values, and dataclasses (the routing topology) field by
+        field."""
+        if is_dataclass(want):
             assert type(got) is type(want)
             for f in fields(want):
                 TestDerivedScenes.assert_same_value(getattr(got, f.name), getattr(want, f.name))
@@ -480,13 +531,13 @@ class TestDerivedScenes:
     def test_with_elements_matches_fresh_scene(self):
         positions = [[0, 0, 0], [5, 0, 0], [10, 0, 0], [5, 6, 0], [15, 0, 0], [15, 6, 0]]
         cached = [n for n, v in vars(Scene).items() if isinstance(v, cached_property)]
-        assert {"dist_matrix", "los_matrix", "los_masks"} <= set(cached)
+        assert cached == ["topology"]
         for override in (None, full_los(6)):
             scene = make_scene(positions, 3, 2, los_override=override)
             before = {f.name: getattr(scene, f.name) for f in fields(Scene)}
             for m in (1, 13, 200):
                 scaled = scene.with_elements(m)
-                fresh = replace(scene, elements=m)
+                fresh = make_scene(positions, 3, 2, los_override=override, elements=m)
                 assert scaled.elements == fresh.elements == m
                 for f in fields(Scene):
                     if f.name != "elements":
@@ -501,11 +552,11 @@ class TestDerivedScenes:
         cached = [n for n, v in vars(Scene).items() if isinstance(v, cached_property)]
         for override in (None, full_los(6)):
             scene = make_scene(positions, 3, 2, los_override=override)
-            scene.los_masks  # fill the caches the copy should share
+            scene.topology  # fill the cache the copy should share
             before = {f.name: getattr(scene, f.name) for f in fields(Scene)}
             for n in (1, 7, 64):
                 scaled = scene.with_antennas(n)
-                fresh = replace(scene, bs_antennas=n)
+                fresh = make_scene(positions, 3, 2, los_override=override, bs_antennas=n)
                 assert scaled.bs_antennas == fresh.bs_antennas == n
                 for f in fields(Scene):
                     if f.name != "bs_antennas":
@@ -524,13 +575,13 @@ class TestDerivedScenes:
 
     def test_with_elements_rejects_non_int_grid(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
-        with pytest.raises(SceneError, match="irs_grid"):
+        with pytest.raises(SceneError, match="elements must be a positive integer"):
             scene.with_elements(np.int64(6))
 
     def test_one_count_check_for_both_sizes(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         for bad in (0, -3, 4.0, 2.5, True, np.int64(4), "4"):
-            with pytest.raises(SceneError, match="irs_grid element count must be a positive int"):
+            with pytest.raises(SceneError, match="^elements must be a positive integer"):
                 scene.with_elements(bad)
             with pytest.raises(SceneError, match="bs_antennas must be a positive integer"):
                 scene.with_antennas(bad)
@@ -546,8 +597,10 @@ class TestDerivedScenes:
 class TestImmutability:
     def test_positions_read_only(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
-        with pytest.raises(ValueError):
-            scene.positions[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            scene.positions[0] = (1.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            scene.positions[0][0] = 1.0
 
     def test_frozen_dataclass(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)

@@ -43,6 +43,7 @@ from scenefab import (
     bench_scenes,
     corridor_scene,
     corridors_k8_document,
+    los_rows,
     make_scene,
     star_scene,
 )
@@ -606,8 +607,8 @@ def test_isolated_user_is_infeasible():
 
 def test_no_compatible_combination():
     base = adversarial_scene(bs_antennas=4, elements=4)
-    override = np.array(base.los_override, copy=True)
-    override[2, 4] = override[4, 2] = 1
+    override = los_rows(base)
+    override[2][4] = override[4][2] = 1
     scene = Scene(
         base.positions,
         base.num_irs,
