@@ -17,17 +17,14 @@ at once (``top_routes``).  The sweep skips the surfaces with no path to
 any user (``RoutingTopology.live_order``).  Weights can be negative; the
 sweep never relies on Dijkstra's nonnegativity assumption.
 
-Edge costs are short float tuples compared lexicographically.  The
-plain graph uses 1-tuples of the scalar weight; the hop-greedy variant
-uses (-1, ln d) so longer paths win before distance breaks ties, which
-realizes the large-M limit without evaluating any large power.  Paths
-are ranked by (cost vector, hop count, vertex sequence).  The sweep
-keeps a cost vector as two flat float slots of its label, the second
-0.0 for 1-tuples, and sums both hop by hop from the BS, reading each
-edge's two slots from two per-edge lists, so equal paths carry
-bit-identical floats.  A ``Route`` is what the search decides:
-its vertex path and that cost vector; hop lengths and powers come from
-the scene.
+Every edge carries one float, and the sweep sums a path's floats hop
+by hop from the BS, so equal paths carry bit-identical costs.  The
+plain graph ranks paths by (cost, hop count, vertex sequence).  The
+hop-greedy variant prices each edge by ln d alone and ranks paths by
+hop count, longest first, then by (cost, vertex sequence), which
+realizes the large-M limit without evaluating any large power.  A
+``Route`` is what the search decides: its vertex path and its cost
+vector; hop lengths and powers come from the scene.
 """
 
 from __future__ import annotations
@@ -48,8 +45,9 @@ class GraphError(ValueError):
 class Route:
     """One beam route: vertex 0, an ordered surface sequence, a user.
 
-    ``cost_vec`` is the cost tuple the search ordered by, summed hop by
-    hop from the BS; on the plain graph its one entry is the weight sum.
+    ``cost_vec`` is the cost tuple the search ordered by, its weight
+    sum taken hop by hop from the BS: (weight sum,) on the plain graph,
+    (-edge count, ln d sum) with hop priority.
     The route's power is ``channel.closed_form_power(scene, route)`` and
     its hop lengths are the scene's distances between its vertices.
     """
@@ -212,21 +210,16 @@ class RoutingTopology:
             up[v] = mask
         return tuple(up)
 
-    @cached_property
-    def log_dists(self) -> list[float]:
-        """ln d per edge, the hop-priority cost's second slot at every M."""
-        return list(map(math.log, self.dists))
-
 
 @dataclass(frozen=True, eq=False)
 class LosGraph:
     """Immutable routing DAG: a topology priced at one array size.
 
-    ``weights`` holds each edge's scalar weight, in ``topology.edges``
-    order.  The searches compare cost tuples: (weight,) per edge on the
-    plain graph, (-1, ln d) with ``hop_priority``, which needs the
-    topology's edge lengths.  Every table the sweep reads is the
-    topology's, so pricing a topology at another M builds nothing else.
+    ``weights`` holds each edge's one float, in ``topology.edges``
+    order.  With ``hop_priority`` the searches rank paths by hop count
+    first, longest first, and by the weight sum after it.  Every table
+    the sweep reads is the topology's, so pricing a topology at another
+    M builds nothing else.
     The ``weight`` dict keyed by edge is a view built on first use.
     """
 
@@ -239,8 +232,6 @@ class LosGraph:
             raise GraphError(
                 f"{len(self.weights)} weights for {len(self.topology.edges)} edges"
             )
-        if self.hop_priority and self.topology.dists is None:
-            raise GraphError("hop priority needs the topology's edge lengths")
 
     @cached_property
     def weight(self) -> dict[tuple[int, int], float]:
@@ -258,9 +249,12 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     only prices the edges: one division and one ``math.log`` per edge,
     the same operations as ``edge_weight``, so the same bits.
 
-    ``hop_priority`` switches the search cost to (-1, ln d) per edge.
+    With ``hop_priority`` each edge is priced ln d, at every M, and the
+    search ranks paths by hop count first.
     """
     topology = scene.topology
+    if hop_priority:
+        return LosGraph(topology, list(map(math.log, topology.dists)), True)
     weights = []
     # like a per-edge edge_weight, an edgeless graph prices nothing
     if topology.edges:
@@ -269,7 +263,7 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
             raise GraphError("edge weight needs positive distance and element count")
         scale = m * math.sqrt(scene.ref_path_gain)
         weights = [math.log(d / scale) for d in topology.dists]
-    return LosGraph(topology, weights, hop_priority)
+    return LosGraph(topology, weights)
 
 
 # -- path search -------------------------------------------------------
@@ -286,25 +280,22 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     One pull sweep in ``RoutingTopology.live_order``: the topological
     order without the vertices that reach no user, whose labels could
     never reach one.  A label is the flat tuple
-    (c0, c1, hop count, vertex sequence), where (c0, c1) holds the cost
-    vector (c1 is 0.0 for 1-tuple costs), so comparing labels ranks
-    paths by (cost vector, hop count, vertex sequence).  Each vertex
-    gathers the labels of its predecessors extended by the in-edge
-    (``RoutingTopology.preds``), sorts them once and keeps `count`.  An
-    in-edge's two cost slots come from two per-edge lists: the weights
-    and zeros on the plain graph, -1.0 and ``RoutingTopology.log_dists``
-    with hop priority.  Every predecessor comes earlier in the order,
-    so its labels are final, and every DAG path is loopless, so no
-    deviation search is needed.  Labels never extend through a user, so
-    one sweep settles every user.
-    Ties break toward fewer hops, then the lexicographically smallest
-    vertex sequence.  Keeping `count` per vertex is exact unless an edge
-    cost rounds two different label costs to one float; then the hop
-    count or sequence decides their order downstream, and a label a
-    vertex dropped can be missing.  A vertex whose bit is set in the
-    node mask `banned` gets no labels.  The result maps user index 1..K
-    to its routes; fewer than `count` (possibly none) come back when a
-    user's path set is exhausted.
+    (cost, hop count, vertex sequence).  Each vertex gathers the labels
+    of its predecessors extended by the in-edge's weight
+    (``RoutingTopology.preds``), sorts them once and keeps `count`.
+    Every predecessor comes earlier in the order, so its labels are
+    final, and every DAG path is loopless, so no deviation search is
+    needed.  Labels never extend through a user, so one sweep settles
+    every user.
+    Labels sort as tuples: by cost, ties toward fewer hops, then the
+    lexicographically smallest vertex sequence.  With hop priority more
+    hops come first, then that order.  Keeping `count` per vertex is
+    exact unless an edge cost rounds two different label costs to one
+    float; then the hop count or sequence decides their order
+    downstream, and a label a vertex dropped can be missing.  A vertex
+    whose bit is set in the node mask `banned` gets no labels.  The
+    result maps user index 1..K to its routes; fewer than `count`
+    (possibly none) come back when a user's path set is exhausted.
     """
     if count < 1:
         raise GraphError("path count must be positive")
@@ -312,36 +303,35 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     routes: dict[int, list[Route]] = {u: [] for u in range(1, topology.num_users + 1)}
     if banned & 1:
         return routes
-    wide = graph.hop_priority
-    if wide:
-        c0s, c1s = [-1.0] * len(topology.edges), topology.log_dists
-    else:
-        c0s, c1s = graph.weights, [0.0] * len(topology.edges)
+    hop_priority, weights = graph.hop_priority, graph.weights
+    # hop priority ranks more hops first, then as the plain graph does
+    key = (lambda label: (-label[1], label)) if hop_priority else None
     first_user = topology.user_vertices.start
     preds = topology.preds
-    labels: list[list[tuple[float, float, int, tuple[int, ...]]]] = [[]] * topology.num_vertices
-    labels[0] = [(0.0, 0.0, 0, (0,))]
+    labels: list[list[tuple[float, int, tuple[int, ...]]]] = [[]] * topology.num_vertices
+    labels[0] = [(0.0, 0, (0,))]
     for v in topology.live_order:
         if banned >> v & 1:
             continue
         here = []
         for p, e in preds[v]:
-            c0, c1 = c0s[e], c1s[e]
-            for a0, a1, hops, path in labels[p]:
-                here.append((a0 + c0, a1 + c1, hops, path))
+            w = weights[e]
+            for cost, hops, path in labels[p]:
+                here.append((cost + w, hops, path))
         if not here:
             continue
         # gathered labels still carry their predecessor's hop count and
         # path; one more hop and a final v on every path keep their
         # order, so only the `count` survivors are extended
-        here.sort()
-        here = [(a0, a1, hops + 1, path + (v,)) for a0, a1, hops, path in here[:count]]
+        here.sort(key=key)
+        here = [(cost, hops + 1, path + (v,)) for cost, hops, path in here[:count]]
         if v < first_user:
             labels[v] = here
         else:
             user = v - topology.num_irs
             routes[user] = [
-                Route(user, path, (c0, c1) if wide else (c0,)) for c0, c1, _, path in here
+                Route(user, path, (-float(hops), cost) if hop_priority else (cost,))
+                for cost, hops, path in here
             ]
     return routes
 

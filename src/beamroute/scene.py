@@ -376,11 +376,11 @@ def load_scene(text: str) -> Scene:
 
     grid = (int(params.get("M1", DEFAULT_IRS_SIDE)), int(params.get("M2", DEFAULT_IRS_SIDE)))
     if min(grid) < 1:
-        raise SceneError(f"irs_grid must be positive integers, got {grid!r}")
+        raise SceneError(f"M1 and M2 must be positive integers, got {grid!r}")
     spacings = (
-        ("antenna_spacing", float(params.get("dA", wavelength / 2))),
-        ("element_spacing", float(params.get("dI", wavelength / 2))),
-        ("wavelength", wavelength),
+        ("dA", float(params.get("dA", wavelength / 2))),
+        ("dI", float(params.get("dI", wavelength / 2))),
+        ("lambda", wavelength),
     )
     for name, value in spacings:
         if not value > 0:

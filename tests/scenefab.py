@@ -42,9 +42,10 @@ def from_edges(
 
 def edge_costs(graph: LosGraph) -> dict[tuple[int, int], tuple[float, ...]]:
     """The cost tuple the searches compare, per edge: (weight,), or
-    (-1, ln d) with hop priority."""
+    (-1, weight) with hop priority, where the -1s sum to minus the edge
+    count."""
     if graph.hop_priority:
-        costs = [(-1.0, ln_d) for ln_d in graph.topology.log_dists]
+        costs = [(-1.0, w) for w in graph.weights]
     else:
         costs = [(w,) for w in graph.weights]
     return dict(zip(graph.topology.edges, costs))

@@ -1,11 +1,13 @@
 """The label sweep over every vertex, the live-order sweep's test reference.
 
 ``full_order_top_routes`` is ``beamroute.graph.top_routes`` as it was
-before the sweep skipped the vertices that reach no user: it visits
-every vertex of ``topo_order``, and it builds its own predecessor
-table and label frees from the graph's ``cost`` view and that full
-order, so it shares no table with the live sweep.  Both must return
-the same routes, in the same order, with bit-identical ``cost_vec``.
+before the sweep skipped the vertices that reach no user and before
+its labels held one float: it visits every vertex of ``topo_order``,
+builds its own predecessor table from ``scenefab.edge_costs`` and that
+full order, and sums a cost vector in two float slots per label, so
+a hop-priority graph is ranked by summed -1s rather than by a sort
+key.  It shares no table with the live sweep.  Both must return the
+same routes, in the same order, with bit-identical ``cost_vec``.
 """
 
 from __future__ import annotations

@@ -24,6 +24,8 @@ from beamroute.cli import (
     run_experiment,
     sweep,
 )
+from beamroute.channel import closed_form_power
+from beamroute.graph import build_routing_graph, top_routes
 from beamroute.scene import Scene, load_scene
 from beamroute.solver import SolveParams, solve
 
@@ -374,6 +376,7 @@ def test_main_extreme_element_counts_keep_their_exit_codes(algorithm, capsys):
     # every edge is priced at once from M sqrt(beta); at M = 1, at a
     # prime M past a float's integer precision and at an M no float
     # holds, each algorithm answers as pricing edge by edge did
+    # (max-cpb prices ln d alone and meets the huge M in the powers)
     huge = str(10**400)
     for elements, code, objective_db in (
         ("1", 0, -169.26351681830715),
@@ -390,6 +393,28 @@ def test_main_extreme_element_counts_keep_their_exit_codes(algorithm, capsys):
     assert rows[1].startswith("1,-169.26351681830715,1,")
     assert rows[2].startswith("1000000000000000003,550.7364831816928,1,")
     assert rows[3] == f"{huge},,,,,,,int too large to convert to float"
+
+
+def test_max_cpb_at_an_element_count_past_float_range():
+    # a hop-priority graph prices ln d and reads no M, so it builds at
+    # any M; the routes it finds fail only when their powers are taken,
+    # which is the exit-1 error the extreme-count test above pins
+    with open(DEMO) as fh:
+        scene = load_scene(fh.read()).with_elements(10**400)
+    routes = top_routes(build_routing_graph(scene, hop_priority=True), 1)
+    assert all(routes.values())
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        closed_form_power(scene, routes[1][0])
+
+
+def test_max_cpb_infeasible_past_float_range_exit_two(capsys):
+    # no surface of this scene reaches either user, so no power is taken
+    # and the run reports infeasible
+    argv = ["--generate", "random(4,2,40,3)", "--algorithm", "max-cpb", "--output", "json"]
+    assert main([*argv, "--elements", str(10**400)]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["feasible"] is False
+    assert record["params"]["elements"] == 10**400
 
 
 def test_main_power_overflow_exit_one(tmp_path, capsys):

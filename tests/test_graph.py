@@ -78,8 +78,12 @@ def oracle_routing_graph(scene, elements, hop_priority):
             continue
         d = scene.distance(i, j)
         succ.setdefault(i, []).append(j)
-        weight[i, j] = math.log(d / (m * math.sqrt(scene.ref_path_gain)))
-        cost[i, j] = (-1.0, math.log(d)) if hop_priority else (weight[i, j],)
+        if hop_priority:
+            weight[i, j] = math.log(d)
+            cost[i, j] = (-1.0, weight[i, j])
+        else:
+            weight[i, j] = math.log(d / (m * math.sqrt(scene.ref_path_gain)))
+            cost[i, j] = (weight[i, j],)
     return {i: tuple(sorted(js)) for i, js in succ.items()}, weight, cost
 
 
@@ -88,18 +92,6 @@ def bits(values):
     def exact(x):
         return tuple(exact(y) for y in x) if isinstance(x, tuple) else float(x).hex()
     return [(k, exact(v)) for k, v in values.items()]
-
-
-def cost_lists(graph):
-    """The two per-edge cost slots `top_routes` reads, as it builds them."""
-    n = len(graph.topology.edges)
-    if graph.hop_priority:
-        return [-1.0] * n, graph.topology.log_dists
-    return graph.weights, [0.0] * n
-
-
-def hex_lists(lists):
-    return [[x.hex() for x in values] for values in lists]
 
 
 def oracle_cost(weight, path):
@@ -313,15 +305,16 @@ class TestBuildRoutingGraph:
             with pytest.raises(GraphError, match="weights for 2 edges"):
                 LosGraph(topology, weights)
 
-    def test_hop_priority_needs_edge_lengths(self):
-        # hop priority costs are (-1, ln d), so a topology without
-        # lengths is refused when priced, not at its first search
+    def test_hop_priority_needs_no_edge_lengths(self):
+        # a hop-priority graph is searched on its weights alone, so one
+        # can be priced by hand on a topology without lengths
         edges, order = ((0, 1), (1, 2)), (0, 1, 2)
-        with pytest.raises(GraphError, match="edge lengths"):
-            LosGraph(RoutingTopology(1, 1, edges, order), [0.5, 0.5], hop_priority=True)
+        bare = LosGraph(RoutingTopology(1, 1, edges, order), [0.5, 0.25], hop_priority=True)
+        (route,) = top_routes(bare, 1)[1]
+        assert route.cost_vec == (-2.0, 0.75)
         measured = RoutingTopology(1, 1, edges, order, (2.0, 3.0))
-        (route,) = top_routes(LosGraph(measured, [0.5, 0.5], hop_priority=True), 1)[1]
-        assert route.cost_vec == (-2.0, math.log(2.0) + math.log(3.0))
+        (route,) = top_routes(LosGraph(measured, [0.5, 0.25], hop_priority=True), 1)[1]
+        assert route.cost_vec == (-2.0, 0.75)
 
     def test_size_copies_share_one_topology(self, monkeypatch):
         # the topology is built once per loaded scene, and every copy at
@@ -359,7 +352,7 @@ class TestBuildRoutingGraph:
                     assert list(edge_costs(got)) == list(edge_costs(want))
                     assert bits(got.weight) == bits(want.weight)
                     assert bits(edge_costs(got)) == bits(edge_costs(want))
-                    assert hex_lists(cost_lists(got)) == hex_lists(cost_lists(want))
+                    assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
                     assert got.topology.preds is base.topology.preds
                     assert got.topology.upstream_masks == want.topology.upstream_masks
                     assert got.topology.topo_order == want.topology.topo_order
@@ -375,16 +368,19 @@ class TestBuildRoutingGraph:
     def test_bulk_pricing_matches_edge_weight(self):
         # one division per edge by the same float M sqrt(beta), then
         # math.log, so every weight has the bits of edge_weight's, up to
-        # M far beyond a float's integer precision
+        # M far beyond a float's integer precision; hop priority prices
+        # ln d at every M
         scene = load_scene(corridors_k8_document(3))
         topology = scene.topology
         assert len(topology.edges) >= 100
+        log_d = [math.log(d).hex() for d in topology.dists]
         for m in (1, 7, 16, 1600, 10**15, 10**15 + 3, 2**53 + 1, 10**30, 3**200):
             scaled = scene.with_elements(m)
             want = [edge_weight(d, m, scene.ref_path_gain) for d in topology.dists]
-            for hop_priority in (False, True):
-                got = build_routing_graph(scaled, hop_priority=hop_priority)
-                assert [w.hex() for w in got.weights] == [w.hex() for w in want]
+            got = build_routing_graph(scaled)
+            assert [w.hex() for w in got.weights] == [w.hex() for w in want]
+            hop = build_routing_graph(scaled, hop_priority=True)
+            assert [w.hex() for w in hop.weights] == log_d
 
     def test_bulk_pricing_keeps_edge_weight_errors(self):
         scene = load_scene(corridors_k8_document(3))
@@ -392,10 +388,12 @@ class TestBuildRoutingGraph:
         huge = scene.with_elements(10**400)
         with pytest.raises(OverflowError) as per_edge:
             edge_weight(d, 10**400, scene.ref_path_gain)
-        for hop_priority in (False, True):
-            with pytest.raises(OverflowError) as bulk:
-                build_routing_graph(huge, hop_priority=hop_priority)
-            assert str(bulk.value) == str(per_edge.value) == "int too large to convert to float"
+        with pytest.raises(OverflowError) as bulk:
+            build_routing_graph(huge)
+        assert str(bulk.value) == str(per_edge.value) == "int too large to convert to float"
+        # a hop-priority graph reads no M, so it prices even this one
+        hop = build_routing_graph(huge, hop_priority=True)
+        assert hop.weights == [math.log(d) for d in scene.topology.dists]
         # Scene validation keeps M >= 1; past it, the bulk path still refuses
         for m in (0, -3):
             broken = scene.with_elements(1)
@@ -651,7 +649,7 @@ class TestPullSweepMatchesPushReference:
             for _ in range(40)
         ]
         # half-unit weights sum exactly, so cost ties are common
-        graphs += [
+        half_unit = [
             from_edges(
                 g.topology.num_irs,
                 g.topology.num_users,
@@ -659,6 +657,10 @@ class TestPullSweepMatchesPushReference:
             )
             for g in graphs[:20]
         ]
+        # as hop-priority graphs, equal hop counts with equal sums leave
+        # the order to the vertex sequence
+        graphs += half_unit
+        graphs += [LosGraph(g.topology, g.weights, hop_priority=True) for g in half_unit]
         scenes = mask_rule_scenes(rng)
         graphs += [build_routing_graph(s, hop_priority=True) for s in scenes]
         graphs += [build_routing_graph(s) for s in scenes[:6]]

@@ -13,6 +13,8 @@ vertices must change nothing, so the sweep is checked against the
 full-order sweep in ``sweep_reference``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,8 @@ WEIGHTS = st.one_of(
 
 @st.composite
 def edge_graphs(draw) -> LosGraph:
-    """Random forward edges over all vertices, users included.
+    """Random forward edges over all vertices, users included, plain or
+    with hop priority.
 
     Edges only run from lower to higher ids, as ``from_edges`` requires,
     so the graph is a DAG; edges out of users exist but must carry no
@@ -45,7 +48,8 @@ def edge_graphs(draw) -> LosGraph:
     n = 1 + num_irs + num_users
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return from_edges(num_irs, num_users, [(i, j, draw(WEIGHTS)) for i, j in picked])
+    graph = from_edges(num_irs, num_users, [(i, j, draw(WEIGHTS)) for i, j in picked])
+    return LosGraph(graph.topology, graph.weights, draw(st.booleans()))
 
 
 @st.composite
@@ -137,8 +141,8 @@ def dead_end_graphs(draw) -> LosGraph:
 
     Every edge out of a surface drawn as dead leads to another dead
     surface, so no path from a dead surface reaches a user, while
-    labels still flow into it.  Costs are plain weights or, with
-    hop priority, (-1, ln d) from drawn edge lengths.
+    labels still flow into it.  Weights are drawn plain or, with hop
+    priority, as ln d of drawn edge lengths.
     """
     num_irs = draw(st.integers(1, 8))
     num_users = draw(st.integers(1, 4))
@@ -152,8 +156,9 @@ def dead_end_graphs(draw) -> LosGraph:
     order = tuple(range(n))
     topology = RoutingTopology(num_irs, num_users, edges, order, dists)
     assert dead.isdisjoint(topology.live_order)
-    weights = [draw(WEIGHTS) for _ in edges]
-    return LosGraph(topology, weights, draw(st.booleans()))
+    if draw(st.booleans()):
+        return LosGraph(topology, list(map(math.log, dists)), hop_priority=True)
+    return LosGraph(topology, [draw(WEIGHTS) for _ in edges])
 
 
 def exact(routes: dict) -> list:

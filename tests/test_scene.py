@@ -90,24 +90,24 @@ DOCUMENT_ERRORS = [
      "far-field violation: nodes 0 and 1 are 2.000 m apart, below d0 = 3.0 m"),
     ("beta", json.dumps({"params": {"beta": 1.5}, "nodes": [BS0]}),
      "invalid path gain: ref_path_gain must lie in (0, 1), got 1.5"),
-    ("dA", json.dumps({"params": {"dA": 0}, "nodes": [BS0]}), "antenna_spacing must be positive"),
-    ("dI", json.dumps({"params": {"dI": -0.5}, "nodes": [BS0]}), "element_spacing must be positive"),
+    ("dA", json.dumps({"params": {"dA": 0}, "nodes": [BS0]}), "dA must be positive"),
+    ("dI", json.dumps({"params": {"dI": -0.5}, "nodes": [BS0]}), "dI must be positive"),
     # the spacings default to lambda / 2, so dA fails before lambda itself
     ("lambda", json.dumps({"params": {"lambda": -1}, "nodes": [BS0]}),
-     "antenna_spacing must be positive"),
+     "dA must be positive"),
     ("lambda-only", json.dumps({"params": {"lambda": 0, "dA": 1, "dI": 1}, "nodes": [BS0]}),
-     "wavelength must be positive"),
+     "lambda must be positive"),
     ("N", json.dumps({"params": {"N": 0}, "nodes": [BS0]}),
      "bs_antennas must be a positive integer, got 0"),
     ("M1", json.dumps({"params": {"M1": 0}, "nodes": [BS0]}),
-     "irs_grid must be positive integers, got (0, 20)"),
+     "M1 and M2 must be positive integers, got (0, 20)"),
     ("M1-negative-zero", json.dumps({"params": {"M1": -0.0}, "nodes": [BS0]}),
-     "irs_grid must be positive integers, got (0, 20)"),
+     "M1 and M2 must be positive integers, got (0, 20)"),
     ("M2", json.dumps({"params": {"M2": -3}, "nodes": [BS0]}),
-     "irs_grid must be positive integers, got (20, -3)"),
+     "M1 and M2 must be positive integers, got (20, -3)"),
     # the grid and the spacings are checked on load, before the scene's own fields
     ("order-grid-before-antennas", json.dumps({"params": {"N": 0, "M1": 0}, "nodes": [BS0]}),
-     "irs_grid must be positive integers, got (0, 20)"),
+     "M1 and M2 must be positive integers, got (0, 20)"),
     ("threshold", json.dumps({"params": {"los_threshold": -1}, "nodes": [BS0]}),
      "los_threshold must be nonnegative"),
     ("override-shape", nodes_doc(BS0, IRS1, los_override=[[0]]),
