@@ -5,7 +5,9 @@ two candidates are connected exactly when their routes can operate
 simultaneously, meaning they share no vertex and no cross pair of
 their vertices has LoS.  A size-K clique is then one compatible route
 per user, and the max-min power selection is the clique minimizing the
-largest route cost.
+largest route cost.  Before searching, an arc-consistency pass drops
+every candidate with no compatible candidate left in some other
+partition; an emptied partition proves the selection infeasible.
 """
 
 from __future__ import annotations
@@ -179,24 +181,6 @@ def build_path_graph(candidates: dict[int, list[Route]], scene: Scene) -> PathGr
     )
 
 
-def blocking_pair(graph: PathGraph) -> tuple[int, int] | None:
-    """The first partition pair ``(a, b)``, a < b, with no edge across it.
-
-    No candidate of ``a`` is compatible with any candidate of ``b``, so
-    that pair alone rules out every clique.  None when every pair has
-    an edge.
-    """
-    masks = graph.part_masks
-    for a, part in enumerate(graph.partitions):
-        reach = 0
-        for v in part:
-            reach |= graph.adj_masks[v]
-        for b in range(a + 1, len(masks)):
-            if not reach & masks[b]:
-                return a, b
-    return None
-
-
 @dataclass(frozen=True)
 class Clique:
     """One selected vertex per partition, in partition order."""
@@ -205,16 +189,24 @@ class Clique:
 
 
 class CliqueSearch:
-    """Branch-and-bound K-partite clique search.
+    """Branch-and-bound K-partite clique search after arc consistency.
 
-    Partitions are filled in index order.  The graph numbers each
-    partition in key order (see ``PathGraph``), so the set bits of a
-    partition run from its cheapest vertex up.  Each partition walks
-    the set bits of its vertices compatible with every member so far,
-    and stops at the first one that lifts the worst key strictly above
-    the best clique's, since every later one does too; equal keys go
-    on, so the tie rule still decides.  The final partition only tries
-    its first compatible vertex, the cheapest completion.
+    The pass works in rounds: a vertex stays alive only when, for every
+    other partition, it lies in the union of the adjacency masks of
+    that partition's live vertices.  No full clique holds a dropped
+    vertex.  ``alive`` is the mask of the vertices left after the last
+    round; ``blocked`` is the lowest partition a round emptied, which
+    proves infeasibility before any search, else None.
+
+    The search walks the survivors, filling partitions in index order.
+    The graph numbers each partition in key order (see ``PathGraph``),
+    so the set bits of a partition run from its cheapest vertex up.
+    Each partition walks the set bits of its vertices compatible with
+    every member so far, and stops at the first one that lifts the
+    worst key strictly above the best clique's, since every later one
+    does too; equal keys go on, so the tie rule still decides.  The
+    final partition only tries its first compatible vertex, the
+    cheapest completion.
 
     Before descending, the lowest compatible bit of each later partition
     gives its cheapest key.  The branch is dropped when some later
@@ -239,6 +231,8 @@ class CliqueSearch:
         self.graph = graph
         self.explored = 0
         self.pruned = 0
+        self.blocked: int | None = None
+        self.alive = 0
         # the best clique's (worst key, key sum, vertex tuple)
         self._best: tuple | None = None
         self._heads = [key[0] for key in graph.order_key]
@@ -248,10 +242,25 @@ class CliqueSearch:
         self._best = None
         self.explored = 0
         self.pruned = 0
+        adj, parts = self.graph.adj_masks, self.graph.part_masks
+        alive, keep = -1, (1 << len(adj)) - 1
+        while keep != alive:  # the arc-consistency pass, one round a turn
+            alive = self.alive = keep
+            self.blocked = next((k for k, m in enumerate(parts) if not alive & m), None)
+            if self.blocked is not None:
+                return None
+            for part in parts:
+                live, reach = alive & part, 0
+                while live:
+                    low = live & -live
+                    reach |= adj[low.bit_length() - 1]
+                    live ^= low
+                # a partition's own vertices need no neighbour in it
+                keep &= reach | part
         keys = self.graph.order_key
         zero = (0.0,) * len(keys[0]) if keys else ()
         # () sorts before every key, so the first member sets the worst
-        self._extend((), (1 << len(keys)) - 1, 0, (), zero)
+        self._extend((), alive, 0, (), zero)
         if self._best is None:
             return None
         return Clique(vertices=self._best[2])

@@ -27,7 +27,6 @@ from .channel import closed_form_power
 from .clique import (
     CliqueSearch,
     NoCandidateRoutesError,
-    blocking_pair,
     build_path_graph,
     compatible,
     route_masks,
@@ -194,39 +193,42 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
 
     ``proposed`` and the two asymptotic benchmarks differ only in the
     graph they rank candidates on; reported powers always use the
-    scene's actual element count.  An infeasible answer names what
-    blocks it: ``infeasible_user``, a user without candidates, or else
-    ``blocking_pair``, the first user pair with no compatible candidate
-    pair (None when only three or more users conflict together).
+    scene's actual element count.  ``infeasible_user`` names what
+    blocks an infeasible answer: the first user with no path from the
+    BS (``upstream_masks``), found before any candidate search, else
+    the first user whose partition the clique search's arc-consistency
+    pass empties.  It is absent when only the search finds no clique.
     """
     _require_users(scene)
     algorithm = params.algorithm
     start = time.perf_counter()
     graph = _PIPELINE_GRAPHS[algorithm](scene)
-    candidates = top_routes(graph, params.paths)
     diagnostics = {
         **_sweep_counts(graph),
-        "candidate_counts": tuple(len(c) for c in candidates.values()),
         "compat_edges": 0,
         "cliques_explored": 0,
         "cliques_pruned": 0,
     }
-    try:
-        path_graph = build_path_graph(candidates, scene)
-    except NoCandidateRoutesError as exc:
-        diagnostics["reason"] = str(exc)
-        diagnostics["infeasible_user"] = exc.user_index
-        return _finish(scene, algorithm, diagnostics, start)
+    upstream = graph.topology.upstream_masks
+    for user in range(1, scene.num_users + 1):
+        if not upstream[scene.num_irs + user] & 1:  # no path from the BS
+            diagnostics["reason"] = str(NoCandidateRoutesError(user))
+            diagnostics["infeasible_user"] = user
+            return _finish(scene, algorithm, diagnostics, start)
+    candidates = top_routes(graph, params.paths)
+    diagnostics["candidate_counts"] = tuple(len(c) for c in candidates.values())
+    path_graph = build_path_graph(candidates, scene)
     diagnostics["compat_edges"] = sum(m.bit_count() for m in path_graph.adj_masks) // 2
     search = CliqueSearch(path_graph)
     clique = search.run()
+    parts = path_graph.part_masks
+    diagnostics["candidates_consistent"] = tuple((search.alive & m).bit_count() for m in parts)
     diagnostics["cliques_explored"] = search.explored
     diagnostics["cliques_pruned"] = search.pruned
     if clique is None:
         diagnostics["reason"] = "no compatible route combination"
-        pair = blocking_pair(path_graph)
-        users = sorted(candidates)
-        diagnostics["blocking_pair"] = None if pair is None else (users[pair[0]], users[pair[1]])
+        if search.blocked is not None:
+            diagnostics["infeasible_user"] = sorted(candidates)[search.blocked]
         return _finish(scene, algorithm, diagnostics, start)
     routes = tuple(path_graph.routes[v] for v in clique.vertices)
     powers = _route_powers(scene, routes)

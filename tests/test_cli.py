@@ -552,15 +552,25 @@ GOLDEN_RUNS = [
     ("demo_sweep_Q.csv", ["--sweep", "Q", "--values", "1..20", "--output", "csv"]),
     ("demo_proposed.txt", []),
     ("demo_sweep_M.txt", ["--sweep", "M", "--values", "100,200,400,800"]),
+    # paper-sized benchmark scenes at their workload's Q: a feasible
+    # seven-user corridors scene, and a mesh scene that the clique
+    # search's arc-consistency pass proves infeasible
+    ("corridors_353_proposed.json", ["--paths", "10", "--output", "json"]),
+    ("mesh_88_proposed.json", ["--paths", "50", "--output", "json"]),
 ]
+# the scene of a golden not run on the demo, and its exit code
+GOLDEN_SCENES = {"corridors_353_proposed.json": ("corridors_353", 0),
+                 "mesh_88_proposed.json": ("mesh_88", 2)}
 
 
 @pytest.mark.parametrize("golden,args", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
 def test_report_bytes_match_golden(tmp_path, golden, args):
     # pinned report bytes: any change to routes, tie-breaks or float
     # formatting shows up as a difference
+    stem, code = GOLDEN_SCENES.get(golden, ("demo", 0))
+    scene = os.path.join(ROOT, "scenes", f"{stem}.json")
     out = tmp_path / golden
-    assert main(["--scene", DEMO, *args, "--out", str(out)]) == 0
+    assert main(["--scene", scene, *args, "--out", str(out)]) == code
     with open(os.path.join(GOLDEN, golden), "rb") as fh:
         assert out.read_bytes() == fh.read()
 

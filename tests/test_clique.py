@@ -10,7 +10,6 @@ from beamroute.clique import (
     CliqueSearch,
     NoCandidateRoutesError,
     PathGraph,
-    blocking_pair,
     build_path_graph,
     compatible,
     route_masks,
@@ -91,6 +90,56 @@ def all_cliques(graph):
 def oracle_min_max(graph):
     """Exhaustive product enumeration, no recursion sharing."""
     return min(all_cliques(graph), default=None)
+
+
+def naive_rounds(parts, linked):
+    """The arc-consistency pass written over sets, one round at a time.
+
+    ``parts`` lists each partition's items and ``linked(a, b)`` says
+    whether two items of different partitions are compatible.  Returns
+    the surviving sets after the last round and the lowest partition
+    that round left empty, or None when the pass ends with none empty.
+    """
+    alive = [set(p) for p in parts]
+    while True:
+        empty = [k for k, items in enumerate(alive) if not items]
+        if empty:
+            return alive, empty[0]
+        kept = [
+            {
+                a
+                for a in items
+                if all(
+                    any(linked(a, b) for b in other)
+                    for j, other in enumerate(alive)
+                    if j != k
+                )
+            }
+            for k, items in enumerate(alive)
+        ]
+        if kept == alive:
+            return alive, None
+        alive = kept
+
+
+def graph_rounds(graph):
+    """``naive_rounds`` on a PathGraph's neighbour sets."""
+    return naive_rounds(graph.partitions, lambda a, b: b in graph.adj[a])
+
+
+def alive_sets(graph, search):
+    """Each partition's vertices left by the search's pass."""
+    return [{v for v in part if search.alive >> v & 1} for part in graph.partitions]
+
+
+def pass_graphs(seed):
+    """Random K-partite graphs of every key draw, and random_pathgraph ones."""
+    rng = np.random.default_rng(seed)
+    for draw in sorted(KEY_DRAWS):
+        for _ in range(120):
+            yield random_kpartite(rng, KEY_DRAWS[draw])
+    for _ in range(120):
+        yield random_pathgraph(rng)
 
 
 # key draws for random K-partite graphs
@@ -507,40 +556,141 @@ class TestBuildPathGraph:
         assert same_user >= 1500
 
 
-class TestBlockingPair:
-    def test_matches_raw_double_loop(self):
-        # infeasible proposed runs name the first user pair, in order,
-        # where no candidate of one is compatible with any of the other
+class TestInfeasibleUser:
+    def test_matches_naive_rounds(self):
+        # an infeasible proposed run names the first user without a
+        # path from the BS, else the lowest user whose candidates the
+        # pass empties, rounds run over raw compatibility
         rng = np.random.default_rng(38)
-        named = unnamed = 0
+        unreachable = emptied = 0
         for _ in range(300):
             scene = random_override_scene(rng, int(rng.integers(4, 10)), int(rng.integers(2, 5)))
             sol = solve(scene, SolveParams(paths=4))
-            if sol.feasible or "infeasible_user" in sol.diagnostics:
-                assert "blocking_pair" not in sol.diagnostics
+            if sol.feasible:
+                assert "infeasible_user" not in sol.diagnostics
                 continue
             cands = top_routes(build_routing_graph(scene), 4)
-            want = next(
-                (
-                    (a, b)
-                    for a, b in itertools.combinations(sorted(cands), 2)
-                    if not any(raw_compatible(scene, ra, rb) for ra in cands[a] for rb in cands[b])
-                ),
-                None,
+            users = sorted(cands)
+            empty = [u for u in users if not cands[u]]
+            if empty:
+                assert sol.diagnostics["infeasible_user"] == empty[0]
+                assert "candidates_consistent" not in sol.diagnostics
+                unreachable += 1
+                continue
+            alive, blocked = naive_rounds(
+                [cands[u] for u in users], lambda a, b: raw_compatible(scene, a, b)
             )
-            assert sol.diagnostics["blocking_pair"] == want
-            named += want is not None
-            unnamed += want is None
-        assert named >= 20
-        assert unnamed >= 1
+            assert sol.diagnostics["candidates_consistent"] == tuple(map(len, alive))
+            if blocked is None:
+                assert "infeasible_user" not in sol.diagnostics
+            else:
+                assert sol.diagnostics["infeasible_user"] == users[blocked]
+                assert sol.diagnostics["cliques_explored"] == 0
+                emptied += 1
+        assert unreachable >= 100
+        assert emptied >= 60
 
-    def test_none_when_every_pair_has_an_edge(self):
+    def test_triangle_and_cycle(self):
         # a triangle of conflicts: each pair of partitions has an edge,
-        # no clique takes one vertex from each
+        # yet the pass empties partition 0 in its first round
         pg = pathgraph_from_bits([[1.0, 2.0], [1.0], [1.0]], [(0, 2), (2, 3), (1, 3)])
-        assert CliqueSearch(pg).run() is None
-        assert blocking_pair(pg) is None
-        assert blocking_pair(pathgraph_from_bits([[1.0], [1.0], [1.0]], [(0, 1)])) == (0, 2)
+        search = CliqueSearch(pg)
+        assert search.run() is None
+        assert (search.blocked, search.explored) == (0, 0)
+        # a pair with no edge across it empties both in the first round
+        search = CliqueSearch(pathgraph_from_bits([[1.0], [1.0], [1.0]], [(0, 1)]))
+        assert search.run() is None
+        assert (search.blocked, search.alive) == (0, 0)
+        # a six-cycle across three partitions: every vertex keeps a
+        # neighbour in each other partition, so only the search finds
+        # that no clique exists
+        pg = pathgraph_from_bits(
+            [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+            [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)],
+        )
+        search = CliqueSearch(pg)
+        assert search.run() is None
+        assert (search.blocked, search.alive) == (None, 0b111111)
+        assert search.explored > 0
+
+
+class TestArcConsistency:
+    def test_keeps_every_clique_member(self):
+        kept = 0
+        for pg in pass_graphs(51):
+            search = CliqueSearch(pg)
+            search.run()
+            cliques = all_cliques(pg)
+            if search.blocked is not None:
+                assert cliques == []
+            for *_, vertices in cliques:
+                assert all(search.alive >> v & 1 for v in vertices)
+                kept += 1
+        assert kept >= 2000
+
+    def test_survivors_have_a_neighbour_in_every_other_partition(self):
+        dropped = 0
+        for pg in pass_graphs(52):
+            search = CliqueSearch(pg)
+            search.run()
+            if search.blocked is not None:
+                continue
+            alive = alive_sets(pg, search)
+            for k, part in enumerate(alive):
+                for v in part:
+                    for j, other in enumerate(alive):
+                        assert j == k or other & pg.adj[v]
+            dropped += len(pg.order_key) - sum(map(len, alive))
+        assert dropped >= 500
+
+    def test_matches_naive_rounds(self):
+        blocked = 0
+        for pg in pass_graphs(53):
+            search = CliqueSearch(pg)
+            search.run()
+            alive, want = graph_rounds(pg)
+            assert alive_sets(pg, search) == alive
+            assert search.blocked == want
+            blocked += want is not None
+        assert blocked >= 80
+
+    def test_search_still_matches_the_oracle(self):
+        tied = 0
+        for pg in pass_graphs(54):
+            cliques = all_cliques(pg)
+            got = CliqueSearch(pg).run()
+            want = min(cliques, default=None)
+            assert (got and got.vertices) == (want and want[2])
+            tied += want is not None and sum(c[:2] == want[:2] for c in cliques) > 1
+        assert tied >= 40
+
+    def test_emptied_graph_explores_nothing(self):
+        # a partition pair with no edge across it is the first round's
+        # case; such graphs once cost the search thousands of nodes
+        pairless = 0
+        for pg in pass_graphs(55):
+            search = CliqueSearch(pg)
+            search.run()
+            parts = pg.partitions
+            no_edge = any(
+                not any(pg.adj[a] & set(parts[j]) for a in parts[i])
+                for i, j in itertools.combinations(range(len(parts)), 2)
+            )
+            if no_edge:
+                assert search.blocked is not None
+                pairless += 1
+            if search.blocked is not None:
+                assert (search.explored, search.pruned) == (0, 0)
+        assert pairless >= 50
+        # a corridors pool graph of the benchmark whose users 6 and 7
+        # share no compatible pair; the search alone explored 34,488
+        # partial cliques on it
+        scene = load_scene(bench_scenes().corridors_document(222))
+        pg = build_path_graph(top_routes(build_routing_graph(scene), 10), scene)
+        search = CliqueSearch(pg)
+        assert search.run() is None
+        assert search.blocked is not None
+        assert (search.explored, search.pruned) == (0, 0)
 
 
 class TestMinMaxClique:
@@ -641,15 +791,27 @@ class TestMinMaxClique:
 
     def test_forward_checking_cuts_dead_branch(self):
         # vertex 0 reaches partition 1 but nothing in partition 2, so
-        # its branch stops before partition 1 is walked
+        # the pass drops it and the search never walks it
         pg = pathgraph_from_bits(
             [[1.0, 2.0], [1.0, 2.0], [1.0]],
             [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4)],
         )
         search = CliqueSearch(pg)
         assert search.run().vertices == (1, 2, 4)
-        assert search.explored == 4
-        assert search.pruned == 1
+        assert search.alive == 0b10110
+        assert search.explored == 3
+        assert search.pruned == 0
+        # here every vertex keeps a neighbour in each other partition,
+        # but vertex 0's neighbours 2 and 4 conflict, so the branch
+        # (0, 2) has nothing left in partition 2 and stops there
+        pg = pathgraph_from_bits(
+            [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+            [(0, 2), (0, 4), (2, 5), (3, 4), (1, 3), (1, 5), (3, 5)],
+        )
+        search = CliqueSearch(pg)
+        assert search.run().vertices == (1, 3, 5)
+        assert search.alive == 0b111111
+        assert (search.explored, search.pruned) == (5, 1)
 
     def test_oracle_agreement_with_ties_and_dead_ends(self):
         # half-unit weights force exact key ties; sparse edges leave
@@ -733,14 +895,16 @@ class TestMinMaxClique:
 
     def test_corridors_search_walks_compatible_candidates_only(self):
         # a seed-1 corridors graph of the benchmark: the walk over every
-        # vertex of each partition explored 6670 partial cliques here
+        # vertex of each partition explored 6670 partial cliques here,
+        # the walk over compatible vertices 31; the pass leaves 46 of 70
         doc = bench_scenes().corridors_document(7)
         scene = load_scene(doc)
         pg = build_path_graph(top_routes(build_routing_graph(scene), 10), scene)
         search = CliqueSearch(pg)
         clique = search.run()
         assert clique.vertices == (0, 6, 16, 26, 35, 45, 55)
-        assert (search.explored, search.pruned) == (31, 28)
+        assert (search.explored, search.pruned) == (29, 26)
+        assert search.alive.bit_count() == 46
 
     def test_clique_members_pairwise_adjacent(self):
         rng = np.random.default_rng(34)

@@ -41,6 +41,7 @@ from beamroute.solver import (
 from scenefab import (
     adversarial_scene,
     bench_scenes,
+    chain_scene,
     corridor_scene,
     corridors_k8_document,
     los_rows,
@@ -230,7 +231,8 @@ def test_proposed_diagnostics():
 
 def test_clique_diagnostics_count_edges_and_cuts():
     # only one candidate pair coexists; user 1's cheaper route leaves
-    # user 2 nothing, so forward checking cuts that branch
+    # user 2 nothing, so the arc-consistency pass drops it and the
+    # search walks the one pair left
     scene = adversarial_scene(bs_antennas=4, elements=4)
     for sol in (
         solve(scene),
@@ -239,9 +241,10 @@ def test_clique_diagnostics_count_edges_and_cuts():
     ):
         d = sol.diagnostics
         assert d["candidate_counts"] == (2, 5)
+        assert d["candidates_consistent"] == (1, 1)
         assert d["compat_edges"] == 1
-        assert d["cliques_explored"] == 3
-        assert d["cliques_pruned"] == 1
+        assert d["cliques_explored"] == 2
+        assert d["cliques_pruned"] == 0
     d = solve(easy_two_corridor()).diagnostics
     assert (d["compat_edges"], d["cliques_explored"], d["cliques_pruned"]) == (1, 2, 0)
 
@@ -264,6 +267,21 @@ def test_compat_edges_count_raw_compatible_pairs():
         again = solve(scene).diagnostics
         assert again["cliques_explored"] == d["cliques_explored"]
         assert again["cliques_pruned"] == d["cliques_pruned"]
+        pruned += d["cliques_pruned"]
+    # seven-user benchmark scenes, on which the bound still cuts after
+    # the arc-consistency pass
+    gen = bench_scenes()
+    for seed in (7, 353):
+        scene = load_scene(gen.corridors_document(seed))
+        cands = top_routes(build_routing_graph(scene), 10)
+        d = solve(scene, SolveParams(paths=10)).diagnostics
+        want = sum(
+            oracle_compatible(scene, a.vertices, b.vertices)
+            for one, other in itertools.combinations(cands.values(), 2)
+            for a in one
+            for b in other
+        )
+        assert d["compat_edges"] == want
         pruned += d["cliques_pruned"]
     assert pruned > 0
 
@@ -447,7 +465,7 @@ def test_one_sweep_per_banned_set(monkeypatch):
     calls = count_sweeps(monkeypatch)
     scenes = [adversarial_scene(bs_antennas=4, elements=4), easy_two_corridor()]
     scenes += [random_override_scene(rng, 12, 3) for _ in range(20)]
-    shared = 0
+    shared = unreachable = 0
     for scene in scenes:
         calls.clear()
         queried: set = set()
@@ -462,8 +480,55 @@ def test_one_sweep_per_banned_set(monkeypatch):
         shared += len(calls) < len(masks)
         calls.clear()
         solve(scene)
-        assert calls == [0]
+        # one sweep, or none when some user has no path from the BS
+        reachable = all(top_routes(build_routing_graph(scene), 1).values())
+        assert calls == ([0] if reachable else [])
+        unreachable += not reachable
     assert shared >= 10
+    assert unreachable >= 1
+
+
+def test_unreachable_user_ends_the_run_before_the_sweep(monkeypatch):
+    # the reachability check flags exactly the first user whose
+    # top_routes list on the algorithm's graph is empty, and no sweep,
+    # path graph or search runs then
+    rng = np.random.default_rng(41)
+    calls = count_sweeps(monkeypatch)
+    gen = bench_scenes()
+    scenes = [adversarial_scene(bs_antennas=4, elements=4), corridor_scene(), easy_two_corridor()]
+    scenes += [chain_scene(rng, int(rng.integers(1, 5))) for _ in range(3)]
+    scenes += [load_scene(gen.mesh_document(seed)) for seed in range(6)]
+    scenes += [load_scene(gen.corridors_document(seed)) for seed in range(6)]
+    scenes += [random_scene(rng) for _ in range(20)]
+    scenes += [
+        random_override_scene(rng, int(rng.integers(3, 10)), int(rng.integers(1, 5)))
+        for _ in range(60)
+    ]
+    flagged = passed = 0
+    for scene in scenes:
+        graphs = {
+            "proposed": build_routing_graph(scene),
+            "min_pathloss": build_routing_graph(scene.with_elements(1)),
+            "max_cpb": build_routing_graph(scene, hop_priority=True),
+        }
+        for algorithm, graph in graphs.items():
+            empty = [u for u, routes in sorted(top_routes(graph, 5).items()) if not routes]
+            calls.clear()
+            d = solve(scene, SolveParams(paths=5, algorithm=algorithm)).diagnostics
+            if empty:
+                assert d["infeasible_user"] == empty[0]
+                assert d["reason"] == f"user {empty[0]} has no candidate routes"
+                assert (d["compat_edges"], d["cliques_explored"], d["cliques_pruned"]) == (0, 0, 0)
+                assert calls == []
+                assert "candidate_counts" not in d and "candidates_consistent" not in d
+                flagged += 1
+            else:
+                assert calls == [0]
+                assert not d.get("reason", "").endswith("has no candidate routes")
+                assert all(d["candidate_counts"])
+                passed += 1
+    assert flagged >= 90
+    assert passed >= 150
 
 
 def without_timing(solution: RoutingSolution) -> str:
