@@ -258,7 +258,7 @@ class CliqueSearch:
                 # a partition's own vertices need no neighbour in it
                 keep &= reach | part
         keys = self.graph.order_key
-        zero = (0.0,) * len(keys[0]) if keys else ()
+        zero = (0.0,) * len(keys[0])  # past the pass, no partition is empty
         # () sorts before every key, so the first member sets the worst
         self._extend((), alive, 0, (), zero)
         if self._best is None:

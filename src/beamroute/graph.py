@@ -7,15 +7,17 @@ array size M, so a graph is split in two.  A ``RoutingTopology`` holds
 the edges, their lengths, the vertex order and every table the sweep
 derives from them; a scene builds it once (``Scene.topology``) and its
 copies at other array sizes share it.  A ``LosGraph`` is that topology
-priced at one M: one weight per edge, and nothing else.  Minimizing the
-weight sum of a BS-to-user path maximizes its end to end channel power,
-so candidate route search reduces to shortest paths on a DAG.  Every
-edge leads strictly away from the BS, so every path is loopless, and a
-single label sweep in topological order (the BS, the surfaces nearest
-the BS first, then the users) finds every user's cheapest `count` paths
-at once (``top_routes``).  The sweep skips the surfaces with no path to
-any user (``RoutingTopology.live_order``).  Weights can be negative; the
-sweep never relies on Dijkstra's nonnegativity assumption.
+priced at one M (``build_routing_graph``): one weight per edge, and
+nothing else.  Neither re-checks what its one builder makes it.
+Minimizing the weight sum of a BS-to-user path maximizes its end to end
+channel power, so candidate route search reduces to shortest paths on a
+DAG.  Every edge leads strictly away from the BS, so every path is
+loopless, and a single label sweep in topological order (the BS, the
+surfaces nearest the BS first, then the users) finds every user's
+cheapest `count` paths at once (``top_routes``).  The sweep skips the
+surfaces with no path to any user (``RoutingTopology.live_order``).
+Weights can be negative; the sweep never relies on Dijkstra's
+nonnegativity assumption.
 
 Every edge carries one float, and the sweep sums a path's floats hop
 by hop from the BS, so equal paths carry bit-identical costs.  The
@@ -119,11 +121,11 @@ class RoutingTopology:
     ``edges`` lists the directed (i, j) pairs and ``dists`` their
     lengths in meters, in the same order (None for a synthetic graph,
     which has no geometry).  ``topo_order`` lists every vertex once and
-    every edge must run forward in it, so the graph is acyclic; the
-    order, the endpoints and duplicates are checked once, on
-    construction.  The tables the sweep reads derive from these on
-    first use and are then shared by every ``LosGraph`` priced on this
-    topology, at any M.
+    every edge, listed once, runs forward in it, so the graph is
+    acyclic.  ``Scene.topology`` builds it so, and nothing checks it
+    again: a topology built by hand must keep it.  The tables the sweep
+    reads derive from these on first use and are then shared by every
+    ``LosGraph`` priced on this topology, at any M.
     """
 
     num_irs: int
@@ -131,20 +133,6 @@ class RoutingTopology:
     edges: tuple[tuple[int, int], ...]
     topo_order: tuple[int, ...]
     dists: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if sorted(self.topo_order) != list(range(self.num_vertices)):
-            raise GraphError("topo_order must list every vertex exactly once")
-        rank = {v: k for k, v in enumerate(self.topo_order)}
-        seen = set()
-        for i, j in self.edges:
-            if i not in rank or j not in rank:
-                raise GraphError(f"edge ({i}, {j}) has an endpoint outside 0..{len(rank) - 1}")
-            if rank[i] >= rank[j]:
-                raise GraphError(f"edge ({i}, {j}) runs backward in topo_order")
-            if (i, j) in seen:
-                raise GraphError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
 
     @property
     def num_vertices(self) -> int:
@@ -216,22 +204,17 @@ class LosGraph:
     """Immutable routing DAG: a topology priced at one array size.
 
     ``weights`` holds each edge's one float, in ``topology.edges``
-    order.  With ``hop_priority`` the searches rank paths by hop count
-    first, longest first, and by the weight sum after it.  Every table
-    the sweep reads is the topology's, so pricing a topology at another
-    M builds nothing else.
+    order, as ``build_routing_graph`` prices them.  With
+    ``hop_priority`` the searches rank paths by hop count first, longest
+    first, and by the weight sum after it.  Every table the sweep reads
+    is the topology's, so pricing a topology at another M builds
+    nothing else.
     The ``weight`` dict keyed by edge is a view built on first use.
     """
 
     topology: RoutingTopology
     weights: Sequence[float]
     hop_priority: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.topology.edges):
-            raise GraphError(
-                f"{len(self.weights)} weights for {len(self.topology.edges)} edges"
-            )
 
     @cached_property
     def weight(self) -> dict[tuple[int, int], float]:
@@ -247,7 +230,8 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     other edges exist.  The topology is ``Scene.topology``, which
     copies of the scene at other array sizes share, so a graph per M
     only prices the edges: one division and one ``math.log`` per edge,
-    the same operations as ``edge_weight``, so the same bits.
+    the same operations as ``edge_weight``, so the same bits.  The
+    scene keeps M >= 1, so no M is checked here.
 
     With ``hop_priority`` each edge is priced ln d, at every M, and the
     search ranks paths by hop count first.
@@ -256,12 +240,9 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     if hop_priority:
         return LosGraph(topology, list(map(math.log, topology.dists)), True)
     weights = []
-    # like a per-edge edge_weight, an edgeless graph prices nothing
+    # an edgeless graph prices nothing, so even M = 10**400 raises nothing
     if topology.edges:
-        m = scene.elements
-        if m < 1:
-            raise GraphError("edge weight needs positive distance and element count")
-        scale = m * math.sqrt(scene.ref_path_gain)
+        scale = scene.elements * math.sqrt(scene.ref_path_gain)
         weights = [math.log(d / scale) for d in topology.dists]
     return LosGraph(topology, weights)
 

@@ -228,7 +228,8 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
     if clique is None:
         diagnostics["reason"] = "no compatible route combination"
         if search.blocked is not None:
-            diagnostics["infeasible_user"] = sorted(candidates)[search.blocked]
+            # top_routes keys users 1..K in order, one partition each
+            diagnostics["infeasible_user"] = search.blocked + 1
         return _finish(scene, algorithm, diagnostics, start)
     routes = tuple(path_graph.routes[v] for v in clique.vertices)
     powers = _route_powers(scene, routes)

@@ -36,6 +36,9 @@ def from_edges(
     is id order, so every edge must run from a lower to a higher id."""
     order = tuple(range(1 + num_irs + num_users))
     edges = tuple((i, j) for i, j, _ in weighted_edges)
+    # the sweep's precondition, which no graph constructor checks
+    assert all(0 <= i < j < len(order) for i, j in edges), edges
+    assert len(set(edges)) == len(edges), edges
     topology = RoutingTopology(num_irs, num_users, edges, order)
     return LosGraph(topology, [w for _, _, w in weighted_edges])
 

@@ -557,10 +557,23 @@ GOLDEN_RUNS = [
     # search's arc-consistency pass proves infeasible
     ("corridors_353_proposed.json", ["--paths", "10", "--output", "json"]),
     ("mesh_88_proposed.json", ["--paths", "50", "--output", "json"]),
+    # the same corridors scene on the other graph builds: the large-M
+    # hop-priority graph (infeasible), the M=1 graph, and the per-M
+    # pricing of the greedy-sweep workload's call
+    ("corridors_353_max-cpb.json", ["--paths", "10", "--algorithm", "max-cpb", "--output", "json"]),
+    ("corridors_353_min-pathloss.json",
+     ["--paths", "10", "--algorithm", "min-pathloss", "--output", "json"]),
+    ("corridors_353_sequential.json", ["--algorithm", "sequential", "--output", "json"]),
+    ("corridors_353_sweep_M.csv", ["--algorithm", "sequential", "--sweep", "M", "--values",
+                                   "16,100,400,1600", "--output", "csv"]),
 ]
 # the scene of a golden not run on the demo, and its exit code
 GOLDEN_SCENES = {"corridors_353_proposed.json": ("corridors_353", 0),
-                 "mesh_88_proposed.json": ("mesh_88", 2)}
+                 "mesh_88_proposed.json": ("mesh_88", 2),
+                 "corridors_353_max-cpb.json": ("corridors_353", 2),
+                 "corridors_353_min-pathloss.json": ("corridors_353", 0),
+                 "corridors_353_sequential.json": ("corridors_353", 0),
+                 "corridors_353_sweep_M.csv": ("corridors_353", 0)}
 
 
 @pytest.mark.parametrize("golden,args", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])

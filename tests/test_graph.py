@@ -4,6 +4,7 @@ import functools
 import json
 import math
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from scenefab import (
 from test_clique import mask_rule_scenes
 
 BETA_5GHZ = 2.2797266319525994e-05
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 # independent oracle: plain recursive enumeration over the successor map
@@ -254,11 +256,21 @@ class TestBuildRoutingGraph:
             assert c == (-1.0, math.log(scene.distance(i, j)))
 
     def test_topo_order_valid(self):
-        # the BS, the surfaces nearest the BS first, then the users by id
+        # the BS, the surfaces nearest the BS first, then the users by id;
+        # every edge in range, listed once and forward, and priced once,
+        # in each graph the pipelines build: no constructor re-checks it.
+        # mask_rule_scenes holds random overrides and scenefab corridors.
         rng = np.random.default_rng(46)
-        for scene in [self.scene(), *mask_rule_scenes(rng)]:
-            for hop_priority in (False, True):
-                g = build_routing_graph(scene, hop_priority=hop_priority)
+        scenes = [self.scene(), *mask_rule_scenes(rng)]
+        scenes += [load_scene(corridors_k8_document(seed)) for seed in (3, 4)]
+        for name in ("corridors_353", "mesh_88"):
+            scenes.append(load_scene((SCENES / f"{name}.json").read_text()))
+        for scene in scenes:
+            for g in (
+                build_routing_graph(scene),
+                build_routing_graph(scene.with_elements(1)),
+                build_routing_graph(scene, hop_priority=True),
+            ):
                 order, j = g.topology.topo_order, scene.num_irs
                 assert order[0] == 0
                 assert sorted(order[1 : 1 + j]) == list(range(1, 1 + j))
@@ -266,8 +278,10 @@ class TestBuildRoutingGraph:
                 assert d_bs == sorted(d_bs)
                 assert order[1 + j :] == tuple(range(1 + j, scene.num_nodes))
                 pos = {v: idx for idx, v in enumerate(order)}
-                for i, k in g.weight:
-                    assert pos[i] < pos[k]
+                edges = g.topology.edges
+                assert len(set(edges)) == len(edges) == len(g.weights)
+                for i, k in edges:
+                    assert i in pos and k in pos and pos[i] < pos[k]
 
     def test_matches_per_pair_oracle(self):
         rng = np.random.default_rng(45)
@@ -282,28 +296,6 @@ class TestBuildRoutingGraph:
                 assert bits(edge_costs(g)) == bits(cost)
                 edges += len(weight)
         assert edges >= 500
-
-    def test_backward_edge_rejected(self):
-        # from_edges orders vertices by id, so (2, 1) runs backward,
-        # whether it closes a cycle or not
-        with pytest.raises(GraphError, match=r"edge \(2, 1\) runs backward"):
-            from_edges(2, 1, [(1, 2, 1.0), (2, 1, 1.0), (0, 1, 1.0)])
-        with pytest.raises(GraphError, match=r"edge \(2, 1\) runs backward"):
-            from_edges(2, 1, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
-
-    def test_order_must_list_every_vertex_once(self):
-        edges = ((0, 1), (1, 2))
-        RoutingTopology(1, 1, edges, (0, 1, 2))
-        for order in ((0, 1, 1, 2), (0, 1), (0, 1, 1), (0, 1, 3)):
-            with pytest.raises(GraphError, match="every vertex exactly once"):
-                RoutingTopology(1, 1, edges, order)
-
-    def test_weights_must_price_every_edge(self):
-        topology = RoutingTopology(1, 1, ((0, 1), (1, 2)), (0, 1, 2))
-        LosGraph(topology, [1.0, 1.0])
-        for weights in ([1.0], [1.0, 1.0, 1.0], []):
-            with pytest.raises(GraphError, match="weights for 2 edges"):
-                LosGraph(topology, weights)
 
     def test_hop_priority_needs_no_edge_lengths(self):
         # a hop-priority graph is searched on its weights alone, so one
@@ -394,28 +386,14 @@ class TestBuildRoutingGraph:
         # a hop-priority graph reads no M, so it prices even this one
         hop = build_routing_graph(huge, hop_priority=True)
         assert hop.weights == [math.log(d) for d in scene.topology.dists]
-        # Scene validation keeps M >= 1; past it, the bulk path still refuses
+        # a scene keeps M >= 1, so only per-edge pricing meets a bad count
         for m in (0, -3):
-            broken = scene.with_elements(1)
-            object.__setattr__(broken, "elements", m)
             with pytest.raises(GraphError, match="positive distance and element count"):
                 edge_weight(d, m, scene.ref_path_gain)
-            with pytest.raises(GraphError, match="positive distance and element count"):
-                build_routing_graph(broken)
         # with no edge to price, no M is rejected, as with per-edge pricing
         lonely = make_scene([[0, 0, 0], [50, 0, 0], [0, 50, 0]], 1, 1).with_elements(10**400)
         assert lonely.topology.edges == ()
         assert build_routing_graph(lonely).weight == {}
-
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(GraphError, match="duplicate"):
-            from_edges(1, 1, [(0, 1, 1.0), (0, 1, 2.0)])
-
-    def test_endpoint_out_of_range_rejected(self):
-        # one surface and one user are vertices 0..2
-        for i, j in ((1, 7), (-1, 1), (0, 3)):
-            with pytest.raises(GraphError, match=rf"edge \({i}, {j}\) has an endpoint outside 0\.\.2"):
-                from_edges(1, 1, [(0, 1, 1.0), (i, j, 1.0)])
 
 
 def ban_set(mask):

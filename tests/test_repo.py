@@ -1,5 +1,6 @@
-"""Repository checks: the README's Python examples run, and every
-module-level definition in the package has a user outside itself."""
+"""Repository checks: the README's Python examples run, every
+module-level definition in the package has a user outside itself, and
+the routing records have one builder each."""
 
 from __future__ import annotations
 
@@ -71,3 +72,28 @@ def test_numpy_stays_in_the_generators():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def _calls(node: ast.AST, owner: str = ""):
+    """(called name, qualified name of the innermost definition around
+    the call) for every call of a name or an attribute under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if isinstance(child, DEFINITIONS):
+            inner = f"{owner}.{child.name}" if owner else child.name
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")), owner
+        yield from _calls(child, inner)
+
+
+def test_routing_records_have_one_builder_each():
+    # RoutingTopology and LosGraph re-check nothing on construction: the
+    # one builder of each makes its invariants, so a second builder in
+    # the package must bring its own proof
+    builders = defaultdict(set)
+    for path in PACKAGE.glob("*.py"):
+        for name, owner in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            builders[name].add(f"{path.name}:{owner}")
+    assert builders["RoutingTopology"] == {"scene.py:Scene.topology"}
+    assert builders["LosGraph"] == {"graph.py:build_routing_graph"}
