@@ -220,8 +220,10 @@ class CliqueSearch:
     the best clique, rounding included.
 
     Cliques compare by (worst order_key, componentwise key sum, vertex
-    tuple); the recursion carries the worst key and the sum, adding
-    keys in member order.
+    tuple).  The search is a loop over an explicit stack, so its depth
+    is not bounded by Python's recursion limit; each frame carries the
+    members so far, their common neighbours, their worst key and their
+    key sum, added in member order.
 
     ``explored`` counts every partial or complete clique constructed,
     ``pruned`` the branches cut by a bound or by forward checking.
@@ -233,13 +235,8 @@ class CliqueSearch:
         self.pruned = 0
         self.blocked: int | None = None
         self.alive = 0
-        # the best clique's (worst key, key sum, vertex tuple)
-        self._best: tuple | None = None
-        self._heads = [key[0] for key in graph.order_key]
-        self._later = [graph.part_masks[d + 1 :] for d in range(len(graph.partitions))]
 
     def run(self) -> Clique | None:
-        self._best = None
         self.explored = 0
         self.pruned = 0
         adj, parts = self.graph.adj_masks, self.graph.part_masks
@@ -258,60 +255,53 @@ class CliqueSearch:
                 # a partition's own vertices need no neighbour in it
                 keep &= reach | part
         keys = self.graph.order_key
-        zero = (0.0,) * len(keys[0])  # past the pass, no partition is empty
-        # () sorts before every key, so the first member sets the worst
-        self._extend((), alive, 0, (), zero)
-        if self._best is None:
-            return None
-        return Clique(vertices=self._best[2])
-
-    def _extend(
-        self,
-        members: tuple[int, ...],
-        common: int,
-        depth: int,
-        worst: tuple[float, ...],
-        total: tuple[float, ...],
-    ) -> None:
-        keys = self.graph.order_key
-        adj = self.graph.adj_masks
-        heads = self._heads
-        later = self._later[depth]
-        free = common & self.graph.part_masks[depth]
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            key = keys[v]
-            # like max(), keep the first of equal keys
-            top = key if key > worst else worst
-            best = self._best
-            if best is not None and top > best[0]:
-                self.pruned += 1
-                break
-            self.explored += 1
-            summed = tuple(map(add, total, key))
-            if not later:  # the cheapest completion; later ones cost more
-                found = (top, summed, (*members, v))
-                if best is None or found < best:
-                    self._best = found
-                break
-            rest = common & adj[v]
-            worst_lb = top
-            sum_lb = summed[0]
-            for part in later:
-                cheapest = rest & part
-                if not cheapest:
+        heads = [key[0] for key in keys]
+        later = [parts[d + 1 :] for d in range(len(parts))]
+        # the best clique's (worst key, key sum, vertex tuple)
+        best: tuple | None = None
+        # frames of (members, common mask, worst key, key sum, bits left
+        # to try); () sorts before every key, so the first member sets
+        # the worst, and past the pass no partition is empty
+        stack = [((), alive, (), (0.0,) * len(keys[0]), alive & parts[0])]
+        while stack:
+            members, common, worst, total, free = stack.pop()
+            rests = later[len(members)]
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                key = keys[v]
+                # like max(), keep the first of equal keys
+                top = key if key > worst else worst
+                if best is not None and top > best[0]:
+                    self.pruned += 1
                     break
-                u = (cheapest & -cheapest).bit_length() - 1
-                k = keys[u]
-                if k > worst_lb:
-                    worst_lb = k
-                sum_lb += heads[u]
-            else:
-                if best is None or worst_lb < best[0] or (
-                    worst_lb == best[0] and sum_lb <= best[1][0]
-                ):
-                    self._extend((*members, v), rest, depth + 1, top, summed)
-                    continue
-            self.pruned += 1
+                self.explored += 1
+                summed = tuple(map(add, total, key))
+                if not rests:  # the cheapest completion; later ones cost more
+                    found = (top, summed, (*members, v))
+                    if best is None or found < best:
+                        best = found
+                    break
+                rest = common & adj[v]
+                worst_lb = top
+                sum_lb = summed[0]
+                for part in rests:
+                    cheapest = rest & part
+                    if not cheapest:
+                        break
+                    u = (cheapest & -cheapest).bit_length() - 1
+                    k = keys[u]
+                    if k > worst_lb:
+                        worst_lb = k
+                    sum_lb += heads[u]
+                else:
+                    if best is None or worst_lb < best[0] or (
+                        worst_lb == best[0] and sum_lb <= best[1][0]
+                    ):
+                        # the child runs next, then this frame from its next bit
+                        stack.append((members, common, worst, total, free))
+                        stack.append(((*members, v), rest, top, summed, rest & rests[0]))
+                        break
+                self.pruned += 1
+        return None if best is None else Clique(vertices=best[2])

@@ -331,19 +331,19 @@ def enumerate_paths(graph: LosGraph, target: int) -> list[tuple[int, ...]]:
     """All simple BS-to-user vertex sequences, in lexicographic order."""
     _check_target(graph, target)
     out: list[tuple[int, ...]] = []
-    stack = [0]
     succ, users = graph.topology.succ, graph.topology.user_vertices
-
-    def walk(v: int) -> None:
-        if v == target:
-            out.append(tuple(stack))
-            return
-        for j in succ.get(v, ()):
-            if j in users and j != target:
-                continue
-            stack.append(j)
-            walk(j)
-            stack.pop()
-
-    walk(0)
+    # the path from the BS, and per vertex on it, its sorted successors
+    # not yet walked
+    path, todo = [0], [iter(succ.get(0, ()))]
+    while todo:
+        for j in todo[-1]:
+            if j == target:
+                out.append((*path, j))
+            elif j not in users:
+                path.append(j)
+                todo.append(iter(succ.get(j, ())))
+                break
+        else:
+            path.pop()
+            todo.pop()
     return out

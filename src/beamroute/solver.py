@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 from .channel import closed_form_power
@@ -112,7 +111,6 @@ def _finish(
     scene: Scene,
     algorithm: str,
     diagnostics: dict,
-    start: float,
     routes: tuple[Route, ...] = (),
     powers: tuple[float, ...] = (),
 ) -> RoutingSolution:
@@ -121,7 +119,6 @@ def _finish(
     It carries the winning routes and their powers, or nothing when the
     solver found no feasible selection.
     """
-    diagnostics["wall_time_s"] = time.perf_counter() - start
     solution = RoutingSolution(
         feasible=bool(routes),
         algorithm=algorithm,
@@ -201,7 +198,6 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
     """
     _require_users(scene)
     algorithm = params.algorithm
-    start = time.perf_counter()
     graph = _PIPELINE_GRAPHS[algorithm](scene)
     diagnostics = {
         **_sweep_counts(graph),
@@ -214,7 +210,7 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
         if not upstream[scene.num_irs + user] & 1:  # no path from the BS
             diagnostics["reason"] = str(NoCandidateRoutesError(user))
             diagnostics["infeasible_user"] = user
-            return _finish(scene, algorithm, diagnostics, start)
+            return _finish(scene, algorithm, diagnostics)
     candidates = top_routes(graph, params.paths)
     diagnostics["candidate_counts"] = tuple(len(c) for c in candidates.values())
     path_graph = build_path_graph(candidates, scene)
@@ -230,7 +226,7 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
         if search.blocked is not None:
             # top_routes keys users 1..K in order, one partition each
             diagnostics["infeasible_user"] = search.blocked + 1
-        return _finish(scene, algorithm, diagnostics, start)
+        return _finish(scene, algorithm, diagnostics)
     routes = tuple(path_graph.routes[v] for v in clique.vertices)
     powers = _route_powers(scene, routes)
     if algorithm == "proposed":
@@ -246,7 +242,7 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
             raise SolverError(
                 f"cost/power mismatch: objective {objective}, implied {implied}"
             )
-    return _finish(scene, algorithm, diagnostics, start, routes, powers)
+    return _finish(scene, algorithm, diagnostics, routes, powers)
 
 
 def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
@@ -279,7 +275,6 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         raise SolverError(
             f"sequential solver supports at most {MAX_SEQUENTIAL_USERS} users, got {k}"
         )
-    start = time.perf_counter()
     graph = build_routing_graph(scene)
     users = range(1, k + 1)
     upstream = {u: graph.topology.upstream_masks[scene.num_irs + u] for u in users}
@@ -356,11 +351,11 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     }
     if not records:
         diagnostics["reason"] = "every user order left some user unreachable"
-        return _finish(scene, "sequential", diagnostics, start)
+        return _finish(scene, "sequential", diagnostics)
     _, diagnostics["best_order"], chosen = records[-1]
     routes = tuple(sorted(chosen, key=lambda r: r.user_index))
     powers = tuple(power_of[r.vertices] for r in routes)
-    return _finish(scene, "sequential", diagnostics, start, routes, powers)
+    return _finish(scene, "sequential", diagnostics, routes, powers)
 
 
 def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
@@ -373,7 +368,6 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     refused before any route is built.
     """
     _require_users(scene)
-    start = time.perf_counter()
     k = scene.num_users
     graph = build_routing_graph(scene)
     paths = [enumerate_paths(graph, scene.num_irs + u) for u in range(1, k + 1)]
@@ -403,11 +397,11 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     }
     if best is None:
         diagnostics["reason"] = "no compatible route combination"
-        return _finish(scene, "brute_force", diagnostics, start)
+        return _finish(scene, "brute_force", diagnostics)
     _, combo = best
     routes = tuple(per_user[u][combo[u]] for u in range(k))
     chosen_powers = tuple(powers[u][combo[u]] for u in range(k))
-    return _finish(scene, "brute_force", diagnostics, start, routes, chosen_powers)
+    return _finish(scene, "brute_force", diagnostics, routes, chosen_powers)
 
 
 def solve(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -196,3 +197,34 @@ def corridors_k8_document(scene_seed: int) -> str:
     """A benchmark corridors document with eight users, eight surfaces each."""
     gen = bench_scenes()
     return gen.corridors_document(scene_seed, dict(gen.CORRIDORS, users=8, per_sector=8))
+
+
+def neighbour_chain_document(surfaces: int, spacing: float, **params) -> str:
+    """A straight chain on the x axis: the BS, the surfaces and one user,
+    ``spacing`` apart, with document ``params``.
+
+    LoS follows the distance rule, so with a ``los_threshold`` (default
+    6.4 m) from ``spacing`` up to below twice it only neighbours see
+    each other: the one route visits every surface.
+    """
+    n = surfaces + 2
+    kinds = ["BS", *["IRS"] * surfaces, "User"]
+    nodes = [{"id": i, "kind": kinds[i], "pos": [spacing * i, 0.0, 0.0]} for i in range(n)]
+    return json.dumps({"params": params, "nodes": nodes})
+
+
+def one_hop_users_document(users: int) -> str:
+    """As many users as surfaces, surface i 4 m from user i: the BS sees
+    every surface and surface i sees only user i (an override), so each
+    user has one route and all of them coexist."""
+    n = 1 + 2 * users
+    nodes = [{"id": 0, "kind": "BS", "pos": [0.0, 0.0, 0.0]}]
+    nodes += [{"id": i, "kind": "IRS", "pos": [4.0 * i, 0.0, 0.0]} for i in range(1, users + 1)]
+    nodes += [
+        {"id": users + i, "kind": "User", "pos": [4.0 * i, 4.0, 0.0]}
+        for i in range(1, users + 1)
+    ]
+    los = [[0] * n for _ in range(n)]
+    for i in range(1, users + 1):
+        los[0][i] = los[i][0] = los[i][users + i] = los[users + i][i] = 1
+    return json.dumps({"nodes": nodes, "los_override": los})

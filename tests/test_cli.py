@@ -16,6 +16,7 @@ import pytest
 
 import beamroute
 from beamroute.cli import (
+    MAX_GENERATED_NODES,
     CliError,
     ExperimentConfig,
     _parse_values,
@@ -27,7 +28,8 @@ from beamroute.cli import (
 from beamroute.channel import closed_form_power
 from beamroute.graph import build_routing_graph, top_routes
 from beamroute.scene import Scene, load_scene
-from beamroute.solver import SolveParams, solve
+from beamroute.solver import ALGORITHMS, SolveParams, solve
+from scenefab import neighbour_chain_document, one_hop_users_document
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMO = os.path.join(ROOT, "scenes", "demo.json")
@@ -155,6 +157,21 @@ def test_generator_spec_rejects_non_integral_counts(capsys):
         assert scene_fields(generate_scene(spec, seed=3)) == scene_fields(
             generate_scene(same, seed=3)
         )
+
+
+def test_generator_spec_caps_the_node_count(capsys):
+    # the cap is checked before any position is placed: grid(1e9,1e9,...)
+    # would otherwise build 10**18 of them
+    assert generate_scene("grid(1,9998,4,1)").num_nodes == MAX_GENERATED_NODES
+    message = f"generated scenes hold at most {MAX_GENERATED_NODES} nodes"
+    for spec in ("grid(1e9,1e9,4,1)", "grid(1,9999,4,1)",
+                 "random(1e12,2,40,3)", "random(9998,2,40,3)"):
+        with pytest.raises(CliError, match=message):
+            generate_scene(spec)
+        assert main(["--generate", spec]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": message}
 
 
 @pytest.mark.parametrize("spec", ["grid(2,3,5,1)", "random(6,2,25,3)"])
@@ -346,18 +363,6 @@ def test_main_error_exit_one(capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
-def _chain_document(surfaces: int) -> str:
-    """A straight chain of 4 m hops with LoS only between neighbours."""
-    n = surfaces + 2
-    nodes = [
-        {"id": i, "kind": "BS" if i == 0 else "IRS" if i <= surfaces else "User",
-         "pos": [4.0 * i, 0.0, 0.0]}
-        for i in range(n)
-    ]
-    los = [[int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
-    return scene_document(nodes, los_override=los)
-
-
 def test_main_huge_element_count_keeps_the_contract(capsys):
     # a prime M far beyond any real surface still gives a report or one
     # JSON error line
@@ -420,7 +425,7 @@ def test_max_cpb_infeasible_past_float_range_exit_two(capsys):
 def test_main_power_overflow_exit_one(tmp_path, capsys):
     # M^(2h) overflows a float on a 40-surface route at M = 100000
     path = tmp_path / "chain.json"
-    path.write_text(_chain_document(40))
+    path.write_text(neighbour_chain_document(40, 4.0))
     assert main(["--scene", str(path), "--elements", "100000"]) == 1
     out = capsys.readouterr().out
     assert out.count("\n") == 1
@@ -431,6 +436,45 @@ def test_main_power_overflow_exit_one(tmp_path, capsys):
     points = json.loads(capsys.readouterr().out)["points"]
     assert "error" not in points[0]
     assert "error" in points[1]
+
+
+def test_chain_deeper_than_the_recursion_limit_answers(tmp_path, capsys):
+    # one route through 1,200 surfaces, 1 m apart; at M = 1 its power is
+    # N beta^1201, small but a normal float
+    surfaces = 1200
+    assert surfaces > sys.getrecursionlimit()
+    path = tmp_path / "chain.json"
+    path.write_text(neighbour_chain_document(
+        surfaces, 1.0, los_threshold=1.5, d0=0.5, beta=0.9, M1=1, M2=1
+    ))
+    for algorithm in ALGORITHMS:
+        argv = ["--scene", str(path), "--algorithm", algorithm.replace("_", "-")]
+        assert main([*argv, "--output", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["objective_db"] == -536.5371616770683
+        assert record["users"][0]["hops"] == surfaces
+
+
+def test_deep_chain_overflow_is_one_error_line(tmp_path, capsys):
+    # at the default M the 1,200-surface route's M^(2h) overflows: brute
+    # force walks the whole chain, then reports that error as every
+    # algorithm does
+    path = tmp_path / "chain.json"
+    path.write_text(neighbour_chain_document(1200, 4.0, los_threshold=4.5))
+    assert main(["--scene", str(path), "--algorithm", "brute-force", "--output", "json"]) == 1
+    assert capsys.readouterr().out == '{"error": "(34, \'Numerical result out of range\')"}\n'
+
+
+def test_more_users_than_the_recursion_limit_answers(tmp_path, capsys):
+    # 1,100 one-hop users, all routes compatible: the clique search
+    # fills 1,100 partitions, one member each
+    path = tmp_path / "users.json"
+    path.write_text(one_hop_users_document(1100))
+    assert main(["--scene", str(path), "--paths", "1", "--output", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["feasible"] is True
+    assert record["cliques_explored"] == 1100
+    assert [u["vertices"] for u in record["users"]] == [[0, i, 1100 + i] for i in range(1, 1101)]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Repository checks: the README's Python examples run, every
-module-level definition in the package has a user outside itself, and
-the routing records have one builder each."""
+module-level definition in the package has a user outside itself, the
+routing records have one builder each, and no search recurses as deep
+as its input."""
 
 from __future__ import annotations
 
@@ -76,15 +77,27 @@ def test_numpy_stays_in_the_generators():
 
 def _calls(node: ast.AST, owner: str = ""):
     """(called name, qualified name of the innermost definition around
-    the call) for every call of a name or an attribute under node."""
+    the call) for every call of a name or an attribute under node; a
+    method called on ``super()`` is named ``super().<method>``."""
     for child in ast.iter_child_nodes(node):
         inner = owner
         if isinstance(child, DEFINITIONS):
             inner = f"{owner}.{child.name}" if owner else child.name
         if isinstance(child, ast.Call):
-            func = child.func
-            yield (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")), owner
+            yield _called_name(child.func), owner
         yield from _calls(child, inner)
+
+
+def _called_name(func: ast.expr) -> str:
+    if isinstance(func, ast.Name):
+        return func.id
+    if not isinstance(func, ast.Attribute):
+        return ""
+    parent = func.value
+    if isinstance(parent, ast.Call) and getattr(parent.func, "id", "") == "super":
+        # a parent class's method, not the caller's own
+        return f"super().{func.attr}"
+    return func.attr
 
 
 def test_routing_records_have_one_builder_each():
@@ -97,3 +110,16 @@ def test_routing_records_have_one_builder_each():
             builders[name].add(f"{path.name}:{owner}")
     assert builders["RoutingTopology"] == {"scene.py:Scene.topology"}
     assert builders["LosGraph"] == {"graph.py:build_routing_graph"}
+
+
+def test_no_package_function_calls_itself():
+    # Python's stack holds about a thousand frames, and a 1,200-surface
+    # chain or a 1,100-user scene is a valid input: a search as deep as
+    # its input walks an explicit stack instead.  The sequential walk
+    # recurses once per user, at most MAX_SEQUENTIAL_USERS deep.
+    recursive = set()
+    for path in PACKAGE.glob("*.py"):
+        for name, owner in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            if owner and name == owner.rpartition(".")[2]:
+                recursive.add(f"{path.name}:{owner}")
+    assert recursive <= {"solver.py:solve_sequential.walk"}
