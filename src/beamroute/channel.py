@@ -9,6 +9,8 @@ check it against a matrix-product channel model.
 
 from __future__ import annotations
 
+import math
+
 from .graph import Route, validate_route
 from .scene import Scene
 
@@ -17,7 +19,8 @@ def closed_form_power(scene: Scene, route: Route) -> float:
     """End to end channel power of a route under optimal beamforming.
 
     N * M^(2 h) * beta^(h+1) / prod(d_n^2) for a route with h surfaces
-    and hop distances d_n.
+    and hop distances d_n.  Raises OverflowError when that is not a
+    finite float: ``**`` raises on overflow, but ``*`` gives inf.
     """
     validate_route(scene, route)
     seq = route.vertices
@@ -26,9 +29,12 @@ def closed_form_power(scene: Scene, route: Route) -> float:
     for a, b in zip(seq[:-1], seq[1:]):
         prod_d2 *= scene.distance(a, b) ** 2
     m = scene.elements
-    return (
+    power = (
         scene.bs_antennas
         * float(m) ** (2 * h)
         * scene.ref_path_gain ** (h + 1)
         / prod_d2
     )
+    if not math.isfinite(power):
+        raise OverflowError(f"channel power of user {route.user_index} overflows a float")
+    return power

@@ -22,7 +22,7 @@ from .scene import Scene
 
 
 class CliqueError(ValueError):
-    """Raised for invalid path-graph constructions."""
+    """Raised for candidate lists no path graph can be built from."""
 
 
 class NoCandidateRoutesError(CliqueError):
@@ -71,34 +71,17 @@ class PathGraph:
     Vertices are numbered partition by partition: ``partitions[k]``
     lists user k's candidate ids, consecutive and following those of
     user k - 1, in ascending ``order_key``, the tuple the clique search
-    compares (each route's cost vector).  Construction checks that
-    numbering; ``build_path_graph`` sorts each user's routes so.
-    ``adj_masks[v]`` has bit u set when u and v are adjacent; vertices
-    of one partition never are.  ``routes`` is empty for graphs built
-    by hand.
+    compares (each route's cost vector).  ``adj_masks[v]`` has bit u
+    set when u and v are adjacent; vertices of one partition never are.
+    ``build_path_graph`` builds it so, and nothing checks it again: a
+    graph built by hand must keep it, with at least one partition and
+    one key and one mask per vertex.  Its ``routes`` is then empty.
     """
 
     partitions: tuple[tuple[int, ...], ...]
     order_key: tuple[tuple[float, ...], ...]
     adj_masks: tuple[int, ...]
     routes: tuple[Route, ...] = ()
-
-    def __post_init__(self):
-        if not self.partitions:
-            raise CliqueError("a path graph needs at least one partition")
-        keys = self.order_key
-        start = 0
-        for k, part in enumerate(self.partitions):
-            end = start + len(part)
-            if part != tuple(range(start, end)):
-                raise CliqueError(f"partition {k} is not numbered {start}..{end - 1}")
-            if list(keys[start:end]) != sorted(keys[start:end]):
-                raise CliqueError(f"partition {k} is not in key order")
-            start = end
-        if start != len(keys):
-            raise CliqueError(f"{len(keys)} keys for {start} vertices")
-        if len(self.adj_masks) != start:
-            raise CliqueError(f"{len(self.adj_masks)} adjacency masks for {start} vertices")
 
     @cached_property
     def part_masks(self) -> tuple[int, ...]:

@@ -136,7 +136,8 @@ def audit_solution(scene: Scene, solution: RoutingSolution) -> None:
 
     Verifies route validity per user, vertex disjointness and LoS
     separation across routes, and that the reported powers and
-    objective match a fresh closed-form evaluation.
+    objective match a fresh closed-form evaluation.  Separation takes
+    one union of ``Scene.los_masks`` rows per route.
     """
     if not solution.feasible:
         if solution.routes or solution.powers or solution.objective is not None:
@@ -145,22 +146,29 @@ def audit_solution(scene: Scene, solution: RoutingSolution) -> None:
     k = scene.num_users
     if len(solution.routes) != k or len(solution.powers) != k:
         raise AuditError(f"expected {k} routes and powers, got {len(solution.routes)}")
+    # the route holding each vertex after the BS
+    owner: dict[int, Route] = {}
     for expect_k, route in enumerate(solution.routes, start=1):
         if route.user_index != expect_k:
             raise AuditError(f"route {expect_k} serves user {route.user_index}")
         validate_route(scene, route)
-    for a, b in itertools.combinations(solution.routes, 2):
-        va = a.vertices[1:]
-        vb = b.vertices[1:]
-        if set(va) & set(vb):
-            raise AuditError(f"routes of users {a.user_index} and {b.user_index} share a vertex")
-        for u in va:
-            for v in vb:
-                if scene.los_indicator(u, v):
-                    raise AuditError(
-                        f"vertices {u} and {v} of users {a.user_index} and "
-                        f"{b.user_index} are in LoS"
-                    )
+        for v in route.vertices[1:]:
+            a = owner.setdefault(v, route)
+            if a is not route:
+                raise AuditError(f"routes of users {a.user_index} and {expect_k} share a vertex")
+    held = sum(1 << v for v in owner)
+    for route in solution.routes:
+        own = near = 0
+        for u in route.vertices[1:]:
+            own |= 1 << u
+            near |= scene.los_masks[u]
+        # the vertices of other routes in LoS of this one; the lowest is named
+        crossed = near & (held ^ own)
+        if crossed:
+            v = (crossed & -crossed).bit_length() - 1
+            u = next(u for u in route.vertices[1:] if scene.los_indicator(u, v))
+            b = owner[v].user_index
+            raise AuditError(f"vertices {u} and {v} of users {route.user_index} and {b} are in LoS")
     fresh = _route_powers(scene, solution.routes)
     for got, want in zip(solution.powers, fresh):
         if not math.isclose(got, want, rel_tol=1e-12):

@@ -376,7 +376,9 @@ def test_main_huge_element_count_keeps_the_contract(capsys):
         assert json.loads(out)["params"]["elements"] == 1000000000000000003
 
 
-@pytest.mark.parametrize("algorithm", ["proposed", "sequential", "max-cpb", "min-pathloss"])
+@pytest.mark.parametrize(
+    "algorithm", ["proposed", "sequential", "max-cpb", "min-pathloss", "brute-force"]
+)
 def test_main_extreme_element_counts_keep_their_exit_codes(algorithm, capsys):
     # every edge is priced at once from M sqrt(beta); at M = 1, at a
     # prime M past a float's integer precision and at an M no float
@@ -392,12 +394,23 @@ def test_main_extreme_element_counts_keep_their_exit_codes(algorithm, capsys):
         assert json.loads(capsys.readouterr().out)["objective_db"] == objective_db
     assert main(["--scene", DEMO, "--algorithm", algorithm, "--elements", huge]) == 1
     assert capsys.readouterr().out == '{"error": "int too large to convert to float"}\n'
+    # M = 10^77 is a float, and so is N = 10^300, but N M^(2h) is not:
+    # the product gives inf where ** would raise, and no report carries
+    # it; the greedy takes its last user's power first
+    overflow = f"channel power of user {2 if algorithm == 'sequential' else 1} overflows a float"
+    for extra in (
+        ["--elements", str(10**77)],
+        ["--antennas", str(10**300), "--elements", str(10**10)],
+    ):
+        assert main(["--scene", DEMO, "--algorithm", algorithm, *extra, "--output", "json"]) == 1
+        assert capsys.readouterr().out == json.dumps({"error": overflow}) + "\n"
     argv = ["--scene", DEMO, "--algorithm", algorithm, "--sweep", "M", "--output", "csv"]
-    assert main([*argv, "--values", f"1,1000000000000000003,{huge}"]) == 2
+    assert main([*argv, "--values", f"1,1000000000000000003,{10**77},{huge}"]) == 2
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].startswith("1,-169.26351681830715,1,")
     assert rows[2].startswith("1000000000000000003,550.7364831816928,1,")
-    assert rows[3] == f"{huge},,,,,,,int too large to convert to float"
+    assert rows[3] == f"{10**77},,,,,,,{overflow}"
+    assert rows[4] == f"{huge},,,,,,,int too large to convert to float"
 
 
 def test_max_cpb_at_an_element_count_past_float_range():
@@ -593,6 +606,8 @@ GOLDEN_RUNS = [
     # a prime M far past a float's integer precision, set by Scene.with_elements
     ("demo_elements_1000000000000000003.json",
      ["--elements", "1000000000000000003", "--output", "json"]),
+    # M = 10^77: a float, but the powers overflow one, an error record
+    ("demo_elements_1e77.json", ["--elements", str(10**77), "--output", "json"]),
     ("demo_sweep_Q.csv", ["--sweep", "Q", "--values", "1..20", "--output", "csv"]),
     ("demo_proposed.txt", []),
     ("demo_sweep_M.txt", ["--sweep", "M", "--values", "100,200,400,800"]),
@@ -612,7 +627,8 @@ GOLDEN_RUNS = [
                                    "16,100,400,1600", "--output", "csv"]),
 ]
 # the scene of a golden not run on the demo, and its exit code
-GOLDEN_SCENES = {"corridors_353_proposed.json": ("corridors_353", 0),
+GOLDEN_SCENES = {"demo_elements_1e77.json": ("demo", 1),
+                 "corridors_353_proposed.json": ("corridors_353", 0),
                  "mesh_88_proposed.json": ("mesh_88", 2),
                  "corridors_353_max-cpb.json": ("corridors_353", 2),
                  "corridors_353_min-pathloss.json": ("corridors_353", 0),
@@ -621,15 +637,18 @@ GOLDEN_SCENES = {"corridors_353_proposed.json": ("corridors_353", 0),
 
 
 @pytest.mark.parametrize("golden,args", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
-def test_report_bytes_match_golden(tmp_path, golden, args):
+def test_report_bytes_match_golden(tmp_path, capsys, golden, args):
     # pinned report bytes: any change to routes, tie-breaks or float
     # formatting shows up as a difference
     stem, code = GOLDEN_SCENES.get(golden, ("demo", 0))
     scene = os.path.join(ROOT, "scenes", f"{stem}.json")
     out = tmp_path / golden
     assert main(["--scene", scene, *args, "--out", str(out)]) == code
+    # an error record goes to stdout, and no report is written
+    assert out.exists() == (code != 1)
+    got = out.read_bytes() if out.exists() else capsys.readouterr().out.encode()
     with open(os.path.join(GOLDEN, golden), "rb") as fh:
-        assert out.read_bytes() == fh.read()
+        assert got == fh.read()
 
 
 def test_rejected_element_count_matches_golden(capsys):

@@ -1,6 +1,7 @@
 """Route compatibility, path-graph assembly, min-max clique search."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,16 @@ from beamroute.graph import (
 )
 from beamroute.scene import Scene, SceneError, load_scene
 from beamroute.solver import SolveParams, solve
-from scenefab import adversarial_scene, bench_scenes, chain_scene, corridor_scene, make_scene
+from scenefab import (
+    adversarial_scene,
+    bench_scenes,
+    chain_scene,
+    corridor_scene,
+    corridors_k8_document,
+    make_scene,
+)
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def worst_key(graph, clique):
@@ -60,11 +70,34 @@ def sorted_pathgraph(keys, sizes, adj_pairs):
         a, b = new_id[a], new_id[b]
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    return PathGraph(
+    graph = PathGraph(
         partitions=tuple(partitions),
         order_key=tuple(keys[v] for v in order),
         adj_masks=tuple(masks),
     )
+    # PathGraph checks nothing on construction: the search's precondition
+    assert_pathgraph_invariants(graph)
+    return graph
+
+
+def assert_pathgraph_invariants(graph):
+    """What ``PathGraph`` requires and ``build_path_graph`` makes: at
+    least one partition, consecutive ids partition by partition, keys in
+    order within each, one key and one mask per vertex, and symmetric
+    adjacency with no edge inside a partition or past the last vertex."""
+    parts, keys, masks = graph.partitions, graph.order_key, graph.adj_masks
+    assert parts
+    start = 0
+    for part in parts:
+        assert part == tuple(range(start, start + len(part))), parts
+        assert list(keys[start : start + len(part)]) == sorted(keys[start : start + len(part)])
+        start += len(part)
+    assert len(keys) == len(masks) == start
+    for part, bits in zip(parts, graph.part_masks):
+        assert all(not masks[v] & bits for v in part)
+    for v, mask in enumerate(masks):
+        assert mask >> start == 0
+        assert all(masks[u] >> v & 1 == mask >> u & 1 for u in range(start))
 
 
 def all_cliques(graph):
@@ -441,6 +474,9 @@ class TestBuildPathGraph:
             build_path_graph(cands, scene)
         assert info.value.user_index == 2
         assert "user 2" in str(info.value)
+        # no lists at all would make a graph of no partitions
+        with pytest.raises(CliqueError, match="no candidate lists given"):
+            build_path_graph({}, scene)
 
     def test_adjacency_matches_predicate(self):
         # dense override scene so both users hold several candidates
@@ -497,23 +533,41 @@ class TestBuildPathGraph:
                     for b, vb in enumerate(moved):
                         assert again.adj_masks[a] >> b & 1 == pg.adj_masks[va] >> vb & 1
 
-    def test_numbering_is_checked(self):
-        keys = ((1.0,), (2.0,), (1.0,))
-        with pytest.raises(CliqueError, match="partition 0 is not in key order"):
-            PathGraph(((0, 1), (2,)), ((2.0,), (1.0,), (1.0,)), (0, 0, 0))
-        with pytest.raises(CliqueError, match="partition 1 is not numbered 1..1"):
-            PathGraph(((0,), (2,), (1,)), keys, (0, 0, 0))
-        with pytest.raises(CliqueError, match="3 keys for 2 vertices"):
-            PathGraph(((0,), (1,)), keys, (0, 0, 0))
-        # one adjacency mask per vertex, or the search would index past them
-        with pytest.raises(CliqueError, match="1 adjacency masks for 3 vertices"):
-            PathGraph(((0,), (1,), (2,)), ((1.0,), (2.0,), (3.0,)), (0b110,))
-        assert PathGraph(((0, 1), (2,)), keys, (0, 0, 0)).part_masks == (0b011, 0b100)
-
-    def test_zero_partitions_rejected(self):
-        # like build_path_graph({}), which has no user to route either
-        with pytest.raises(CliqueError, match="at least one partition"):
-            PathGraph((), (), ())
+    def test_built_graphs_keep_the_numbering(self):
+        # nothing checks a built graph again, so the builder's output is
+        # checked here: random scenes, eight-user benchmark corridors and
+        # the corridors golden scene, on the three pipeline graphs, from
+        # candidate lists as swept, reversed and shuffled
+        assert sorted_pathgraph([(1.0,), (2.0,), (1.0,)], [2, 1], []).part_masks == (0b011, 0b100)
+        rng = np.random.default_rng(45)
+        scenes = mask_rule_scenes(rng) + [load_scene(corridors_k8_document(s)) for s in range(3)]
+        scenes.append(load_scene((SCENES / "corridors_353.json").read_text()))
+        orders = (list, lambda rs: rs[::-1], lambda rs: [rs[i] for i in rng.permutation(len(rs))])
+        built = unsorted = 0
+        for scene in scenes:
+            for graph in (
+                build_routing_graph(scene),
+                build_routing_graph(scene.with_elements(1)),
+                build_routing_graph(scene, hop_priority=True),
+            ):
+                cands = {u: rs for u, rs in top_routes(graph, 10).items() if rs}
+                for order in orders if cands else ():
+                    lists = {u: order(rs) for u, rs in cands.items()}
+                    pg = build_path_graph(lists, scene)
+                    assert_pathgraph_invariants(pg)
+                    assert all(pg.partitions)
+                    assert pg.order_key == tuple(r.cost_vec for r in pg.routes)
+                    for u, part in zip(sorted(cands), pg.partitions):
+                        assert sorted(pg.routes[v].vertices for v in part) == sorted(
+                            r.vertices for r in cands[u]
+                        )
+                    built += 1
+                    unsorted += any(
+                        [r.cost_vec for r in rs] != sorted(r.cost_vec for r in rs)
+                        for rs in lists.values()
+                    )
+        assert built >= 180
+        assert unsorted >= 100
 
     def test_mislabeled_route_rejected(self):
         scene = self.scene()

@@ -101,15 +101,18 @@ def _called_name(func: ast.expr) -> str:
 
 
 def test_routing_records_have_one_builder_each():
-    # RoutingTopology and LosGraph re-check nothing on construction: the
-    # one builder of each makes its invariants, so a second builder in
-    # the package must bring its own proof
+    # RoutingTopology, LosGraph and PathGraph re-check nothing on
+    # construction: the one builder of each makes its invariants, so a
+    # second builder in the package must bring its own proof.  Every
+    # RoutingSolution comes from _finish, which audits it.
     builders = defaultdict(set)
     for path in PACKAGE.glob("*.py"):
         for name, owner in _calls(ast.parse(path.read_text(encoding="utf-8"))):
             builders[name].add(f"{path.name}:{owner}")
     assert builders["RoutingTopology"] == {"scene.py:Scene.topology"}
     assert builders["LosGraph"] == {"graph.py:build_routing_graph"}
+    assert builders["PathGraph"] == {"clique.py:build_path_graph"}
+    assert builders["RoutingSolution"] == {"solver.py:_finish"}
 
 
 def test_no_package_function_calls_itself():

@@ -46,6 +46,7 @@ from scenefab import (
     corridors_k8_document,
     los_rows,
     make_scene,
+    one_hop_users_document,
     star_scene,
 )
 from sequential_reference import tree_sequential
@@ -737,6 +738,50 @@ def test_audit_rejects_cross_los_routes():
     )
     with pytest.raises(AuditError, match="in LoS"):
         audit_solution(near, crossed)
+
+
+def test_audit_rejects_routes_sharing_a_surface():
+    # user 2's route runs through both surfaces of user 1's, then on to
+    # its own user; each route alone is valid
+    near = make_scene(
+        [
+            (0.0, 4.0, 0.0),
+            (4.0, 0.0, 0.0), (9.0, 0.0, 0.0),
+            (4.0, 8.0, 0.0), (9.0, 5.0, 0.0),
+            (14.0, 0.0, 0.0), (14.0, 8.0, 0.0),
+        ],
+        4, 2, bs_antennas=4, elements=4,
+    )
+    shared = RoutingSolution(
+        feasible=True,
+        algorithm="proposed",
+        routes=(route_from_sequence(near, 1, [1, 2]), route_from_sequence(near, 2, [1, 2, 4])),
+        powers=(1.0, 1.0),
+        objective=1.0,
+    )
+    with pytest.raises(AuditError, match="routes of users 1 and 2 share a vertex"):
+        audit_solution(near, shared)
+
+
+def test_audit_separation_is_linear_in_the_route_vertices(monkeypatch):
+    # 1,100 one-hop users: checking every vertex pair of every route pair
+    # made 2,420,000 LoS queries on this solution; a union of LoS masks
+    # per route leaves only route validation's one query per hop
+    scene = load_scene(one_hop_users_document(1100))
+    solution = solve(scene, SolveParams(paths=1))
+    queries = 0
+    los_indicator = Scene.los_indicator
+
+    def counted(self, i, j):
+        nonlocal queries
+        queries += 1
+        return los_indicator(self, i, j)
+
+    monkeypatch.setattr(Scene, "los_indicator", counted)
+    audit_solution(scene, solution)
+    hops = sum(len(r.vertices) - 1 for r in solution.routes)
+    assert hops == 2200
+    assert queries <= 2 * hops
 
 
 def test_audit_rejects_tampered_powers():
