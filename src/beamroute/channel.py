@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .graph import Route, validate_route
+from .graph import Route
 from .scene import Scene
 
 
@@ -21,8 +21,10 @@ def closed_form_power(scene: Scene, route: Route) -> float:
     N * M^(2 h) * beta^(h+1) / prod(d_n^2) for a route with h surfaces
     and hop distances d_n.  Raises OverflowError when that is not a
     finite float: ``**`` raises on overflow, but ``*`` gives inf.
+    The route is taken as valid and not checked again: the searches
+    build valid routes, and ``solver.audit_solution`` validates each
+    returned one (``graph.validate_route``) before it prices it.
     """
-    validate_route(scene, route)
     seq = route.vertices
     h = route.hops
     prod_d2 = 1.0

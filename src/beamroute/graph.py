@@ -15,7 +15,9 @@ DAG.  Every edge leads strictly away from the BS, so every path is
 loopless, and a single label sweep in topological order (the BS, the
 surfaces nearest the BS first, then the users) finds every user's
 cheapest `count` paths at once (``top_routes``).  The sweep skips the
-surfaces with no path to any user (``RoutingTopology.live_order``).
+surfaces with no path to any user (``RoutingTopology.live_order``), and
+sweeps under different bans can share a memo of what each vertex
+settled under the bans upstream of it.
 Weights can be negative; the sweep never relies on Dijkstra's
 nonnegativity assumption.
 
@@ -189,6 +191,8 @@ class RoutingTopology:
         ``top_routes`` derives v's labels from these vertices' ban bits
         alone, so its answer for v under ``banned`` equals its answer
         under ``banned & upstream_masks[v]``, floats and ties included.
+        That makes (v, ``banned & upstream_masks[v]``) an exact key for
+        v's answer, the key of ``top_routes``' ``settled`` memo.
         """
         up = [0] * self.num_vertices
         for v in self.topo_order:
@@ -255,7 +259,12 @@ def _check_target(graph: LosGraph, target: int) -> None:
         raise GraphError(f"target {target} is not a user vertex")
 
 
-def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[Route]]:
+def top_routes(
+    graph: LosGraph,
+    count: int,
+    banned: int = 0,
+    settled: dict[tuple[int, int], list] | None = None,
+) -> dict[int, list[Route]]:
     """Every user's up to `count` lowest-cost BS-to-user paths, sorted.
 
     One pull sweep in ``RoutingTopology.live_order``: the topological
@@ -277,6 +286,15 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
     whose bit is set in the node mask `banned` gets no labels.  The
     result maps user index 1..K to its routes; fewer than `count`
     (possibly none) come back when a user's path set is exhausted.
+
+    `settled` is an optional memo shared by the sweeps of one graph at
+    one `count`, each under its own `banned`.  It maps
+    (v, banned & upstream_masks[v]) to what the sweep settled at the
+    vertex v after the BS: its labels, or a user's route list.  That
+    key fixes the answer (``RoutingTopology.upstream_masks``), so a
+    vertex found there is read, not gathered, and every other vertex
+    is stored once settled, empty answers included.  The lists are
+    shared with later sweeps and must not be changed.
     """
     if count < 1:
         raise GraphError("path count must be positive")
@@ -286,12 +304,25 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
         return routes
     hop_priority, weights = graph.hop_priority, graph.weights
     # hop priority ranks more hops first, then as the plain graph does
-    key = (lambda label: (-label[1], label)) if hop_priority else None
-    first_user = topology.user_vertices.start
-    preds = topology.preds
+    rank = (lambda label: (-label[1], label)) if hop_priority else None
+    num_irs = topology.num_irs
+    preds, up = topology.preds, topology.upstream_masks
     labels: list[list[tuple[float, int, tuple[int, ...]]]] = [[]] * topology.num_vertices
     labels[0] = [(0.0, 0, (0,))]
+    memo = settled is not None
     for v in topology.live_order:
+        # the BS keeps its seed label
+        if memo and v:
+            key = (v, banned & up[v])
+            got = settled.get(key)
+            if got is not None:
+                if v > num_irs:
+                    routes[v - num_irs] = got
+                else:
+                    labels[v] = got
+                continue
+            # stored now, so a banned vertex or an empty gather stays []
+            settled[key] = []
         if banned >> v & 1:
             continue
         here = []
@@ -304,16 +335,18 @@ def top_routes(graph: LosGraph, count: int, banned: int = 0) -> dict[int, list[R
         # gathered labels still carry their predecessor's hop count and
         # path; one more hop and a final v on every path keep their
         # order, so only the `count` survivors are extended
-        here.sort(key=key)
+        here.sort(key=rank)
         here = [(cost, hops + 1, path + (v,)) for cost, hops, path in here[:count]]
-        if v < first_user:
-            labels[v] = here
-        else:
-            user = v - topology.num_irs
-            routes[user] = [
+        if v > num_irs:
+            user = v - num_irs
+            here = routes[user] = [
                 Route(user, path, (-float(hops), cost) if hop_priority else (cost,))
                 for cost, hops, path in here
             ]
+        else:
+            labels[v] = here
+        if memo:
+            settled[key] = here
     return routes
 
 

@@ -112,7 +112,9 @@ class Scene:
     the LoS pairs; without it, nodes at most ``los_threshold`` apart
     have LoS.  Either way the result is kept only as ``los_masks``, so
     ``dataclasses.replace`` cannot carry an override over; copy with
-    ``with_elements`` or ``with_antennas``.
+    ``with_elements`` or ``with_antennas``.  ``scene.los_override``
+    reads None on every scene, overridden or not: it is the init-only
+    field's class default, not the matrix.
     """
 
     positions: Sequence[Sequence[float]]

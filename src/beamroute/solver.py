@@ -6,8 +6,9 @@ loopless), compatibility graph assembly and min-max clique selection,
 then maps the winning cost back to channel powers.  The
 alternatives exist to bound it: a sequential greedy baseline (every
 user order, searched as states of the users still to route and the
-bans upstream of them, each state solved once, with one routing sweep
-shared by all lookups that agree on the bans upstream of their user), two
+bans upstream of them, each state solved once, and every vertex's
+answer under the bans upstream of it settled once per solve, in one
+memo that all its routing sweeps read and fill), two
 asymptotic benchmarks for small and large surfaces (the same pipeline
 on another routing graph), and a brute-force enumeration that is exact
 but exponential.  ``solve`` is the one entry point.
@@ -137,7 +138,9 @@ def audit_solution(scene: Scene, solution: RoutingSolution) -> None:
     Verifies route validity per user, vertex disjointness and LoS
     separation across routes, and that the reported powers and
     objective match a fresh closed-form evaluation.  Separation takes
-    one union of ``Scene.los_masks`` rows per route.
+    one union of ``Scene.los_masks`` rows per route.  This is the one
+    place a solve validates its routes (``validate_route``), once
+    each; ``closed_form_power`` prices a route without checking it.
     """
     if not solution.feasible:
         if solution.routes or solution.powers or solution.objective is not None:
@@ -272,9 +275,12 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     whose worst power beats every earlier one, and the count of
     feasible completions.  The first best order with a prefix whose
     worst power is p is the first record reaching p, else the last.
-    A user's route depends only on the bans upstream of it, so lookups
-    that agree there share one sweep of the routing graph, and each
-    sweep settles every user.  ``diagnostics["sweeps"]`` counts the
+    A vertex's answer depends only on the bans upstream of it, so one
+    memo per solve, keyed by (vertex, bans upstream of it), holds every
+    answer any sweep has settled (``top_routes``' ``settled``): a
+    lookup reads its user's route there, a miss runs one sweep of the
+    routing graph, and that sweep settles every user while reading the
+    vertices settled before.  ``diagnostics["sweeps"]`` counts the
     sweeps.
     """
     _require_users(scene)
@@ -291,8 +297,9 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     for state in range(1, 1 << k):
         low = state & -state
         reach[state] = reach[state ^ low] | upstream[low.bit_length()]
-    # (user, banned bits upstream of it) -> its shortest route avoiding them
-    shortest: dict[tuple[int, int], list[Route]] = {}
+    # (vertex, banned bits upstream of it) -> what every sweep of this
+    # solve settled there: a surface's labels, a user's shortest route
+    settled: dict[tuple[int, int], list] = {}
     # route vertices -> its closed mask minus the BS bit; its power
     bans: dict[tuple[int, ...], int] = {}
     power_of: dict[tuple[int, ...], float] = {}
@@ -314,12 +321,10 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         for u in users:
             if not remaining >> (u - 1) & 1:
                 continue
-            look = (u, banned & upstream[u])
-            if look not in shortest:
+            found = settled.get((scene.num_irs + u, banned & upstream[u]))
+            if found is None:
                 sweeps += 1
-                for w, got in top_routes(graph, 1, banned).items():
-                    shortest[w, banned & upstream[w]] = got
-            found = shortest[look]
+                found = top_routes(graph, 1, banned, settled)[u]
             if not found:
                 # bans only grow along an order, so u stays unreachable
                 memo[key] = [], 0

@@ -29,7 +29,7 @@ from beamroute.channel import closed_form_power
 from beamroute.graph import build_routing_graph, top_routes
 from beamroute.scene import Scene, load_scene
 from beamroute.solver import ALGORITHMS, SolveParams, solve
-from scenefab import neighbour_chain_document, one_hop_users_document
+from scenefab import corridors_k8_document, neighbour_chain_document, one_hop_users_document
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMO = os.path.join(ROOT, "scenes", "demo.json")
@@ -649,6 +649,18 @@ def test_report_bytes_match_golden(tmp_path, capsys, golden, args):
     got = out.read_bytes() if out.exists() else capsys.readouterr().out.encode()
     with open(os.path.join(GOLDEN, golden), "rb") as fh:
         assert got == fh.read()
+
+
+def test_eight_user_sequential_sweep_matches_golden(tmp_path):
+    # the sequential solver at its user cap, on a generated benchmark
+    # scene; the M = 1600 point is infeasible, so the sweep exits 2
+    scene = tmp_path / "corridors_k8_3.json"
+    scene.write_text(corridors_k8_document(3) + "\n")
+    out = tmp_path / "sweep.csv"
+    args = ["--algorithm", "sequential", "--sweep", "M", "--values", "16,100,400,1600"]
+    assert main(["--scene", str(scene), *args, "--output", "csv", "--out", str(out)]) == 2
+    with open(os.path.join(GOLDEN, "corridors_k8_3_sweep_M.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_rejected_element_count_matches_golden(capsys):

@@ -10,7 +10,9 @@ oracle over the raw successor map.  The sweep's answer must not depend
 on which topological order the graph carries, so it is also checked
 against the same graph rebuilt with a random one.  Skipping dead-end
 vertices must change nothing, so the sweep is checked against the
-full-order sweep in ``sweep_reference``.
+full-order sweep in ``sweep_reference``.  Sweeps that share one
+``settled`` memo, keyed on those upstream bans, must answer as fresh
+sweeps do.
 """
 
 import math
@@ -26,6 +28,7 @@ from beamroute.graph import LosGraph, RoutingTopology, build_routing_graph, top_
 from scenefab import from_edges
 from sweep_reference import full_order_top_routes
 from test_clique import random_override_scene
+from test_solver import sector_scene
 
 # a few exact sums collide (0.1 + 0.2 vs 0.3), so ties and rounding show up
 WEIGHTS = st.one_of(
@@ -176,3 +179,33 @@ def test_live_sweep_matches_full_order_sweep(graph, data):
         for count in (1, 3, 50):
             got = top_routes(graph, count, mask)
             assert exact(got) == exact(full_order_top_routes(graph, count, mask))
+
+
+@st.composite
+def memo_scene_graphs(draw) -> LosGraph:
+    """A random LoS scene or a sector scene, plain or with hop priority."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        scene = random_override_scene(rng, draw(st.integers(2, 10)), users)
+    else:
+        scene = sector_scene(rng, users, draw(st.integers(1, 4)))
+    return build_routing_graph(scene, hop_priority=draw(st.booleans()))
+
+
+@given(memo_scene_graphs(), st.data())
+def test_shared_memo_matches_fresh_sweeps(graph, data):
+    # as in the sequential solver, bans grow from earlier ones, often
+    # repeat and never hold the BS; a last mask that does settles nothing
+    n = graph.topology.num_vertices
+    masks = [0]
+    for _ in range(data.draw(st.integers(1, 10))):
+        grown = masks[data.draw(st.integers(0, len(masks) - 1))]
+        grown |= data.draw(st.integers(0, 2**n - 1)) & data.draw(st.integers(0, 2**n - 1))
+        masks.append(grown & ~1)
+    masks.append(masks[-1] | 1)
+    for count in (1, 10):
+        settled: dict = {}
+        for mask in masks:
+            got = top_routes(graph, count, mask, settled)
+            assert exact(got) == exact(top_routes(graph, count, mask))

@@ -456,9 +456,9 @@ def count_sweeps(monkeypatch):
     """Record the banned mask of every `top_routes` call the solver makes."""
     calls = []
 
-    def counting(graph, count, banned=0):
+    def counting(graph, count, banned=0, settled=None):
         calls.append(banned)
-        return top_routes(graph, count, banned)
+        return top_routes(graph, count, banned, settled)
 
     monkeypatch.setattr(solver, "top_routes", counting)
     return calls
@@ -782,6 +782,46 @@ def test_audit_separation_is_linear_in_the_route_vertices(monkeypatch):
     hops = sum(len(r.vertices) - 1 for r in solution.routes)
     assert hops == 2200
     assert queries <= 2 * hops
+
+
+def test_each_returned_route_is_validated_once_per_solve(monkeypatch):
+    # the audit validates each returned route, and nothing else in a
+    # solve does: pricing a route (closed_form_power) takes it as valid.
+    # Brute force also validates every enumerated path as it builds it
+    # (route_from_sequence), on a route object it never returns.
+    from beamroute import channel, cli, clique, graph
+
+    checked = []
+    validate = graph.validate_route
+
+    def counted(scene, route):
+        checked.append(route)
+        validate(scene, route)
+
+    for module in (graph, channel, clique, solver, cli):
+        if hasattr(module, "validate_route"):
+            monkeypatch.setattr(module, "validate_route", counted)
+    gen = bench_scenes()
+    rng = np.random.default_rng(34)
+    small = [load_scene_file(DEMO), easy_two_corridor(), adversarial_scene()]
+    small += [random_override_scene(rng, 8, 3) for _ in range(6)]
+    large = [load_scene(gen.corridors_document(seed)) for seed in range(8)]
+    large += [load_scene(gen.mesh_document(seed)) for seed in range(2)]
+    # brute force enumerates every path, too many on the benchmark scenes
+    pruned = [a for a in solver.ALGORITHMS if a != "brute_force"]
+    runs = [(scene, solver.ALGORITHMS) for scene in small]
+    runs += [(scene, pruned) for scene in large]
+    feasible = 0
+    for scene, algorithms in runs:
+        for algorithm in algorithms:
+            checked.clear()
+            sol = solve(scene, SolveParams(paths=10, algorithm=algorithm))
+            returned = [id(r) for r in checked if any(r is s for s in sol.routes)]
+            assert sorted(returned) == sorted(map(id, sol.routes))
+            if algorithm != "brute_force":
+                assert len(checked) == len(sol.routes)
+            feasible += sol.feasible
+    assert feasible >= 30
 
 
 def test_audit_rejects_tampered_powers():
