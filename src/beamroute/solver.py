@@ -5,10 +5,10 @@ user from one top-Q label sweep of the routing DAG, whose paths are all
 loopless), compatibility graph assembly and min-max clique selection,
 then maps the winning cost back to channel powers.  The
 alternatives exist to bound it: a sequential greedy baseline (every
-user order, searched as states of the users still to route and the
-bans upstream of them, each state solved once, and every vertex's
-answer under the bans upstream of it settled once per solve, in one
-memo that all its routing sweeps read and fill), two
+user order, searched by one cached walk over the users left and the
+bans so far, and every vertex's answer under the bans upstream of it
+settled once per solve, in one memo that all its routing sweeps read
+and fill), two
 asymptotic benchmarks for small and large surfaces (the same pipeline
 on another routing graph), and a brute-force enumeration that is exact
 but exponential.  ``solve`` is the one entry point.
@@ -19,6 +19,7 @@ constraints before leaving this module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -266,18 +267,19 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     users all K! orders are tried, in lexicographic order, and the first
     best one is kept.
 
-    The orders are searched as states: the set R of users still to
-    route and the bans upstream of them (``RoutingTopology.upstream_masks``),
-    which fix every route and ban below, so each state is solved once
-    (``diagnostics["order_states"]`` counts them) and a user left
-    without a route fails every order below it at once.  A state's
-    answer is its records: the completions, in lexicographic order,
-    whose worst power beats every earlier one, and the count of
-    feasible completions.  The first best order with a prefix whose
-    worst power is p is the first record reaching p, else the last.
-    A vertex's answer depends only on the bans upstream of it, so one
-    memo per solve, keyed by (vertex, bans upstream of it), holds every
-    answer any sweep has settled (``top_routes``' ``settled``): a
+    The orders are searched by one recursion over states, each the
+    set of users still to route and the bans so far, which fix every
+    route and ban below.  ``functools.cache`` solves each state once;
+    ``diagnostics["order_states"]`` counts the states solved, finished
+    and failed ones included.  A user left without a route fails every
+    order below its state at once.  A state's answer is its records:
+    the completions, in lexicographic order, whose worst power beats
+    every earlier one, and the count of feasible completions.  The
+    first best order with a prefix whose worst power is p is the first
+    record reaching p, else the last.  A vertex's answer depends only
+    on the bans upstream of it (``RoutingTopology.upstream_masks``), so
+    one memo per solve, keyed by (vertex, bans upstream of it), holds
+    every answer any sweep has settled (``top_routes``' ``settled``): a
     lookup reads its user's route there, a miss runs one sweep of the
     routing graph, and that sweep settles every user while reading the
     vertices settled before.  ``diagnostics["sweeps"]`` counts the
@@ -291,44 +293,35 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         )
     graph = build_routing_graph(scene)
     users = range(1, k + 1)
-    upstream = {u: graph.topology.upstream_masks[scene.num_irs + u] for u in users}
-    # users set bit u - 1 of a state's mask; reach[R] is R's upstream union
-    reach = [0] * (1 << k)
-    for state in range(1, 1 << k):
-        low = state & -state
-        reach[state] = reach[state ^ low] | upstream[low.bit_length()]
+    upstream = graph.topology.upstream_masks
     # (vertex, banned bits upstream of it) -> what every sweep of this
     # solve settled there: a surface's labels, a user's shortest route
     settled: dict[tuple[int, int], list] = {}
     # route vertices -> its closed mask minus the BS bit; its power
     bans: dict[tuple[int, ...], int] = {}
     power_of: dict[tuple[int, ...], float] = {}
-    # with no user left there is one completion, the empty one
-    done: list[_Record] = [(math.inf, (), ())]
-    # (remaining users, bans upstream of them) -> records, feasible count
-    memo: dict[tuple[int, int], tuple[list[_Record], int]] = {}
     sweeps = 0
 
+    @functools.cache
     def walk(remaining: int, banned: int) -> tuple[list[_Record], int]:
-        """Records and feasible count of the orders of ``remaining``."""
+        """Records and feasible count of the orders of ``remaining``
+        (users set bit u - 1) after the bans ``banned``."""
         nonlocal sweeps
         if not remaining:
-            return done, 1
-        key = (remaining, banned & reach[remaining])
-        if key in memo:
-            return memo[key]
+            # one completion, the empty one
+            return [(math.inf, (), ())], 1
         steps = []
         for u in users:
             if not remaining >> (u - 1) & 1:
                 continue
-            found = settled.get((scene.num_irs + u, banned & upstream[u]))
+            v = scene.num_irs + u
+            found = settled.get((v, banned & upstream[v]))
             if found is None:
                 sweeps += 1
                 found = top_routes(graph, 1, banned, settled)[u]
             if not found:
                 # bans only grow along an order, so u stays unreachable
-                memo[key] = [], 0
-                return memo[key]
+                return [], 0
             steps.append(found[0])
         records: list[_Record] = []
         count = 0
@@ -348,11 +341,7 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
                 worst = min(p, tail)
                 if not records or worst > records[-1][0]:
                     records.append((worst, (u, *order), (route, *routes)))
-                if worst == p:
-                    # no later completion below this route can beat p
-                    break
-        memo[key] = records, count
-        return memo[key]
+        return records, count
 
     records, orders_feasible = walk((1 << k) - 1, 0)
     diagnostics = {
@@ -360,7 +349,7 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         "orders_total": math.factorial(k),
         "orders_feasible": orders_feasible,
         "sweeps": sweeps,
-        "order_states": len(memo),
+        "order_states": walk.cache_info().currsize,
     }
     if not records:
         diagnostics["reason"] = "every user order left some user unreachable"

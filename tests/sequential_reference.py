@@ -1,4 +1,4 @@
-"""The sequential greedy as a tree walk, the memoized solver's test reference.
+"""The sequential greedy as a tree walk, the cached solver's test reference.
 
 ``tree_sequential`` walks every user order as a tree of prefixes: a
 shared prefix is routed once, a user left without a route fails every
@@ -7,7 +7,9 @@ one in lexicographic order, the first strictly better order winning.
 Lookups share sweeps of the routing graph exactly as in
 ``beamroute.solver.solve_sequential`` (a user's route depends only on
 the bans upstream of it), so its ``sweeps`` count must match too.  It
-never merges subtrees, so its cost grows with the number of orders.
+never merges subtrees, so its cost grows with the number of orders;
+it counts the distinct (users chosen, bans so far) prefixes it enters,
+the states the solver's cached walk solves once each.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from beamroute.solver import RoutingSolution, audit_solution
 
 
 def tree_sequential(scene: Scene) -> RoutingSolution:
-    """The sequential solution of ``scene``, without its wall time or
-    ``order_states``, which count what the memo saves."""
+    """The sequential solution of ``scene``, its ``order_states`` the
+    distinct (users chosen, bans so far) prefixes entered, finished and
+    failed ones included."""
     k = scene.num_users
     graph = build_routing_graph(scene)
     users = range(1, k + 1)
@@ -32,12 +35,14 @@ def tree_sequential(scene: Scene) -> RoutingSolution:
     shortest: dict[tuple[int, int], list[Route]] = {}
     power_of: dict[tuple[int, ...], float] = {}
     best: tuple[tuple[Route, ...], tuple[float, ...], tuple[int, ...]] | None = None
+    states: set[tuple[frozenset[int], int]] = set()
     orders_feasible = 0
     sweeps = 0
 
     def walk(chosen: dict[int, Route], banned: int) -> None:
         """Every order extending ``chosen`` (user -> route, in order)."""
         nonlocal best, orders_feasible, sweeps
+        states.add((frozenset(chosen), banned))
         if len(chosen) == k:
             orders_feasible += 1
             routes = tuple(chosen[u] for u in users)
@@ -78,6 +83,7 @@ def tree_sequential(scene: Scene) -> RoutingSolution:
         "orders_total": math.factorial(k),
         "orders_feasible": orders_feasible,
         "sweeps": sweeps,
+        "order_states": len(states),
     }
     if best is None:
         diagnostics["reason"] = "every user order left some user unreachable"

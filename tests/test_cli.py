@@ -663,6 +663,16 @@ def test_eight_user_sequential_sweep_matches_golden(tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def test_eight_user_sequential_run_matches_golden(tmp_path, capsys):
+    # the routes the tie-break picks among the scene's 20,160 feasible
+    # orders, which the sweep's dB values and hop counts do not pin
+    scene = tmp_path / "corridors_k8_3.json"
+    scene.write_text(corridors_k8_document(3) + "\n")
+    assert main(["--scene", str(scene), "--algorithm", "sequential", "--output", "json"]) == 0
+    with open(os.path.join(GOLDEN, "corridors_k8_3_sequential.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_rejected_element_count_matches_golden(capsys):
     # the one-line record of Scene.with_elements' count check
     assert main(["--scene", DEMO, "--elements", "0"]) == 1

@@ -1,11 +1,12 @@
 """Repository checks: the README's Python examples run, every
-module-level definition in the package has a user outside itself, the
-routing records have one builder each, and no search recurses as deep
-as its input."""
+module-level definition and every class member in the package has a
+user outside itself, the routing records have one builder each, and no
+search recurses as deep as its input."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -55,6 +56,50 @@ def test_every_package_definition_is_used():
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, DEFINITIONS) and not users[node.name] - {(path, node.name)}
     ]
+    assert unused == []
+
+
+def _member_uses(tree: ast.Module):
+    """(name, node) for every attribute access and call keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node
+
+
+def test_every_class_member_is_used():
+    # a method, property or field of a package class that only the
+    # tests read belongs under tests/ too; dunders and overrides of a
+    # base class's method are called by Python or by the base class
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    }
+    uses = defaultdict(list)
+    for tree in trees.values():
+        for name, node in _member_uses(tree):
+            uses[name].append(node)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module(f"beamroute.{path.stem}"), cls.name).__mro__[1:]
+            for member in cls.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if any(hasattr(base, name) for base in bases):
+                    continue
+                own = set(map(id, ast.walk(member)))
+                if all(id(node) in own for node in uses[name]):
+                    unused.append(f"{path.name}:{cls.name}.{name}")
     assert unused == []
 
 

@@ -8,7 +8,6 @@ it wherever the candidate budget covers every path.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
@@ -535,15 +534,10 @@ def test_unreachable_user_ends_the_run_before_the_sweep(monkeypatch):
     assert passed >= 150
 
 
-def without_memo_count(solution: RoutingSolution) -> str:
-    """repr of a solution without its memo state count."""
-    diagnostics = {k: v for k, v in solution.diagnostics.items() if k != "order_states"}
-    return repr(dataclasses.replace(solution, diagnostics=diagnostics))
-
-
 def test_sequential_matches_tree_reference():
-    # the memo merges subtrees the tree walk repeats; answers, counts
-    # of feasible orders and sweeps, and the tie-break must not move.
+    # the cached walk merges subtrees the tree walk repeats; answers,
+    # counts of feasible orders, sweeps and states, and the tie-break
+    # must not move.
     # On some five-user meshes the best order is not the first feasible
     # one, so a state's records must weigh the route powers.
     rng = np.random.default_rng(37)
@@ -556,25 +550,24 @@ def test_sequential_matches_tree_reference():
     feasible = 0
     for scene in scenes:
         got, want = solve_sequential(scene), tree_sequential(scene)
-        assert without_memo_count(got) == without_memo_count(want)
+        assert repr(got) == repr(want)
         feasible += got.feasible
     assert feasible >= 16
 
 
 def test_order_states_count_memo_states():
-    # the tree walk visits 57,736 order prefixes here; the memo solves
-    # each (remaining users, upstream bans) state once
+    # the tree walk visits 57,736 order prefixes here; the cached walk
+    # solves each (remaining users, bans so far) state once
     sol = solve_sequential(load_scene(corridors_k8_document(3)))
-    assert sol.diagnostics["order_states"] == 255
+    assert sol.diagnostics["order_states"] == 256
     assert sol.diagnostics["orders_feasible"] == 20160
     assert sol.diagnostics["sweeps"] == 45
-    # keyed on every ban, not only those upstream of the remaining
-    # users, this scene would take 58 states
     gen = bench_scenes()
     scene = load_scene(gen.corridors_document(18, gen.GREEDY_CORRIDORS)).with_elements(1600)
-    assert solve_sequential(scene).diagnostics["order_states"] == 48
-    # two users: the root, then each user alone after the other
-    assert solve_sequential(easy_two_corridor()).diagnostics["order_states"] == 3
+    assert solve_sequential(scene).diagnostics["order_states"] == 62
+    # two users: the root and each user alone after the other; both
+    # orders of the first scene finish with the same bans, one state more
+    assert solve_sequential(easy_two_corridor()).diagnostics["order_states"] == 4
     assert solve_sequential(adversarial_scene()).diagnostics["order_states"] == 3
 
 
