@@ -23,8 +23,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .scene import DEFAULT_LOS_THRESHOLD, DEFAULT_MIN_FAR_FIELD, Scene, load_scene_file
 from .solver import ALGORITHMS, SolveParams, solve
 
@@ -148,6 +146,9 @@ def _random_scene(
     sep = max(min_sep, DEFAULT_MIN_FAR_FIELD)
     if sep >= DEFAULT_LOS_THRESHOLD:
         raise CliError("min_sep leaves no room inside the LoS range")
+    # imported here, so that only this generator pays numpy's import time
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     attempts = 0
     for _ in range(GENERATOR_RESTARTS):

@@ -15,9 +15,10 @@ DAG.  Every edge leads strictly away from the BS, so every path is
 loopless, and a single label sweep in topological order (the BS, the
 surfaces nearest the BS first, then the users) finds every user's
 cheapest `count` paths at once (``top_routes``).  The sweep skips the
-surfaces with no path to any user (``RoutingTopology.live_order``), and
+surfaces upstream of no user (``RoutingTopology.live_order``), and
 sweeps under different bans can share a memo of what each vertex
-settled under the bans upstream of it.
+settled under the bans upstream of it.  Likewise one depth-first walk
+lists every user's paths (``enumerate_paths``).
 Weights can be negative; the sweep never relies on Dijkstra's
 nonnegativity assumption.
 
@@ -170,18 +171,13 @@ class RoutingTopology:
         """``topo_order`` without the vertices that reach no user.
 
         A label never reaches a user from such a vertex, so the sweep
-        skips them.  The predecessors of a kept vertex reach a user
-        through it, so they are kept too.
+        skips them.  The vertices kept are the users and everything
+        upstream of one: the union of the users' ``upstream_masks``.
         """
-        live = [False] * self.num_vertices
-        for v in self.user_vertices:
-            live[v] = True
-        # every successor of v comes later in the order, so is settled first
-        for v in reversed(self.topo_order):
-            if live[v]:
-                for p, _ in self.preds[v]:
-                    live[p] = True
-        return tuple(v for v in self.topo_order if live[v])
+        live = 0
+        for mask in self.upstream_masks[self.user_vertices.start:]:
+            live |= mask
+        return tuple(v for v in self.topo_order if live >> v & 1)
 
     @cached_property
     def upstream_masks(self) -> tuple[int, ...]:
@@ -252,11 +248,6 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
 
 
 # -- path search -------------------------------------------------------
-
-
-def _check_target(graph: LosGraph, target: int) -> None:
-    if target not in graph.topology.user_vertices:
-        raise GraphError(f"target {target} is not a user vertex")
 
 
 def top_routes(
@@ -356,23 +347,25 @@ def yen_k_shortest(graph: LosGraph, target: int, count: int) -> list[Route]:
     A one-user view of `top_routes`; the name is kept from the Yen
     search the sweep replaced, for API compatibility.
     """
-    _check_target(graph, target)
+    if target not in graph.topology.user_vertices:
+        raise GraphError(f"target {target} is not a user vertex")
     return top_routes(graph, count)[target - graph.topology.num_irs]
 
 
-def enumerate_paths(graph: LosGraph, target: int) -> list[tuple[int, ...]]:
-    """All simple BS-to-user vertex sequences, in lexicographic order."""
-    _check_target(graph, target)
-    out: list[tuple[int, ...]] = []
-    succ, users = graph.topology.succ, graph.topology.user_vertices
+def enumerate_paths(graph: LosGraph) -> dict[int, list[tuple[int, ...]]]:
+    """Every user's simple BS-to-user vertex sequences, from one walk:
+    user index 1..K to its sequences, in lexicographic order."""
+    topology = graph.topology
+    num_irs, users = topology.num_irs, topology.user_vertices
+    succ, out = topology.succ, {u: [] for u in range(1, topology.num_users + 1)}
     # the path from the BS, and per vertex on it, its sorted successors
     # not yet walked
     path, todo = [0], [iter(succ.get(0, ()))]
     while todo:
         for j in todo[-1]:
-            if j == target:
-                out.append((*path, j))
-            elif j not in users:
+            if j in users:
+                out[j - num_irs].append((*path, j))
+            else:
                 path.append(j)
                 todo.append(iter(succ.get(j, ())))
                 break

@@ -365,20 +365,28 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
 
     Paths come from the routing graph, but each is checked and priced
     on the raw scene (``route_from_sequence``), not on the graph's cost
-    table, so the result stays an independent oracle.  Scenes whose
-    product of per-user path counts exceeds ``BRUTEFORCE_CAP`` are
-    refused before any route is built.
+    table, so the result stays an independent oracle.  The paths are
+    counted first, per vertex in one pass along the edges the walk
+    follows, and a scene whose product of per-user path counts exceeds
+    ``BRUTEFORCE_CAP`` is refused before a single path is listed.
     """
     _require_users(scene)
     k = scene.num_users
     graph = build_routing_graph(scene)
-    paths = [enumerate_paths(graph, scene.num_irs + u) for u in range(1, k + 1)]
-    product = math.prod(map(len, paths))
+    topology = graph.topology
+    users = topology.user_vertices
+    # per vertex, its paths from the BS; the walk never passes a user
+    counts = [1] + [0] * (topology.num_vertices - 1)
+    for v in topology.topo_order:
+        if v not in users:
+            for j in topology.succ.get(v, ()):
+                counts[j] += counts[v]
+    product = math.prod(counts[v] for v in users)
     if product > BRUTEFORCE_CAP:
         raise SolverError(f"path count product {product} exceeds cap {BRUTEFORCE_CAP}")
     per_user = [
         [route_from_sequence(scene, u, p[1:-1]) for p in user_paths]
-        for u, user_paths in enumerate(paths, start=1)
+        for u, user_paths in enumerate_paths(graph).items()
     ]
     powers = [_route_powers(scene, routes) for routes in per_user]
     masks = [[route_masks(r, scene) for r in routes] for routes in per_user]

@@ -531,6 +531,31 @@ def test_python_m_beamroute_matches_golden():
         assert proc.stdout == fh.read()
 
 
+def test_numpy_loads_only_for_random_scenes():
+    # a scene file never needs numpy, so importing the package and
+    # running on a scene file leave it unloaded; random(...) loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import contextlib, io, sys\n"
+        "import beamroute\n"
+        "from beamroute import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['--scene', 'scenes/demo.json'])]\n"
+        "    loaded = ['numpy' in sys.modules]\n"
+        "    codes.append(cli.main(['--generate', 'random(10,2,40,3)']))\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(codes, loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split("\n")[0] == "[0, 2] [False, True]"
+
+
 def test_main_usage_error_exit_one(capsys):
     assert main(["--scene", DEMO, "--no-such-flag"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
@@ -625,6 +650,9 @@ GOLDEN_RUNS = [
     ("corridors_353_sequential.json", ["--algorithm", "sequential", "--output", "json"]),
     ("corridors_353_sweep_M.csv", ["--algorithm", "sequential", "--sweep", "M", "--values",
                                    "16,100,400,1600", "--output", "csv"]),
+    # the paper's candidate-budget trade-off: infeasible at Q = 1 and 2,
+    # feasible from Q = 3 on, so the sweep exits 2
+    ("corridors_353_sweep_Q.csv", ["--sweep", "Q", "--values", "1..12", "--output", "csv"]),
 ]
 # the scene of a golden not run on the demo, and its exit code
 GOLDEN_SCENES = {"demo_elements_1e77.json": ("demo", 1),
@@ -633,7 +661,8 @@ GOLDEN_SCENES = {"demo_elements_1e77.json": ("demo", 1),
                  "corridors_353_max-cpb.json": ("corridors_353", 2),
                  "corridors_353_min-pathloss.json": ("corridors_353", 0),
                  "corridors_353_sequential.json": ("corridors_353", 0),
-                 "corridors_353_sweep_M.csv": ("corridors_353", 0)}
+                 "corridors_353_sweep_M.csv": ("corridors_353", 0),
+                 "corridors_353_sweep_Q.csv": ("corridors_353", 2)}
 
 
 @pytest.mark.parametrize("golden,args", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])

@@ -275,11 +275,10 @@ def mask_rule_scenes(rng):
 
 
 def all_routes(scene, cap=60):
-    graph = build_routing_graph(scene)
     return [
         route_from_sequence(scene, k, path[1:-1])
-        for k in range(1, scene.num_users + 1)
-        for path in enumerate_paths(graph, scene.user_vertex(k))[:cap]
+        for k, paths in enumerate_paths(build_routing_graph(scene)).items()
+        for path in paths[:cap]
     ]
 
 

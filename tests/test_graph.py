@@ -457,7 +457,7 @@ class TestDagShortestPath:
             2, 2, [(0, 1, 1.0), (1, 3, 1.0), (3, 4, -5.0), (1, 2, 1.0), (2, 4, 1.0)]
         )
         got = top_routes(g, 5)
-        assert [r.vertices for r in got[2]] == enumerate_paths(g, 4) == [(0, 1, 2, 4)]
+        assert [r.vertices for r in got[2]] == enumerate_paths(g)[2] == [(0, 1, 2, 4)]
         assert [r.vertices for r in got[1]] == [(0, 1, 3)]
 
     def test_target_must_be_user(self):
@@ -564,7 +564,7 @@ class TestYen:
         ]
         banned_users = bs_banned = 0
         for g in graphs:
-            costs = edge_costs(g)
+            costs, paths = edge_costs(g), enumerate_paths(g)
             masks = [0, 1]
             for _ in range(3):
                 masks.append(sum(
@@ -574,15 +574,15 @@ class TestYen:
             for mask in masks:
                 ban = ban_set(mask)
                 want = {
-                    target - g.topology.num_irs: sorted(
+                    u: sorted(
                         (
-                            Route(target - g.topology.num_irs, p, oracle_cost_vec(costs, p))
-                            for p in enumerate_paths(g, target)
+                            Route(u, p, oracle_cost_vec(costs, p))
+                            for p in user_paths
                             if ban.isdisjoint(p)
                         ),
                         key=route_key,
                     )
-                    for target in g.topology.user_vertices
+                    for u, user_paths in paths.items()
                 }
                 bs_banned += 0 in ban
                 banned_users += len(ban & set(g.topology.user_vertices))
@@ -644,7 +644,7 @@ class TestPullSweepMatchesPushReference:
         graphs += [build_routing_graph(s) for s in scenes[:6]]
         checked = bs_banned = users_banned = 0
         for g in graphs:
-            paths = max(len(enumerate_paths(g, t)) for t in g.topology.user_vertices)
+            paths = max(map(len, enumerate_paths(g).values()))
             for mask in self.masks(rng, g):
                 bs_banned += mask & 1
                 users_banned += any(mask >> t & 1 for t in g.topology.user_vertices)
@@ -677,11 +677,13 @@ class TestEnumeratePaths:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_losgraph(rng, num_users=2)
-            for target in g.topology.user_vertices:
-                users = set(g.topology.user_vertices)
-                got = enumerate_paths(g, target)
+            users = set(g.topology.user_vertices)
+            got = enumerate_paths(g)
+            assert list(got) == [t - g.topology.num_irs for t in g.topology.user_vertices]
+            for target in users:
+                # exactly, order included: brute force breaks ties by it
                 want = sorted(oracle_paths(g.topology.succ, 0, target, users))
-                assert sorted(got) == want
+                assert got[target - g.topology.num_irs] == want
 
 
 class TestRouteConstruction:
@@ -742,9 +744,9 @@ class TestRouteConstruction:
             for scene in (base, base.with_elements(1)):
                 g = build_routing_graph(scene)
                 costs = edge_costs(g)
-                for target in g.topology.user_vertices:
-                    for p in enumerate_paths(g, target):
-                        r = route_from_sequence(scene, target - g.topology.num_irs, p[1:-1])
+                for u, paths in enumerate_paths(g).items():
+                    for p in paths:
+                        r = route_from_sequence(scene, u, p[1:-1])
                         assert r.vertices == p
                         assert bits({p: r.cost_vec}) == bits({p: oracle_cost_vec(costs, p)})
                         checked += 1

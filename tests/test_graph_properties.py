@@ -10,7 +10,8 @@ oracle over the raw successor map.  The sweep's answer must not depend
 on which topological order the graph carries, so it is also checked
 against the same graph rebuilt with a random one.  Skipping dead-end
 vertices must change nothing, so the sweep is checked against the
-full-order sweep in ``sweep_reference``.  Sweeps that share one
+full-order sweep in ``sweep_reference``, and the vertices kept are
+checked against a walk over the raw edge list.  Sweeps that share one
 ``settled`` memo, keyed on those upstream bans, must answer as fresh
 sweeps do.
 """
@@ -162,6 +163,29 @@ def dead_end_graphs(draw) -> LosGraph:
     if draw(st.booleans()):
         return LosGraph(topology, list(map(math.log, dists)), hop_priority=True)
     return LosGraph(topology, [draw(WEIGHTS) for _ in edges])
+
+
+def reaches_a_user(graph: LosGraph, source: int) -> bool:
+    """A walk from source along the raw edge list that stops at users."""
+    users = graph.topology.user_vertices
+    stack, seen = [source], {source}
+    while stack:
+        v = stack.pop()
+        if v in users:
+            return True
+        for i, j in graph.topology.edges:
+            if i == v and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return False
+
+
+@given(st.one_of(dead_end_graphs(), GRAPHS))
+def test_live_order_keeps_the_vertices_that_reach_a_user(graph):
+    # independent of upstream_masks, from which live_order is read
+    topology = graph.topology
+    want = tuple(v for v in topology.topo_order if reaches_a_user(graph, v))
+    assert topology.live_order == want
 
 
 def exact(routes: dict) -> list:

@@ -387,7 +387,7 @@ def raw_sequential(scene: Scene, queried: set | None = None):
     Each step takes the cheapest enumerated path that avoids the banned
     set; ``queried`` collects every banned set a step looked up.
     """
-    graph = build_routing_graph(scene)
+    all_paths = enumerate_paths(build_routing_graph(scene))
     k = scene.num_users
     best = None
     for order in itertools.permutations(range(1, k + 1)):
@@ -396,9 +396,7 @@ def raw_sequential(scene: Scene, queried: set | None = None):
         for u in order:
             if queried is not None:
                 queried.add(frozenset(banned))
-            paths = [
-                p for p in enumerate_paths(graph, scene.user_vertex(u)) if banned.isdisjoint(p)
-            ]
+            paths = [p for p in all_paths[u] if banned.isdisjoint(p)]
             if not paths:
                 break
             route = min(
@@ -647,6 +645,28 @@ def test_bruteforce_cap(monkeypatch):
     monkeypatch.setattr(solver, "BRUTEFORCE_CAP", 1)
     with pytest.raises(SolverError, match="exceeds cap"):
         solve_bruteforce(scene)
+
+
+def row_scene(surfaces: int) -> Scene:
+    """BS, `surfaces` surfaces 3 m apart on a line, and one user 3 m past
+    them, every pair in LoS but the BS and the user: a path per nonempty
+    surface subset."""
+    n = surfaces + 2
+    los = [[int(i != j and {i, j} != {0, n - 1}) for j in range(n)] for i in range(n)]
+    return make_scene([[3.0 * i, 0.0, 0.0] for i in range(n)], surfaces, 1, los_override=los)
+
+
+def test_bruteforce_counts_paths_before_listing_them(monkeypatch):
+    assert solve_bruteforce(row_scene(10)).diagnostics["combinations_checked"] == 2**10 - 1
+
+    def no_paths(*args):
+        raise AssertionError("paths listed")
+
+    # 2**23 - 1 paths: the count alone refuses the scene, before the walk
+    monkeypatch.setattr(solver, "enumerate_paths", no_paths)
+    with pytest.raises(SolverError) as err:
+        solve_bruteforce(row_scene(23))
+    assert str(err.value) == "path count product 8388607 exceeds cap 1000000"
 
 
 # ----------------------------------------------------------- infeasible
