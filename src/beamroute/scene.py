@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -42,6 +42,9 @@ DEFAULT_IRS_SIDE = 20
 # The far-field sweep's least radius: the square of a smaller coordinate
 # gap could underflow, and the computed distance fall below the gap.
 _SWEEP_FLOOR = 1e-150
+
+# LoS override entries as ASCII digits; 1, True and 1.0 are one key
+_DIGITS = {0: 48, 1: 49}
 
 
 class SceneError(ValueError):
@@ -74,7 +77,12 @@ def _override_masks(override, n: int) -> tuple[int, ...]:
     """Closed LoS neighbourhoods from an n x n symmetric 0/1 matrix.
 
     Row i becomes an int whose bit j is entry (i, j); then bit i is set.
-    An entry may be 0 or 1 as an int, a bool or a float.
+    An entry may be 0 or 1 as an int, a bool or a float, in lists,
+    tuples or an ndarray.  One pass turns every entry, row-major, into
+    an ASCII digit; the symmetry and diagonal checks compare strides of
+    those bytes, and one base-2 int of them, reversed so that entry
+    (i, j) is bit i*n + j, holds every row.  The checks run in the order
+    rectangular, shape, entries, symmetric, diagonal.
     """
     try:
         rows = [tuple(row) for row in override]
@@ -87,15 +95,18 @@ def _override_masks(override, n: int) -> tuple[int, ...]:
     if shape != (n, n):
         raise SceneError(f"los_override must be {n}x{n}, got {shape}")
     try:
-        # ASCII '0' and '1', most significant (last) column first
-        masks = [int(bytes(map({0: 48, 1: 49}.__getitem__, reversed(row))), 2) for row in rows]
+        flat = bytes(map(_DIGITS.__getitem__, chain.from_iterable(rows)))
     except (KeyError, TypeError):
         raise SceneError("los_override entries must be 0 or 1") from None
-    if list(zip(*rows)) != rows:
+    # the columns read in turn must give the rows
+    if b"".join([flat[i::n] for i in range(n)]) != flat:
         raise SceneError("los_override must be symmetric")
-    if any(mask >> i & 1 for i, mask in enumerate(masks)):
+    if b"1" in flat[:: n + 1]:
         raise SceneError("los_override diagonal must be zero")
-    return tuple(mask | 1 << i for i, mask in enumerate(masks))
+    # base 2 is exempt from the int-string digit limit, so any n converts
+    bits = int(flat[::-1], 2)
+    full_row = (1 << n) - 1
+    return tuple(bits >> i * n & full_row | 1 << i for i in range(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +120,10 @@ class Scene:
     reference distance and must lie strictly inside (0, 1).
 
     ``los_override``, a symmetric 0/1 matrix with a zero diagonal, sets
-    the LoS pairs; without it, nodes at most ``los_threshold`` apart
-    have LoS.  Either way the result is kept only as ``los_masks``, so
+    the LoS pairs; its entries may be ints, bools or floats, its rows
+    lists, tuples or an ndarray's, all read by one conversion.  Without
+    it (None), nodes at most ``los_threshold`` apart have LoS.  Either
+    way the result is kept only as ``los_masks``, so
     ``dataclasses.replace`` cannot carry an override over; copy with
     ``with_elements`` or ``with_antennas``.  ``scene.los_override``
     reads None on every scene, overridden or not: it is the init-only
@@ -143,9 +156,9 @@ class Scene:
                 f"positions must be {n}x3 for one BS, {counts[0]} surfaces "
                 f"and {counts[1]} users, got shape {shape}"
             )
-        for i, p in enumerate(pos):
-            if not all(map(math.isfinite, p)):
-                raise SceneError(f"node {i} has invalid position {list(p)}")
+        if not all(map(math.isfinite, chain.from_iterable(pos))):
+            i = next(i for i, p in enumerate(pos) if not all(map(math.isfinite, p)))
+            raise SceneError(f"node {i} has invalid position {list(pos[i])}")
         object.__setattr__(self, "positions", pos)
 
         _check_count("bs_antennas", self.bs_antennas)
@@ -299,8 +312,14 @@ class Scene:
 # -- document I/O ------------------------------------------------------
 
 
+# json.loads gives exact ints, floats, bools and None: a number is an
+# int or a float by type, never a bool; a coordinate may also be null
+_NUMBER = frozenset({int, float})
+_COORDINATE = _NUMBER | {type(None)}
+
+
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) in _NUMBER
 
 
 def _require_number(key: str, value) -> None:
@@ -325,6 +344,8 @@ def load_scene(text: str) -> Scene:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"malformed scene document: {exc}") from exc
+    except RecursionError:
+        raise SceneError("malformed scene document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SceneError("malformed scene document: top level must be an object")
 
@@ -357,8 +378,7 @@ def load_scene(text: str) -> Scene:
             raise SceneError(f"duplicate node id {nid}")
         if not isinstance(pos, list) or len(pos) != 3:
             raise SceneError(f"node {nid} position must be a 3-vector")
-        # null reads as NaN, which the scene then rejects as non-finite
-        if not all(x is None or _is_number(x) for x in pos):
+        if not _COORDINATE.issuperset(map(type, pos)):
             raise SceneError(f"node {nid} position entries must be numbers, got {pos!r}")
         entries[nid] = (kind, pos)
 
@@ -388,8 +408,12 @@ def load_scene(text: str) -> Scene:
         if not value > 0:
             raise SceneError(f"{name} must be positive")
 
+    positions = [entries[i][1] for i in ids]
+    if None in chain.from_iterable(positions):
+        # null reads as NaN, which the scene then rejects as non-finite
+        positions = [[math.nan if x is None else x for x in p] for p in positions]
     return Scene(
-        positions=[[math.nan if x is None else x for x in entries[i][1]] for i in ids],
+        positions=positions,
         num_irs=num_irs,
         num_users=num_users,
         bs_antennas=int(params.get("N", DEFAULT_BS_ANTENNAS)),

@@ -490,6 +490,15 @@ def test_more_users_than_the_recursion_limit_answers(tmp_path, capsys):
     assert [u["vertices"] for u in record["users"]] == [[0, i, 1100 + i] for i in range(1, 1101)]
 
 
+def test_deeply_nested_document_is_one_error_line(tmp_path, capsys):
+    # json.loads gives up on deep nesting with a RecursionError
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"nodes": ' + "[" * depth + "]" * depth + "}")
+    assert main(["--scene", str(path)]) == 1
+    assert capsys.readouterr().out == '{"error": "malformed scene document: nested too deeply"}\n'
+
+
 @pytest.mark.parametrize(
     "entry, named",
     [

@@ -7,9 +7,10 @@ and no report carries a dB value that is not a finite float, nor
 
 Scenes come from the generator specs (small ones, and ones over the
 node cap), from neighbour chains long enough for their powers to leave
-float range, and from malformed documents.  Options take small valid
-values, and also huge, negative and non-numeric ones.  A valid scene
-may still exit 1 where its powers leave float range.
+float range, and from malformed documents, one of them nested too
+deeply to parse.  Options take small valid values, and also huge,
+negative and non-numeric ones.  A valid scene may still exit 1 where
+its powers leave float range.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from scenefab import neighbour_chain_document
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenes", "demo.json")
 HUGE = (10**18 + 3, 10**77, 10**300, 10**400)
 JUNK = ("", "abc", "1.5", "1e3", "-", "nan", "inf", "0x10")
+# nested deeper than json.loads recurses
+DEEP = '{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 def numbers(lo: int, hi: int):
@@ -95,7 +98,7 @@ def malformed_documents(draw) -> str:
     """Text that is not JSON, or a chain document with one entry spoilt."""
     if draw(st.booleans()):
         return draw(st.one_of(
-            st.sampled_from(["", "{", "[]", "null", '{"nodes": []}', '{"nodes": {}}']),
+            st.sampled_from(["", "{", "[]", "null", '{"nodes": []}', '{"nodes": {}}', DEEP]),
             st.text(max_size=20),
         ))
     doc = json.loads(neighbour_chain_document(draw(st.integers(1, 4)), 4.0))
@@ -183,6 +186,7 @@ def scene_path(tmp_path_factory):
                  "--elements", str(10**10), "--output", "table"]))
 @example((None, ["--scene", DEMO, "--algorithm", "brute-force", "--sweep", "M",
                  "--values", f"16,{10**77}", "--output", "csv"]))
+@example((DEEP, ["--algorithm", "proposed", "--output", "json"]))
 def test_main_keeps_its_contract(scene_path, invocation):
     document, argv = invocation
     if document is not None:

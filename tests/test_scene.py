@@ -427,6 +427,12 @@ class TestLos:
         assert scene.los_indicator(0, 1) is True   # far apart, forced on
         assert scene.los_indicator(0, 2) is False  # close, forced off
 
+    def test_null_override_means_the_distance_rule(self):
+        nodes = (BS0, IRS1, node(2, "IRS", [9, 0, 0]), node(3, "IRS", [30, 0, 0]))
+        plain = load_scene(nodes_doc(*nodes))
+        assert load_scene(nodes_doc(*nodes, los_override=None)).los_masks == plain.los_masks
+        assert plain.los_masks == (0b0011, 0b0111, 0b0110, 0b1000)
+
     def test_override_validation(self):
         bad_shape = np.zeros((2, 2), dtype=int)
         with pytest.raises(SceneError, match="los_override"):
