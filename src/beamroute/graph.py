@@ -18,7 +18,7 @@ cheapest `count` paths at once (``top_routes``).  The sweep skips the
 surfaces upstream of no user (``RoutingTopology.live_order``), and
 sweeps under different bans can share a memo of what each vertex
 settled under the bans upstream of it.  Likewise one depth-first walk
-lists every user's paths (``enumerate_paths``).
+of the topology lists every user's paths (``enumerate_paths``).
 Weights can be negative; the sweep never relies on Dijkstra's
 nonnegativity assumption.
 
@@ -76,11 +76,13 @@ class Route:
         return f"BS{middle} -> User {self.user_index}"
 
 
-def edge_weight(distance: float, elements: int, ref_path_gain: float) -> float:
-    """ln(d / (M sqrt(beta))), the per-hop power cost in log domain."""
-    if distance <= 0 or elements < 1:
-        raise GraphError("edge weight needs positive distance and element count")
-    return math.log(distance / (elements * math.sqrt(ref_path_gain)))
+def _price(scene: Scene, dists: Sequence[float]) -> list[float]:
+    """ln(d / (M sqrt(beta))), each hop's power cost in log domain, with
+    M sqrt(beta) computed once; no distances read no M, so any M goes."""
+    if not dists:
+        return []
+    scale = scene.elements * math.sqrt(scene.ref_path_gain)
+    return [math.log(d / scale) for d in dists]
 
 
 def validate_route(scene: Scene, route: Route) -> None:
@@ -111,8 +113,8 @@ def route_from_sequence(scene: Scene, user_index: int, irs_ids: Sequence[int]) -
     validate_route(scene, Route(user_index=user_index, vertices=seq, cost_vec=()))
     # Left to right, as the sweep adds: sum() compensates on Python 3.12+.
     cost = 0.0
-    for a, b in zip(seq[:-1], seq[1:]):
-        cost += edge_weight(scene.distance(a, b), scene.elements, scene.ref_path_gain)
+    for w in _price(scene, [scene.distance(a, b) for a, b in zip(seq[:-1], seq[1:])]):
+        cost += w
     return Route(user_index=user_index, vertices=seq, cost_vec=(cost,))
 
 
@@ -230,8 +232,7 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     other edges exist.  The topology is ``Scene.topology``, which
     copies of the scene at other array sizes share, so a graph per M
     only prices the edges: one division and one ``math.log`` per edge,
-    the same operations as ``edge_weight``, so the same bits.  The
-    scene keeps M >= 1, so no M is checked here.
+    as ``route_from_sequence`` prices a route's hops, so the same bits.
 
     With ``hop_priority`` each edge is priced ln d, at every M, and the
     search ranks paths by hop count first.
@@ -239,12 +240,7 @@ def build_routing_graph(scene: Scene, hop_priority: bool = False) -> LosGraph:
     topology = scene.topology
     if hop_priority:
         return LosGraph(topology, list(map(math.log, topology.dists)), True)
-    weights = []
-    # an edgeless graph prices nothing, so even M = 10**400 raises nothing
-    if topology.edges:
-        scale = scene.elements * math.sqrt(scene.ref_path_gain)
-        weights = [math.log(d / scale) for d in topology.dists]
-    return LosGraph(topology, weights)
+    return LosGraph(topology, _price(scene, topology.dists))
 
 
 # -- path search -------------------------------------------------------
@@ -352,10 +348,10 @@ def yen_k_shortest(graph: LosGraph, target: int, count: int) -> list[Route]:
     return top_routes(graph, count)[target - graph.topology.num_irs]
 
 
-def enumerate_paths(graph: LosGraph) -> dict[int, list[tuple[int, ...]]]:
-    """Every user's simple BS-to-user vertex sequences, from one walk:
-    user index 1..K to its sequences, in lexicographic order."""
-    topology = graph.topology
+def enumerate_paths(topology: RoutingTopology) -> dict[int, list[tuple[int, ...]]]:
+    """Every user's simple BS-to-user vertex sequences, from one walk
+    along ``succ``: user index 1..K to its sequences, in lexicographic
+    order.  The walk reads no weight, so it takes the unpriced topology."""
     num_irs, users = topology.num_irs, topology.user_vertices
     succ, out = topology.succ, {u: [] for u in range(1, topology.num_users + 1)}
     # the path from the BS, and per vertex on it, its sorted successors

@@ -15,7 +15,7 @@ import copy
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from typing import TYPE_CHECKING
@@ -123,11 +123,7 @@ class Scene:
     the LoS pairs; its entries may be ints, bools or floats, its rows
     lists, tuples or an ndarray's, all read by one conversion.  Without
     it (None), nodes at most ``los_threshold`` apart have LoS.  Either
-    way the result is kept only as ``los_masks``, so
-    ``dataclasses.replace`` cannot carry an override over; copy with
-    ``with_elements`` or ``with_antennas``.  ``scene.los_override``
-    reads None on every scene, overridden or not: it is the init-only
-    field's class default, not the matrix.
+    way the LoS is read as ``los_masks``; the matrix is kept as given.
     """
 
     positions: Sequence[Sequence[float]]
@@ -138,12 +134,12 @@ class Scene:
     ref_path_gain: float = (DEFAULT_WAVELENGTH / (4 * math.pi)) ** 2
     los_threshold: float = DEFAULT_LOS_THRESHOLD
     min_far_field: float = DEFAULT_MIN_FAR_FIELD
-    los_override: InitVar[Sequence[Sequence[int]] | None] = None
+    los_override: Sequence[Sequence[int]] | None = field(default=None, repr=False)
     # Closed LoS neighbourhood of every node as an int bitmask: bit j of
     # entry i is set when j == i or nodes i and j have LoS.
     los_masks: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self, los_override) -> None:
+    def __post_init__(self) -> None:
         counts = (self.num_irs, self.num_users)
         if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts):
             raise SceneError(f"num_irs and num_users must be nonnegative integers, got {counts}")
@@ -179,7 +175,7 @@ class Scene:
         # skips a pair whose y gap is above it: such a pair is farther
         # apart than the radius, since sqrt(dx*dx) rounds back to |dx|
         # and the other squares only add.
-        radius = max(d0, reach if los_override is None else 0.0, _SWEEP_FLOOR)
+        radius = max(d0, reach if self.los_override is None else 0.0, _SWEEP_FLOOR)
         masks = [1 << i for i in range(n)]
         close = []
         by_x = sorted((*p, i) for i, p in enumerate(pos))
@@ -202,8 +198,8 @@ class Scene:
                 f"far-field violation: nodes {i} and {k} are "
                 f"{d:.3f} m apart, below d0 = {d0} m"
             )
-        if los_override is not None:
-            masks = _override_masks(los_override, n)
+        if self.los_override is not None:
+            masks = _override_masks(self.los_override, n)
         object.__setattr__(self, "los_masks", tuple(masks))
 
     # -- derived counts ------------------------------------------------

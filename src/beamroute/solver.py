@@ -48,9 +48,9 @@ MAX_SEQUENTIAL_USERS = 8
 # bound on the product of per-user path counts solve_bruteforce accepts
 BRUTEFORCE_CAP = 1_000_000
 
-# a feasible completion of a sequential state: its worst power, its
-# users in order and their routes
-_Record = tuple[float, tuple[int, ...], tuple[Route, ...]]
+# a feasible completion of a sequential state: its worst power and its
+# routes, in the order their users were routed
+_Record = tuple[float, tuple[Route, ...]]
 
 ALGORITHMS = ("proposed", "sequential", "min_pathloss", "max_cpb", "brute_force")
 
@@ -309,7 +309,7 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         nonlocal sweeps
         if not remaining:
             # one completion, the empty one
-            return [(math.inf, (), ())], 1
+            return [(math.inf, ())], 1
         steps = []
         for u in users:
             if not remaining >> (u - 1) & 1:
@@ -337,10 +337,10 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
             if route.vertices not in power_of:
                 power_of[route.vertices] = closed_form_power(scene, route)
             p = power_of[route.vertices]
-            for tail, order, routes in below:
+            for tail, routes in below:
                 worst = min(p, tail)
                 if not records or worst > records[-1][0]:
-                    records.append((worst, (u, *order), (route, *routes)))
+                    records.append((worst, (route, *routes)))
         return records, count
 
     records, orders_feasible = walk((1 << k) - 1, 0)
@@ -354,7 +354,8 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
     if not records:
         diagnostics["reason"] = "every user order left some user unreachable"
         return _finish(scene, "sequential", diagnostics)
-    _, diagnostics["best_order"], chosen = records[-1]
+    _, chosen = records[-1]
+    diagnostics["best_order"] = tuple(r.user_index for r in chosen)
     routes = tuple(sorted(chosen, key=lambda r: r.user_index))
     powers = tuple(power_of[r.vertices] for r in routes)
     return _finish(scene, "sequential", diagnostics, routes, powers)
@@ -363,17 +364,17 @@ def solve_sequential(scene: Scene, params: SolveParams = SolveParams()) -> Routi
 def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> RoutingSolution:
     """Exact max-min selection by full simple-path enumeration.
 
-    Paths come from the routing graph, but each is checked and priced
-    on the raw scene (``route_from_sequence``), not on the graph's cost
-    table, so the result stays an independent oracle.  The paths are
-    counted first, per vertex in one pass along the edges the walk
-    follows, and a scene whose product of per-user path counts exceeds
-    ``BRUTEFORCE_CAP`` is refused before a single path is listed.
+    Paths come from the scene's routing topology, unpriced, and each is
+    checked and priced on the raw scene (``route_from_sequence``), so
+    the result stays an independent oracle.  The paths are counted
+    first, per vertex in one pass along the edges the walk follows.  A
+    user with no path makes the scene infeasible, and a scene whose
+    product of per-user path counts exceeds ``BRUTEFORCE_CAP`` is
+    refused; both are decided before a single path is listed.
     """
     _require_users(scene)
     k = scene.num_users
-    graph = build_routing_graph(scene)
-    topology = graph.topology
+    topology = scene.topology
     users = topology.user_vertices
     # per vertex, its paths from the BS; the walk never passes a user
     counts = [1] + [0] * (topology.num_vertices - 1)
@@ -381,12 +382,17 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         if v not in users:
             for j in topology.succ.get(v, ()):
                 counts[j] += counts[v]
-    product = math.prod(counts[v] for v in users)
+    path_counts = tuple(counts[v] for v in users)
+    product = math.prod(path_counts)
     if product > BRUTEFORCE_CAP:
         raise SolverError(f"path count product {product} exceeds cap {BRUTEFORCE_CAP}")
+    diagnostics = {"path_counts": path_counts, "combinations_checked": product}
+    if not product:
+        diagnostics["reason"] = "no compatible route combination"
+        return _finish(scene, "brute_force", diagnostics)
     per_user = [
         [route_from_sequence(scene, u, p[1:-1]) for p in user_paths]
-        for u, user_paths in enumerate_paths(graph).items()
+        for u, user_paths in enumerate_paths(topology).items()
     ]
     powers = [_route_powers(scene, routes) for routes in per_user]
     masks = [[route_masks(r, scene) for r in routes] for routes in per_user]
@@ -401,10 +407,6 @@ def solve_bruteforce(scene: Scene, params: SolveParams = SolveParams()) -> Routi
         objective = min(powers[u][combo[u]] for u in range(k))
         if best is None or objective > best[0]:
             best = (objective, combo)
-    diagnostics = {
-        "path_counts": tuple(len(p) for p in per_user),
-        "combinations_checked": product,
-    }
     if best is None:
         diagnostics["reason"] = "no compatible route combination"
         return _finish(scene, "brute_force", diagnostics)

@@ -55,6 +55,12 @@ def edge_costs(graph: LosGraph) -> dict[tuple[int, int], tuple[float, ...]]:
     return dict(zip(graph.topology.edges, costs))
 
 
+def edge_weight(distance: float, elements: int, ref_path_gain: float) -> float:
+    """ln(d / (M sqrt(beta))), one hop's power cost in log domain: the
+    tests' own formula for the weight the package prices each edge by."""
+    return math.log(distance / (elements * math.sqrt(ref_path_gain)))
+
+
 def full_los(n: int) -> np.ndarray:
     m = np.ones((n, n), dtype=int)
     np.fill_diagonal(m, 0)
@@ -227,4 +233,24 @@ def one_hop_users_document(users: int) -> str:
     los = [[0] * n for _ in range(n)]
     for i in range(1, users + 1):
         los[0][i] = los[i][0] = los[i][users + i] = los[users + i][i] = 1
+    return json.dumps({"nodes": nodes, "los_override": los})
+
+
+def isolated_user_row_document(surfaces: int) -> str:
+    """A row of ``surfaces`` surfaces 3 m apart on the x axis with user 1
+    3 m past them, and user 2 off to the side in LoS of nothing.
+
+    By override every pair of the row is in LoS but the BS and user 1,
+    so user 1 has a path per nonempty surface subset, 2**surfaces - 1,
+    and user 2 has none.
+    """
+    n = surfaces + 3
+    kinds = ["BS", *["IRS"] * surfaces, "User", "User"]
+    pos = [[3.0 * i, 0.0, 0.0] for i in range(n - 1)] + [[0.0, 50.0, 0.0]]
+    nodes = [{"id": i, "kind": kinds[i], "pos": pos[i]} for i in range(n)]
+    lonely = n - 1
+    los = [
+        [int(i != j and {i, j} != {0, lonely - 1} and lonely not in (i, j)) for j in range(n)]
+        for i in range(n)
+    ]
     return json.dumps({"nodes": nodes, "los_override": los})

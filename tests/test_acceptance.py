@@ -14,7 +14,6 @@ import numpy as np
 
 from beamroute.channel import closed_form_power
 from beamroute.graph import (
-    build_routing_graph,
     enumerate_paths,
     route_from_sequence,
     yen_k_shortest,
@@ -87,8 +86,7 @@ def lattice_scene(rng, num_irs: int, num_users: int) -> Scene:
 
 
 def _path_counts(scene: Scene) -> list[int]:
-    graph = build_routing_graph(scene)
-    return [len(paths) for paths in enumerate_paths(graph).values()]
+    return [len(paths) for paths in enumerate_paths(scene.topology).values()]
 
 
 def test_01_direct_channel_matches_closed_form():

@@ -277,7 +277,7 @@ def mask_rule_scenes(rng):
 def all_routes(scene, cap=60):
     return [
         route_from_sequence(scene, k, path[1:-1])
-        for k, paths in enumerate_paths(build_routing_graph(scene)).items()
+        for k, paths in enumerate_paths(scene.topology).items()
         for path in paths[:cap]
     ]
 

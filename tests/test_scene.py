@@ -3,8 +3,9 @@ channel model."""
 
 import json
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from beamroute.scene import (
     Scene,
     SceneError,
     load_scene,
+    load_scene_file,
 )
+from beamroute.solver import solve
 from channel_model import _angles, bs_aod, direction, direction_from_angles
 from scenefab import full_los, make_scene
 
 BETA_5GHZ = 2.2797266319525994e-05
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def doc_text(nodes, params=None, los_override=None):
@@ -517,6 +521,17 @@ class TestDerivedScenes:
                 assert rescaled.los_masks is scene.los_masks
                 assert rescaled.topology is scene.topology
             assert scene.with_elements(9).with_antennas(7).los_masks is scene.los_masks
+
+    def test_replace_keeps_the_override(self):
+        # the copy is built from the matrix that was given, not from the
+        # distance rule, so it routes as the with_elements copy does
+        scene = load_scene_file(str(SCENES / "corridors_353.json"))
+        copied = replace(scene, elements=16)
+        assert copied.los_override is scene.los_override is not None
+        assert copied.los_masks == scene.los_masks
+        got, want = solve(copied), solve(scene.with_elements(16))
+        assert want.feasible
+        assert repr(got) == repr(want)
 
     def test_original_unchanged(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)

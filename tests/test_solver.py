@@ -43,6 +43,7 @@ from scenefab import (
     chain_scene,
     corridor_scene,
     corridors_k8_document,
+    isolated_user_row_document,
     los_rows,
     make_scene,
     one_hop_users_document,
@@ -387,7 +388,7 @@ def raw_sequential(scene: Scene, queried: set | None = None):
     Each step takes the cheapest enumerated path that avoids the banned
     set; ``queried`` collects every banned set a step looked up.
     """
-    all_paths = enumerate_paths(build_routing_graph(scene))
+    all_paths = enumerate_paths(scene.topology)
     k = scene.num_users
     best = None
     for order in itertools.permutations(range(1, k + 1)):
@@ -621,6 +622,9 @@ def test_bruteforce_matches_oracle_random():
         scene = random_scene(rng)
         sol = solve_bruteforce(scene)
         diag = sol.diagnostics
+        # the counting pass agrees with the walk that lists the paths
+        listed = enumerate_paths(scene.topology).values()
+        assert diag["path_counts"] == tuple(map(len, listed))
         assert diag["combinations_checked"] == math.prod(diag["path_counts"])
         want = oracle_maxmin(scene)
         if want is None:
@@ -667,6 +671,24 @@ def test_bruteforce_counts_paths_before_listing_them(monkeypatch):
     with pytest.raises(SolverError) as err:
         solve_bruteforce(row_scene(23))
     assert str(err.value) == "path count product 8388607 exceeds cap 1000000"
+
+
+def test_bruteforce_answers_an_isolated_user_before_listing(monkeypatch):
+    def no_paths(*args):
+        raise AssertionError("paths listed")
+
+    # user 1 has 2**23 - 1 paths and user 2 none: the product is 0, so
+    # the counts alone make the scene infeasible, before the walk
+    monkeypatch.setattr(solver, "enumerate_paths", no_paths)
+    scene = load_scene(isolated_user_row_document(23))
+    # nothing is priced either, so even an M no float holds answers
+    for sol in (solve_bruteforce(scene), solve_bruteforce(scene.with_elements(10**400))):
+        assert not sol.feasible
+        assert sol.diagnostics == {
+            "path_counts": (2**23 - 1, 0),
+            "combinations_checked": 0,
+            "reason": "no compatible route combination",
+        }
 
 
 # ----------------------------------------------------------- infeasible
