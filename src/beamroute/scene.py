@@ -155,6 +155,15 @@ class Scene:
         if not all(map(math.isfinite, chain.from_iterable(pos))):
             i = next(i for i, p in enumerate(pos) if not all(map(math.isfinite, p)))
             raise SceneError(f"node {i} has invalid position {list(pos[i])}")
+        # Every pair's gaps lie within the spans, and subtracting,
+        # squaring and adding are monotone in floats, so a finite sum of
+        # the squared spans keeps every _distance finite.
+        spans = [max(axis) - min(axis) for axis in zip(*pos)]
+        if not math.isfinite(spans[0] * spans[0] + spans[1] * spans[1] + spans[2] * spans[2]):
+            raise SceneError(
+                f"node positions span {spans} m per axis: "
+                "their squared distances overflow a float"
+            )
         object.__setattr__(self, "positions", pos)
 
         _check_count("bs_antennas", self.bs_antennas)

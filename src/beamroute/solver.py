@@ -1,6 +1,8 @@
 """Joint route optimizers and benchmark strategies.
 
-The proposed pipeline chains candidate search (the cheapest paths per
+The proposed pipeline first runs a last-hop pass, which can prove a
+scene infeasible at every candidate budget from each user's last hops
+alone.  Otherwise it chains candidate search (the cheapest paths per
 user from one top-Q label sweep of the routing DAG, whose paths are all
 loopless), compatibility graph assembly and min-max clique selection,
 then maps the winning cost back to channel powers.  The
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .channel import closed_form_power
@@ -197,16 +200,84 @@ _PIPELINE_GRAPHS = {
 }
 
 
+def _last_hop_block(scene: Scene) -> tuple[str, int] | None:
+    """Why no joint selection exists, read off the users' last hops alone.
+
+    User u's options are the surfaces l with an edge l -> u on a path
+    from the BS: those whose ``upstream_masks`` entry has the BS bit.
+    The first user with no option has no path from the BS; the answer
+    is (``NoCandidateRoutesError``'s message, that user).  Otherwise
+    the clique search's arc-consistency pass runs, in the same rounds,
+    on the pseudo-routes (0, l, u): own {l, u}, closed N[l] | N[u].
+    ``compatible``'s rule, in bulk: option l of u keeps support from
+    user w when w's vertex is not in its closed mask and some live
+    option of w is not either.  A round that empties a user answers
+    ("no compatible route combination", the lowest user it emptied);
+    a round that changes nothing answers None.
+
+    Why a firing pass changes no answer: every route of u holds its
+    last hop l and u, so its own and closed masks contain the
+    pseudo-route's, and compatibility only gets easier on subsets; two
+    compatible routes project onto compatible pseudo-routes.  So at any
+    Q, if the search's pass ended with every partition nonempty, the
+    projection of its survivors would be arc-consistent here, every
+    round here would keep it, and no user would be emptied here.  When
+    this pass empties a user, the search's pass therefore empties one
+    too, before it explores a node: the answer is infeasible at every
+    Q, with ``cliques_explored`` 0, and the report and exit code are
+    those the full pipeline would give.  The pass reads no edge
+    weight, so one answer serves every pipeline graph.
+    """
+    topology, masks = scene.topology, scene.los_masks
+    upstream = topology.upstream_masks
+    # per user, its options as (surface bit, closed mask), and the union
+    # of those closed masks
+    options, near = [], []
+    for user, v in enumerate(topology.user_vertices, start=1):
+        opts = [(1 << l, masks[l] | masks[v]) for l, _ in topology.preds[v] if upstream[l] & 1]
+        if not opts:  # no path from the BS
+            return str(NoCandidateRoutesError(user)), user
+        options.append(opts)
+        near.append(functools.reduce(operator.or_, [closed for _, closed in opts]))
+    # per user, the vertex bits of the other users
+    every_user = sum(1 << v for v in topology.user_vertices)
+    rivals = [every_user ^ 1 << v for v in topology.user_vertices]
+    while True:
+        alive = [sum(bit for bit, _ in opts) for opts in options]
+        kept = []
+        for k, opts in enumerate(options):
+            rival, outside = rivals[k], ~near[k]
+            # a user with a live option outside every closed mask of
+            # user k supports all of k's options; only the rest are read
+            others = [m for j, m in enumerate(alive) if j != k and not m & outside]
+            if others or near[k] & rival:
+                opts = [
+                    (bit, closed)
+                    for bit, closed in opts
+                    if not closed & rival and all(m & ~closed for m in others)
+                ]
+            kept.append(opts)
+        if kept == options:
+            return None
+        options = kept
+        for user, opts in enumerate(options, start=1):
+            if not opts:
+                return "no compatible route combination", user
+
+
 def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
     """Candidate search, compatibility graph and min-max clique selection.
 
     ``proposed`` and the two asymptotic benchmarks differ only in the
     graph they rank candidates on; reported powers always use the
-    scene's actual element count.  ``infeasible_user`` names what
-    blocks an infeasible answer: the first user with no path from the
-    BS (``upstream_masks``), found before any candidate search, else
-    the first user whose partition the clique search's arc-consistency
-    pass empties.  It is absent when only the search finds no clique.
+    scene's actual element count.  The graph is priced first, so a
+    pricing error comes before any answer.  Then ``_last_hop_block``
+    may end the run before the candidate sweep, with no candidate
+    counts in the diagnostics.  ``infeasible_user`` names what blocks
+    an infeasible answer: the first user with no path from the BS,
+    else the user the last-hop pass empties, else the first user whose
+    partition the clique search's arc-consistency pass empties.  It is
+    absent when only the search finds no clique.
     """
     _require_users(scene)
     algorithm = params.algorithm
@@ -217,12 +288,10 @@ def _clique_pipeline(scene: Scene, params: SolveParams) -> RoutingSolution:
         "cliques_explored": 0,
         "cliques_pruned": 0,
     }
-    upstream = graph.topology.upstream_masks
-    for user in range(1, scene.num_users + 1):
-        if not upstream[scene.num_irs + user] & 1:  # no path from the BS
-            diagnostics["reason"] = str(NoCandidateRoutesError(user))
-            diagnostics["infeasible_user"] = user
-            return _finish(scene, algorithm, diagnostics)
+    blocked = _last_hop_block(scene)
+    if blocked is not None:
+        diagnostics["reason"], diagnostics["infeasible_user"] = blocked
+        return _finish(scene, algorithm, diagnostics)
     candidates = top_routes(graph, params.paths)
     diagnostics["candidate_counts"] = tuple(len(c) for c in candidates.values())
     path_graph = build_path_graph(candidates, scene)

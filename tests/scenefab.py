@@ -30,6 +30,16 @@ def los_rows(scene: Scene) -> list[list[int]]:
     return [[int(scene.los_indicator(i, j)) for j in range(n)] for i in range(n)]
 
 
+def scene_document(scene: Scene) -> str:
+    """A JSON document that loads back to ``scene``: its positions, its
+    constants and its LoS, the LoS as an override."""
+    kinds = ["BS", *["IRS"] * scene.num_irs, *["User"] * scene.num_users]
+    nodes = [{"id": i, "kind": k, "pos": list(p)} for i, (k, p) in enumerate(zip(kinds, scene.positions))]
+    params = {"N": scene.bs_antennas, "M1": scene.elements, "M2": 1, "beta": scene.ref_path_gain,
+              "los_threshold": scene.los_threshold, "d0": scene.min_far_field}
+    return json.dumps({"params": params, "nodes": nodes, "los_override": los_rows(scene)})
+
+
 def from_edges(
     num_irs: int, num_users: int, weighted_edges: list[tuple[int, int, float]]
 ) -> LosGraph:

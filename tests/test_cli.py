@@ -451,6 +451,25 @@ def test_main_power_overflow_exit_one(tmp_path, capsys):
     assert "error" in points[1]
 
 
+def test_far_apart_scene_is_one_error_line(tmp_path, capsys):
+    # a surface at x = 1e200 serving a user at x = -1e200: the gap's
+    # square overflows, and the scene is refused on load
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": 0, "kind": "BS", "pos": [0, 0, 0]},
+                  {"id": 1, "kind": "IRS", "pos": [1e200, 0, 0]},
+                  {"id": 2, "kind": "User", "pos": [-1e200, 0, 0]}],
+        "los_override": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+    }))
+    for algorithm in ALGORITHMS:
+        argv = ["--scene", str(path), "--algorithm", algorithm.replace("_", "-")]
+        assert main([*argv, "--output", "json"]) == 1
+        assert capsys.readouterr().out == json.dumps({"error": (
+            "node positions span [2e+200, 0.0, 0.0] m per axis: "
+            "their squared distances overflow a float"
+        )}) + "\n"
+
+
 def test_chain_deeper_than_the_recursion_limit_answers(tmp_path, capsys):
     # one route through 1,200 surfaces, 1 m apart; at M = 1 its power is
     # N beta^1201, small but a normal float
@@ -646,10 +665,16 @@ GOLDEN_RUNS = [
     ("demo_proposed.txt", []),
     ("demo_sweep_M.txt", ["--sweep", "M", "--values", "100,200,400,800"]),
     # paper-sized benchmark scenes at their workload's Q: a feasible
-    # seven-user corridors scene, and a mesh scene that the clique
-    # search's arc-consistency pass proves infeasible
+    # seven-user corridors scene, a mesh scene that only the clique
+    # search's arc-consistency pass proves infeasible, and one that the
+    # last-hop pass proves infeasible before the candidate sweep
     ("corridors_353_proposed.json", ["--paths", "10", "--output", "json"]),
     ("mesh_88_proposed.json", ["--paths", "50", "--output", "json"]),
+    ("mesh_1_proposed.json", ["--paths", "50", "--output", "json"]),
+    # the graph is priced before the last-hop pass runs: at M = 10^400
+    # pricing fails, though the pass would prove the scene infeasible
+    ("mesh_1_elements_1e400.json",
+     ["--paths", "50", "--elements", str(10**400), "--output", "json"]),
     # the same corridors scene on the other graph builds: the large-M
     # hop-priority graph (infeasible), the M=1 graph, and the per-M
     # pricing of the greedy-sweep workload's call
@@ -667,6 +692,8 @@ GOLDEN_RUNS = [
 GOLDEN_SCENES = {"demo_elements_1e77.json": ("demo", 1),
                  "corridors_353_proposed.json": ("corridors_353", 0),
                  "mesh_88_proposed.json": ("mesh_88", 2),
+                 "mesh_1_proposed.json": ("mesh_1", 2),
+                 "mesh_1_elements_1e400.json": ("mesh_1", 1),
                  "corridors_353_max-cpb.json": ("corridors_353", 2),
                  "corridors_353_min-pathloss.json": ("corridors_353", 0),
                  "corridors_353_sequential.json": ("corridors_353", 0),

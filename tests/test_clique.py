@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from beamroute import solver
 from beamroute.clique import (
     CliqueError,
     CliqueSearch,
@@ -16,6 +17,7 @@ from beamroute.clique import (
     route_masks,
 )
 from beamroute.graph import (
+    Route,
     build_routing_graph,
     enumerate_paths,
     route_from_sequence,
@@ -231,6 +233,33 @@ def raw_compatible(scene, a, b):
     if set(va) & set(vb):
         return False
     return not any(scene.los_indicator(u, v) for u in va for v in vb)
+
+
+def naive_last_hop(scene):
+    """The last-hop relaxation written out over raw LoS queries.
+
+    Each user's partition holds the pseudo-routes (0, l, u) for the
+    surfaces l in LoS of u that a path from the BS reaches: from the BS
+    to a LoS surface, then on to LoS surfaces strictly farther from the
+    BS.  ``naive_rounds`` runs over them with ``raw_compatible``.
+    Returns the partitions, the survivors and the lowest partition
+    emptied (an empty partition before any round means a user with no
+    path from the BS), or None.
+    """
+    j = scene.num_irs
+    reached = []
+    for s in sorted(range(1, j + 1), key=lambda s: scene.distance(0, s)):
+        if scene.los_indicator(0, s) or any(
+            scene.los_indicator(r, s) and scene.distance(0, r) < scene.distance(0, s)
+            for r in reached
+        ):
+            reached.append(s)
+    parts = [
+        [Route(u, (0, l, j + u), ()) for l in sorted(reached) if scene.los_indicator(l, j + u)]
+        for u in range(1, scene.num_users + 1)
+    ]
+    alive, blocked = naive_rounds(parts, lambda a, b: raw_compatible(scene, a, b))
+    return parts, alive, blocked
 
 
 def neighbor_disjoint(a, b, scene):
@@ -610,14 +639,23 @@ class TestBuildPathGraph:
 
 
 class TestInfeasibleUser:
-    def test_matches_naive_rounds(self):
+    def test_matches_naive_rounds(self, monkeypatch):
         # an infeasible proposed run names the first user without a
-        # path from the BS, else the lowest user whose candidates the
-        # pass empties, rounds run over raw compatibility
+        # path from the BS, else the lowest user that the last-hop
+        # rounds empty, else the lowest user whose candidates the
+        # search's pass empties, rounds run over raw compatibility
         rng = np.random.default_rng(38)
-        unreachable = emptied = 0
+        sweeps = []
+
+        def counting(*args):
+            sweeps.append(args)
+            return top_routes(*args)
+
+        monkeypatch.setattr(solver, "top_routes", counting)
+        unreachable = emptied = proved = 0
         for _ in range(300):
             scene = random_override_scene(rng, int(rng.integers(4, 10)), int(rng.integers(2, 5)))
+            sweeps.clear()
             sol = solve(scene, SolveParams(paths=4))
             if sol.feasible:
                 assert "infeasible_user" not in sol.diagnostics
@@ -633,6 +671,20 @@ class TestInfeasibleUser:
             alive, blocked = naive_rounds(
                 [cands[u] for u in users], lambda a, b: raw_compatible(scene, a, b)
             )
+            last_hop = naive_last_hop(scene)[2]
+            if last_hop is not None:
+                # proved before the sweep; the candidates' rounds agree
+                d = sol.diagnostics
+                assert sweeps == []
+                assert d["reason"] == "no compatible route combination"
+                assert d["infeasible_user"] == users[last_hop]
+                assert (d["compat_edges"], d["cliques_explored"], d["cliques_pruned"]) == (0, 0, 0)
+                assert "candidate_counts" not in d and "candidates_consistent" not in d
+                assert blocked is not None
+                proved += 1
+                emptied += 1
+                continue
+            assert len(sweeps) == 1
             assert sol.diagnostics["candidates_consistent"] == tuple(map(len, alive))
             if blocked is None:
                 assert "infeasible_user" not in sol.diagnostics
@@ -642,6 +694,8 @@ class TestInfeasibleUser:
                 emptied += 1
         assert unreachable >= 100
         assert emptied >= 60
+        # both kinds of proof are met
+        assert proved >= 60 and emptied > proved
 
     def test_triangle_and_cycle(self):
         # a triangle of conflicts: each pair of partitions has an edge,

@@ -133,6 +133,13 @@ DOCUMENT_ERRORS = [
     ("order-lowest-bad-position",
      nodes_doc(BS0, IRS1, node(3, "IRS", [15, 0, None]), node(2, "IRS", [10, math.nan, 0])),
      "node 2 has invalid position [10.0, nan, 0.0]"),
+    # squared gaps past the float range: every distance would not be finite
+    ("far-apart", nodes_doc(BS0, node(1, "IRS", [1e200, 0, 0]), node(2, "User", [-1e200, 0, 0]),
+                            los_override=[[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+     "node positions span [2e+200, 0.0, 0.0] m per axis: their squared distances overflow a float"),
+    ("order-far-apart-before-far-field",
+     nodes_doc(BS0, node(1, "IRS", [1, 0, 0]), node(2, "IRS", [0, 0, 1e155])),
+     "node positions span [1.0, 0.0, 1e+155] m per axis: their squared distances overflow a float"),
     ("order-position-before-far-field",
      nodes_doc(BS0, node(1, "IRS", [1, 0, 0]), node(2, "IRS", [10, 0, None])),
      "node 2 has invalid position [10.0, 0.0, nan]"),
@@ -340,6 +347,17 @@ class TestDistance:
                 if i != j:
                     assert scene.distance(i, j) == scene.distance(j, i)
 
+    def test_far_apart_layouts(self):
+        # two axes whose squared spans are finite, but not their sum:
+        # the pair (1, 2) is that far apart
+        with pytest.raises(SceneError, match=r"span \[1e\+154, 1e\+154, 0.0\] m per axis"):
+            make_scene([[0, 0, 0], [1e154, 0, 0], [0, 1e154, 0]], 2, 0)
+        # just inside the range, every distance is finite and keeps its bits
+        pos = [[0, 0, 0], [1e154, 0, 0], [-3e153, 0, 0]]
+        scene = make_scene(pos, 2, 0)
+        assert scene.distance(1, 2) == 1e154 - -3e153 < math.inf
+        assert all(math.isfinite(d) for d in scene.topology.dists)
+
     def test_same_node_error(self):
         scene = make_scene([[0, 0, 0], [5, 0, 0]], 1, 0)
         with pytest.raises(SceneError):
@@ -363,7 +381,9 @@ class TestDistance:
         # the scene's x-sorted sweep against every pair of the broadcast:
         # x coordinates shared and x gaps of exactly d0 (a d0 / 2
         # lattice), several violating pairs, coordinates near 1e200 whose
-        # squares overflow, and a d0 so small that squares underflow
+        # squares overflow, and a d0 so small that squares underflow.
+        # A layout whose squared spans overflow is rejected before the
+        # sweep, whatever else it holds.
         rng = np.random.default_rng(10)
         seen = {"several": 0, "gap_d0": 0, "overflow": 0, "passed": 0}
         for trial in range(400):
@@ -387,9 +407,19 @@ class TestDistance:
             seen["gap_d0"] += bool((gaps == d0).any())
             close = np.argwhere(np.triu(d < d0, 1))
             seen["several"] += len(close) > 1
+            sx, sy, sz = map(float, pos.max(axis=0) - pos.min(axis=0))
+            too_far = not math.isfinite(sx * sx + sy * sy + sz * sz)
             for override in (None, full_los(n)):
                 args = (pos, n - 1, 0)
                 kw = dict(min_far_field=d0, los_threshold=reach, los_override=override)
+                if too_far:
+                    with pytest.raises(SceneError) as exc:
+                        Scene(*args, **kw)
+                    assert str(exc.value) == (
+                        f"node positions span {[sx, sy, sz]} m per axis: "
+                        "their squared distances overflow a float"
+                    )
+                    continue
                 if len(close):
                     i, k = close[0]
                     message = (

@@ -8,6 +8,7 @@ it wherever the candidate budget covers every path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -50,7 +51,7 @@ from scenefab import (
     star_scene,
 )
 from sequential_reference import tree_sequential
-from test_clique import random_override_scene
+from test_clique import naive_last_hop, naive_rounds, random_override_scene, raw_compatible
 
 BETA = (0.06 / (4 * math.pi)) ** 2
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenes", "demo.json")
@@ -467,7 +468,7 @@ def test_one_sweep_per_banned_set(monkeypatch):
     calls = count_sweeps(monkeypatch)
     scenes = [adversarial_scene(bs_antennas=4, elements=4), easy_two_corridor()]
     scenes += [random_override_scene(rng, 12, 3) for _ in range(20)]
-    shared = unreachable = 0
+    shared = unreachable = emptied = 0
     for scene in scenes:
         calls.clear()
         queried: set = set()
@@ -482,18 +483,24 @@ def test_one_sweep_per_banned_set(monkeypatch):
         shared += len(calls) < len(masks)
         calls.clear()
         solve(scene)
-        # one sweep, or none when some user has no path from the BS
+        # one sweep, or none when some user has no path from the BS or
+        # the last-hop rounds empty a user
         reachable = all(top_routes(build_routing_graph(scene), 1).values())
-        assert calls == ([0] if reachable else [])
+        proved = naive_last_hop(scene)[2] is not None
+        assert calls == ([] if proved else [0])
+        assert proved or reachable
         unreachable += not reachable
+        emptied += reachable and proved
     assert shared >= 10
     assert unreachable >= 1
+    assert emptied >= 1
 
 
 def test_unreachable_user_ends_the_run_before_the_sweep(monkeypatch):
     # the reachability check flags exactly the first user whose
     # top_routes list on the algorithm's graph is empty, and no sweep,
-    # path graph or search runs then
+    # path graph or search runs then; nor when the last-hop rounds
+    # empty a user, which the search's pass over the candidates does too
     rng = np.random.default_rng(41)
     calls = count_sweeps(monkeypatch)
     gen = bench_scenes()
@@ -506,8 +513,9 @@ def test_unreachable_user_ends_the_run_before_the_sweep(monkeypatch):
         random_override_scene(rng, int(rng.integers(3, 10)), int(rng.integers(1, 5)))
         for _ in range(60)
     ]
-    flagged = passed = 0
+    flagged = passed = proved = 0
     for scene in scenes:
+        parts, _, last_hop = naive_last_hop(scene)
         graphs = {
             "proposed": build_routing_graph(scene),
             "min_pathloss": build_routing_graph(scene.with_elements(1)),
@@ -523,14 +531,28 @@ def test_unreachable_user_ends_the_run_before_the_sweep(monkeypatch):
                 assert (d["compat_edges"], d["cliques_explored"], d["cliques_pruned"]) == (0, 0, 0)
                 assert calls == []
                 assert "candidate_counts" not in d and "candidates_consistent" not in d
+                # the reference sees the same first user without options
+                assert [u for u, p in enumerate(parts, start=1) if not p][0] == empty[0]
                 flagged += 1
-            else:
+                continue
+            assert not d.get("reason", "").endswith("has no candidate routes")
+            passed += 1
+            if last_hop is None:
                 assert calls == [0]
-                assert not d.get("reason", "").endswith("has no candidate routes")
                 assert all(d["candidate_counts"])
-                passed += 1
+                continue
+            assert d["reason"] == "no compatible route combination"
+            assert d["infeasible_user"] == last_hop + 1
+            assert (d["compat_edges"], d["cliques_explored"], d["cliques_pruned"]) == (0, 0, 0)
+            assert calls == []
+            assert "candidate_counts" not in d and "candidates_consistent" not in d
+            cands = top_routes(graph, 5)
+            linked = functools.partial(raw_compatible, scene)
+            assert naive_rounds([cands[u] for u in sorted(cands)], linked)[1] is not None
+            proved += 1
     assert flagged >= 90
     assert passed >= 150
+    assert proved >= 30
 
 
 def test_sequential_matches_tree_reference():
